@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,16 +43,8 @@ class RunManifest:
     duration_s: float
 
     def write(self, path: str) -> None:
-        doc = {
-            "command": self.command,
-            "config_path": self.config_path,
-            "output_paths": self.output_paths,
-            "seed": self.seed,
-            "version": self.version,
-            "duration_s": self.duration_s,
-        }
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -132,14 +124,7 @@ def cmd_kernel(cfg: dict, out_dir: str, args) -> list[str]:
         sol = stieltjes_mod.solve_density(spec, gamma,
                                           num_points=_grid_points(cfg))
         edges = stieltjes_mod.support_edges(sol)
-        l_val = cfg.get("l", "sup")
-        if l_val == "sup":
-            # top edge approached from just inside: the boundary extrapolation
-            # is unreliable in the last ~1e-4 before the exact edge
-            lo, hi = edges[-1]
-            l = hi - 0.002 * (hi - lo)
-        else:
-            l = float(l_val)
+        l = edges[-1][1] if cfg.get("l", "sup") == "sup" else float(cfg["l"])
         t_grid = np.linspace(spec.h1, spec.h2, n_t)
         vals = overlap_mod.phi(l, t_grid, sol, spec)
         path = os.path.join(out_dir, f"kernel_gamma{_tag(gamma)}.csv")
@@ -211,6 +196,7 @@ def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
             raise UsageError(f"config missing '{key}'")
     reps = int(args.reps if args.reps is not None else cfg.get("reps", 100))
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    args.seed = seed  # the manifest records the seed in effect
     sizes = cfg.get("sweep_N", [int(cfg["N"])])
     ratio = cfg["p"] / cfg["N"]
     if ratio == 1:
@@ -297,23 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--assert", dest="do_assert", action="store_true")
+        if name == "simulate":
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--reps", type=int, default=None)
+            p.add_argument("--assert", dest="do_assert", action="store_true")
         p.set_defaults(func=fn)
     return parser
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("RMT_SHRINK_THREADS")
-    if cap and cap != "0":
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -323,8 +301,8 @@ def main(argv=None) -> int:
         outputs = args.func(cfg, args.out, args)
         manifest = RunManifest(
             command=args.command, config_path=args.config,
-            output_paths=outputs, seed=args.seed, version=__version__,
-            duration_s=time.perf_counter() - t0)
+            output_paths=outputs, seed=getattr(args, "seed", None),
+            version=__version__, duration_s=time.perf_counter() - t0)
         manifest.write(os.path.join(args.out, f"{args.command}.manifest.json"))
         return 0
     except UsageError as exc:

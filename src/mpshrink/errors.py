@@ -37,7 +37,7 @@ class GammaOne(MPShrinkError):
 
 
 class EmptySupport(MPShrinkError):
-    """No grid point exceeded the support detection threshold."""
+    """A solution carries no support intervals."""
 
 
 class DegenerateDenominator(MPShrinkError):

@@ -92,8 +92,10 @@ def phi_cumulative(lam: float, tau: float, solution: StieltjesSolution,
         # (1-gamma) * integral of phi(0, t) dH = integral of dH/(1+mu0*t)
         total += float(np.sum(t_ws / (1.0 + mu0 * t_nodes)))
     grid = solution.grid
+    # F has no density off its support: integrate up to the last edge below lam
+    ends = [b for a, b in solution.support if a <= lam]
     if lam >= grid[0] and t_nodes.size:
-        hi = min(lam, grid[-1])
+        hi = min([lam, grid[-1]] + ends[-1:])
         idx = np.searchsorted(grid, hi, side="right")
         xs = np.concatenate([grid[:idx], [hi]]) if idx < len(grid) else grid
         g = solution.gamma
@@ -107,10 +109,6 @@ def phi_cumulative(lam: float, tau: float, solution: StieltjesSolution,
         inner = np.sum(t_ws[:, None] * num / np.maximum(den, 1e-300), axis=0)
         total += float(np.trapezoid(inner * dens, xs))
     return total
-
-
-def cdf_f(lam: float, solution: StieltjesSolution) -> float:
-    return float(solution.cdf(lam))
 
 
 def average_overlap(lambda_lo: float, lambda_hi: float, tau_lo: float,

@@ -105,16 +105,9 @@ def shrink_spectrum(sample_eigs, solution: StieltjesSolution, *,
     eigs = np.asarray(sample_eigs, dtype=float)
     if np.any(eigs < -zero_tol * max(1.0, np.abs(eigs).max(initial=0.0))):
         raise ValueError("sample eigenvalues must be >= 0")
-    thresh = zero_tol * max(1.0, eigs.max(initial=0.0))
-    out = np.zeros(eigs.shape)
-    pos = eigs > thresh
-    if pos.any():
-        g = solution.gamma
-        m = _m_lookup(eigs[pos], solution)
-        k = 1.0 - 1.0 / g - eigs[pos] * m / g
-        out[pos] = eigs[pos] / np.abs(k) ** 2
-    if (~pos).any() and solution.gamma < 1:
-        out[~pos] = delta_zero(solution)
+    pos = eigs > zero_tol * max(1.0, eigs.max(initial=0.0))
+    out = np.full(eigs.shape, delta_zero(solution))
+    out[pos] = delta(eigs[pos], solution)
     return out
 
 
@@ -126,15 +119,9 @@ def shrink_inverse_spectrum(sample_eigs, solution: StieltjesSolution,
     with psi(0) for the zero eigenvalues when gamma < 1."""
     _check_gamma(solution)
     eigs = np.asarray(sample_eigs, dtype=float)
-    thresh = zero_tol * max(1.0, eigs.max(initial=0.0))
-    out = np.zeros(eigs.shape)
-    pos = eigs > thresh
-    if pos.any():
-        g = solution.gamma
-        m = _m_lookup(eigs[pos], solution)
-        out[pos] = (1.0 - 1.0 / g - 2.0 / g * eigs[pos] * m.real) / eigs[pos]
-    if (~pos).any() and solution.gamma < 1:
-        out[~pos] = psi_zero(solution, spec)
+    pos = eigs > zero_tol * max(1.0, eigs.max(initial=0.0))
+    out = np.full(eigs.shape, psi_zero(solution, spec))
+    out[pos] = psi(eigs[pos], solution, spec)
     return out
 
 
@@ -203,48 +190,37 @@ def build_shrinkage_curve(solution: StieltjesSolution, spec: PopulationSpectrum,
         delta_zero=d0, psi_zero=p0, gamma=solution.gamma)
 
 
-def delta_cumulative(xs, solution: StieltjesSolution):
-    """The nondecreasing limit curve x -> integral of delta over dF up to x."""
+def _f_integral(xs, solution: StieltjesSolution, curve: np.ndarray,
+                zero_value: float):
+    """x -> integral over dF up to x of a curve tabulated on the grid
+    (trapezoid), plus the atom of F at zero carrying zero_value."""
     lam = solution.grid
-    w = delta(lam, solution) * solution.density
+    w = curve * solution.density
     cum = np.concatenate([[0.0],
                           np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(lam))])
     xs_arr = np.asarray(xs, dtype=float)
-    out = np.interp(xs_arr, lam, cum)
-    out = np.where(xs_arr < lam[0], 0.0, out)
-    if solution.gamma < 1:
-        out = out + (xs_arr >= 0) * (1.0 - solution.gamma) * delta_zero(solution)
+    out = np.where(xs_arr < lam[0], 0.0, np.interp(xs_arr, lam, cum))
+    out = out + (xs_arr >= 0) * solution.mass_at_zero * zero_value
     return out if np.ndim(xs) else float(out)
+
+
+def delta_cumulative(xs, solution: StieltjesSolution):
+    """The nondecreasing limit curve x -> integral of delta over dF up to x."""
+    return _f_integral(xs, solution, delta(solution.grid, solution),
+                       delta_zero(solution))
 
 
 def psi_cumulative(xs, solution: StieltjesSolution,
                    spec: PopulationSpectrum):
     """The limit curve x -> integral of psi over dF up to x."""
-    lam = solution.grid
-    w = psi(lam, solution, spec) * solution.density
-    cum = np.concatenate([[0.0],
-                          np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(lam))])
-    xs_arr = np.asarray(xs, dtype=float)
-    out = np.interp(xs_arr, lam, cum)
-    out = np.where(xs_arr < lam[0], 0.0, out)
-    if solution.gamma < 1:
-        out = out + (xs_arr >= 0) * (1.0 - solution.gamma) * psi_zero(solution,
-                                                                      spec)
-    return out if np.ndim(xs) else float(out)
+    return _f_integral(xs, solution, psi(solution.grid, solution, spec),
+                       psi_zero(solution, spec))
 
 
 def moment_residuals(solution: StieltjesSolution, spec: PopulationSpectrum
                      ) -> tuple[float, float]:
     """Conservation gaps (covariance, inverse): the F-integral of each
     correction curve (plus the zero atom) must reproduce the H-moments."""
-    lam = solution.grid
-    dens = solution.density
-    d_curve = delta(lam, solution)
-    p_curve = psi(lam, solution, spec)
-    cov = np.trapezoid(d_curve * dens, lam)
-    inv = np.trapezoid(p_curve * dens, lam)
-    if solution.gamma < 1:
-        cov += (1.0 - solution.gamma) * delta_zero(solution)
-        inv += (1.0 - solution.gamma) * psi_zero(solution, spec)
-    return (float(cov - spectrum_mod.moment(spec, 1)),
-            float(inv - spectrum_mod.moment(spec, -1)))
+    top = solution.grid[-1]
+    return (delta_cumulative(top, solution) - spectrum_mod.moment(spec, 1),
+            psi_cumulative(top, solution, spec) - spectrum_mod.moment(spec, -1))

@@ -6,39 +6,40 @@ Solves, for z in the upper half plane,
 
 and extracts boundary values m_breve(lambda), the density F' = Im[m_breve]/pi,
 the support intervals, and the companion transform value at zero (gamma < 1).
+Everything runs in the companion variable mu, 1 + z*m = gamma + gamma*z*mu.
 
-The iteration runs in the companion variable mu = m_under(z), related to m by
+For Im z > 0 (solve_mF) the companion fixed-point map
+1/(-z + (1/gamma) * int tau/(1+tau*mu) dH) maps the upper half plane strictly
+into itself, so the damped iteration cannot cross to the non-physical
+conjugate root.  On the real axis z is the explicit inverse (Silverstein &
+Choi 1995)
 
-    1 + z*m(z) = gamma + gamma*z*mu(z),
+    x(mu) = -1/mu + (1/gamma) * integral of tau / (1 + tau*mu) dH(tau):
 
-because the companion fixed-point map 1/(-z + (1/gamma) * int tau/(1+tau*mu) dH)
-maps the upper half plane strictly into itself, so the damped iteration cannot
-cross to the non-physical conjugate root (the direct map in m can, for
-gamma < 1 near the lower support edge).  Residuals are always verified on the
-original equation in m.
+the support edges are x at its real critical points, inside the support mu
+solves x(mu) = lambda with Im mu > 0, and off it mu is the real root on a
+rising branch of x.  Residuals are always verified on the equation in m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import make_interp_spline
 
 from .errors import DomainError, EmptySupport, GammaOne, NoConvergence
-from .spectrum import PopulationSpectrum, quadrature_nodes
+from .spectrum import PopulationSpectrum, moment, quadrature_nodes
 
 TOL = 1e-12
 MAX_ITER = 10_000
 DAMPING = 0.5
-ETA_SCHEDULE = (1e-4, 5e-5, 2.5e-5)
-ETA_BOOTSTRAP = (1e-2, 1e-3)
-EDGE_ETA_SCHEDULE = (4e-6, 2e-6, 1e-6)
-EDGE_THRESHOLD = 1e-8
-EDGE_REFINE_TOL = 1e-6
 _NEWTON_GATE = 1e-5
+BISECT_STEPS = 100
+NEWTON_STEPS = 50
+PATH_POINTS = 65
 
 
 def _companion_step(z, mu, gamma, taus, ws):
@@ -92,10 +93,7 @@ def _solve_companion(z: np.ndarray, gamma: float, taus: np.ndarray,
         done = (np.abs(nxt - mua) <= tol * s2) & (np.abs(rhs2 - nxt) <= tol * s2)
         mu[active] = nxt
         iters[active] += 1
-        idx_act = np.flatnonzero(active)
-        nxt_active = active.copy()
-        nxt_active[idx_act[done]] = False
-        active = nxt_active
+        active[np.flatnonzero(active)[done]] = False
     return mu, iters, ~active
 
 
@@ -173,35 +171,187 @@ def solve_mF_direct(z, spec: PopulationSpectrum, gamma: float, *,
     return m if np.ndim(z) else complex(m[0])
 
 
-def _richardson(values: Sequence[np.ndarray]) -> np.ndarray:
-    """Two-step Richardson extrapolation for the eta, eta/2, eta/4 ladder."""
-    A, B, C = values
-    return (8.0 * C - 6.0 * B + A) / 3.0
+@lru_cache(maxsize=128)
+def _components(spec: PopulationSpectrum):
+    """Atom (weight, location) and segment (weight, lo, hi) columns."""
+    atoms = np.reshape(spec.atoms, (-1, 2)).astype(float)
+    segs = np.reshape(spec.segments, (-1, 3)).astype(float)
+    return atoms[:, :1], atoms[:, 1:], segs[:, :1], segs[:, 1:2], segs[:, 2:]
 
 
-def _boundary_sweep(spec: PopulationSpectrum, gamma: float, grid: np.ndarray,
-                    eta_schedule: Sequence[float],
-                    bootstrap: Sequence[float] = ETA_BOOTSTRAP):
-    """Extrapolated m_breve on the grid via the decreasing-eta ladder."""
-    taus, ws = quadrature_nodes(spec)
-    mu = None
-    for eta in bootstrap:
-        mu, _, _ = _solve_companion(grid + 1j * eta, gamma, taus, ws, mu0=mu)
-    per_eta = []
-    valid = np.ones(grid.shape, dtype=bool)
-    for eta in eta_schedule:
-        z = grid + 1j * eta
-        mu, _, conv = _solve_companion(z, gamma, taus, ws, mu0=mu)
-        valid &= conv
-        per_eta.append(_mu_to_m(z, mu, gamma))
-    return _richardson(per_eta), valid
+def _inverse_map(mu, spec: PopulationSpectrum, gamma: float):
+    """x(mu), x'(mu) and x''(mu) for an array of mu off the real cut of H.
+
+    Atoms are summed exactly.  A uniform segment on [lo, hi] enters through
+    L = log((1 + hi*mu) / (1 + lo*mu)), the integral of mu/(1 + tau*mu) over
+    the segment; the principal log is the right branch because the path
+    1 + tau*mu, tau in [lo, hi], is a straight segment that misses zero.
+    """
+    mu = np.asarray(mu)[None, :]
+    aw, at, sw, lo, hi = _components(spec)
+    r = at / (1.0 + at * mu)
+    J0 = np.sum(aw * r, axis=0)
+    J1 = -np.sum(aw * r ** 2, axis=0)
+    J2 = 2.0 * np.sum(aw * r ** 3, axis=0)
+    if len(sw):
+        s_lo, s_hi = 1.0 + lo * mu, 1.0 + hi * mu
+        L = np.log(s_hi / s_lo)
+        L1 = hi / s_hi - lo / s_lo
+        L2 = (lo / s_lo) ** 2 - (hi / s_hi) ** 2
+        c = sw / (hi - lo)
+        J0 = J0 + np.sum(sw / mu - c * L / mu ** 2, axis=0)
+        J1 = J1 - np.sum(sw / mu ** 2 + c * (L1 / mu ** 2 - 2.0 * L / mu ** 3),
+                         axis=0)
+        J2 = J2 + np.sum(2.0 * sw / mu ** 3 - c * (
+            L2 / mu ** 2 - 4.0 * L1 / mu ** 3 + 6.0 * L / mu ** 4), axis=0)
+    mu = mu[0]
+    return (-1.0 / mu + J0 / gamma, 1.0 / mu ** 2 + J1 / gamma,
+            -2.0 / mu ** 3 + J2 / gamma)
+
+
+def _in_u(u, spec: PopulationSpectrum, gamma: float):
+    """x and its first two derivatives in u = -1/mu.  Unlike mu, u stays
+    finite at the lower edge as gamma -> 1, and Im u > 0 iff Im mu > 0."""
+    mu = -1.0 / np.asarray(u)
+    x, x1, x2 = _inverse_map(mu, spec, gamma)
+    return x, mu ** 2 * x1, mu ** 3 * (2.0 * x1 + mu * x2)
+
+
+def _exact_gap(z, m, spec: PopulationSpectrum, gamma: float):
+    """|m - integral of dH(tau) / (tau*k - z)|, k = 1 - 1/gamma - z*m/gamma,
+    the residual of the equation in m with H integrated exactly."""
+    aw, at, sw, lo, hi = _components(spec)
+    k = (1.0 - 1.0 / gamma - z * m / gamma)[None, :]
+    z = np.asarray(z)[None, :]
+    rhs = np.sum(aw / (at * k - z), axis=0) + np.sum(
+        sw / ((hi - lo) * k) * np.log((hi * k - z) / (lo * k - z)), axis=0)
+    return np.abs(rhs - m)
+
+
+def _bisect(f, neg, pos) -> np.ndarray:
+    """Roots of f between neg (where f < 0) and pos (where f > 0), vectorized;
+    the bracket ends themselves are never evaluated."""
+    neg, pos = np.array(neg, dtype=float), np.array(pos, dtype=float)
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (neg + pos)
+        below = f(mid) < 0
+        neg, pos = np.where(below, mid, neg), np.where(below, pos, mid)
+    return 0.5 * (neg + pos)
+
+
+@lru_cache(maxsize=128)
+def _critical_points(spec: PopulationSpectrum, gamma: float):
+    """Real critical points u* = -1/mu* of x, ascending, and the values x(u*).
+    Raises GammaOne at gamma = 1, where the lower edge reaches zero.
+
+    In u = -1/mu, dx/du = 1 - (1/gamma) int tau^2/(u - tau)^2 dH is strictly
+    concave between consecutive pieces of supp H and falls to -inf at them;
+    it is 1 - 1/gamma at u = 0 and tends to 1 at -inf and +inf.  So one
+    critical point lies left of supp H, one right of it, and a pair in each
+    gap of supp H where the peak of dx/du is positive.  The pairs
+    (u*[2i], u*[2i+1]) bound the support intervals [x(u*[2i]), x(u*[2i+1])].
+    """
+    if gamma == 1:
+        raise GammaOne("gamma = 1 excluded: the density can be unbounded at 0")
+
+    lo, hi = np.array(sorted([(t, t) for _, t in spec.atoms]
+                             + [(a, b) for _, a, b in spec.segments])).T
+    hi = np.maximum.accumulate(hi)
+    gap = lo[1:] > hi[:-1]
+    p, q = hi[:-1][gap], lo[1:][gap]          # the gaps (p, q) of supp H
+    peak = _bisect(lambda u: _in_u(u, spec, gamma)[2], q, p)
+    rising = _in_u(peak, spec, gamma)[1] > 0
+    root = spec.h2 / np.sqrt(gamma)
+    neg = [spec.h1 if gamma > 1 else 0.0, spec.h2] + list(p[rising]) \
+        + list(q[rising])
+    pos = [0.0 if gamma > 1 else -2.0 * root, spec.h2 + 2.0 * root] \
+        + 2 * list(peak[rising])
+    crit = np.sort(_bisect(lambda u: _in_u(u, spec, gamma)[1], neg, pos))
+    values = _in_u(crit, spec, gamma)[0]
+    # a gap where x barely rises can come out empty in floating point
+    keep = np.concatenate([[True], np.repeat(np.diff(values)[1::2] > 0, 2),
+                           [True]])
+    return crit[keep], values[keep]
+
+
+def _newton(spec: PopulationSpectrum, gamma: float, lam, u):
+    """Newton on x(u) = lam from seeds with Im u > 0; returns (u, converged).
+
+    It stops when gamma*mu*(x - lam)/lam, the residual of the equation in m,
+    is within TOL * max(1, |m|).  A root counts only within Im(seed)/2 of its
+    seed: that disk lies in the upper half plane, where the physical root is
+    the only one, so a real root of a falling branch of x is never taken."""
+    seed = u = np.array(u, dtype=complex)
+    for it in range(NEWTON_STEPS + 1):
+        x, x1, _ = _in_u(u, spec, gamma)
+        m = _mu_to_m(lam, -1.0 / u, gamma)
+        done = gamma * np.abs(x - lam) <= TOL * lam * np.abs(u) * np.maximum(
+            1.0, np.abs(m))
+        if done.all() or it == NEWTON_STEPS:
+            return u, done & (np.abs(u - seed) <= 0.5 * seed.imag)
+        u = u - np.where(done, 0.0, (x - lam) / x1)
+
+
+def _angle(lam, a: float, b: float):
+    """Chebyshev angle theta of lambda = a + (b - a) * (1 - cos theta) / 2."""
+    return np.arccos(np.minimum(1.0, np.maximum(-1.0, 1.0 - 2.0 * (lam - a)
+                                                / (b - a))))
+
+
+def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
+              a: float, b: float, u_a: float, u_b: float):
+    """(u, converged) at points inside the support interval (a, b) with
+    edges x(u_a), x(u_b).
+
+    Newton continuation walks from the lower edge in steps of the Chebyshev
+    angle theta, in which u is smooth up to both edges, seeded first from the
+    square-root expansion x(u) ~ a + x''(u_a) (u - u_a)^2 / 2, then by
+    linear extrapolation; a step whose solve fails is halved.  The points are
+    solved from seeds interpolated along that path; where the path lost the
+    root they miss the residual."""
+    curv = _in_u(np.array([u_a]), spec, gamma)[2][0]
+    path_t, path_u = [0.0], [complex(u_a)]
+    ends = np.pi / (PATH_POINTS - 1) * 0.5 ** np.arange(1, 13)
+    targets = sorted(np.concatenate([ends, np.linspace(0.0, np.pi, PATH_POINTS)
+                                     [1:-1], np.pi - ends]), reverse=True)
+    while targets:
+        t = targets[-1]
+        lam_t = a + 0.5 * (b - a) * (1.0 - np.cos(t))
+        seed = u_a + 1j * np.sqrt(2.0 * (lam_t - a) / abs(curv)) \
+            if len(path_u) == 1 else path_u[-1] + (path_u[-1] - path_u[-2]) \
+            * (t - path_t[-1]) / (path_t[-1] - path_t[-2])
+        u, ok = _newton(spec, gamma, lam_t, [seed])
+        if ok[0]:
+            path_t.append(targets.pop())
+            path_u.append(u[0])
+        elif t - path_t[-1] > 1e-9:
+            targets.append(0.5 * (t + path_t[-1]))
+        else:
+            break
+    path_t, path_u = np.array(path_t + [np.pi]), np.array(path_u + [u_b])
+    t = _angle(lam, a, b)
+    return _newton(spec, gamma, lam, np.interp(t, path_t, path_u.real)
+                   + 1j * np.interp(t, path_t, path_u.imag))
+
+
+def _rising_root(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
+                 crit: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Real u = -1/mu with x(u) = lam on the rising branch of x that covers
+    lam, for lam off the support."""
+    k = np.searchsorted(values[1::2], lam)
+    last = len(crit) - 1
+    # below the support x(u) < u + m1/gamma, above it x(u) > u
+    left = np.minimum(crit[0], lam - moment(spec, 1) / gamma) - spec.h2
+    neg = np.where(k == 0, left, crit[np.maximum(2 * k - 1, 0)])
+    pos = np.where(2 * k > last, lam, crit[np.minimum(2 * k, last)])
+    return _bisect(lambda u: _in_u(u, spec, gamma)[0] - lam, neg, pos)
 
 
 @dataclass
 class StieltjesSolution:
     """Boundary values of the limiting law on a lambda grid.
 
-    density is Im[m_breve]/pi clipped at zero; support holds the refined
+    density is Im[m_breve]/pi (zero at invalid points); support holds the
     closed intervals where the density is positive; m_under_zero is the
     companion transform at 0 (present iff gamma < 1); mass_at_zero is the
     weight of the atom of F at zero.
@@ -217,12 +367,27 @@ class StieltjesSolution:
     valid: np.ndarray = field(repr=False, default=None)
 
     @cached_property
-    def _re_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid, self.m_breve.real)
-
-    @cached_property
-    def _im_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid, self.m_breve.imag)
+    def _pieces(self):
+        """Interpolation data of m_at from the valid grid points: per support
+        interval, a spline in the Chebyshev angle theta (m_breve is smooth in
+        theta up to both edges) of Re m_breve and log(Im m_breve / sin theta);
+        off the support, the real values plus the spline's edge values."""
+        ok = np.ones(self.grid.shape, bool) if self.valid is None else self.valid
+        pieces, knots, off = [], [], ok.copy()
+        for a, b in self.support:
+            inside = (self.grid >= a) & (self.grid <= b)
+            off &= ~inside
+            th, m = _angle(self.grid[inside & ok], a, b), self.m_breve[inside & ok]
+            pos = (th > 0) & (th < np.pi) & (m.imag > 0)
+            if pos.any():
+                th, m = th[pos], m[pos]
+                spline = make_interp_spline(th, np.column_stack(
+                    [m.real, np.log(m.imag / np.sin(th))]),
+                    k=min(3, len(th) - 1))
+                pieces.append((a, b, spline))
+                knots += [(a, spline(0.0)[0]), (b, spline(np.pi)[0])]
+        knots = sorted(knots + list(zip(self.grid[off], self.m_breve[off].real)))
+        return pieces, np.array(knots).reshape(-1, 2).T
 
     @cached_property
     def _cum_mass(self) -> np.ndarray:
@@ -231,9 +396,18 @@ class StieltjesSolution:
         return np.concatenate([[0.0], np.cumsum(dx * avg)])
 
     def m_at(self, lam):
-        """m_breve interpolated from the grid (clamped to the grid range)."""
-        x = np.clip(lam, self.grid[0], self.grid[-1])
-        return self._re_spline(x) + 1j * self._im_spline(x)
+        """m_breve interpolated from the grid (clamped to the grid range),
+        never across a support edge; Im m_at >= 0 by construction."""
+        pieces, (xs, ys) = self._pieces
+        x = np.minimum(self.grid[-1], np.maximum(
+            self.grid[0], np.atleast_1d(np.asarray(lam, dtype=float))))
+        out = np.interp(x, xs, ys).astype(complex)
+        for a, b, spline in pieces:
+            sel = (x >= a) & (x <= b)
+            th = _angle(x[sel], a, b)
+            re, log_im = spline(th).T
+            out[sel] = re + 1j * np.sin(th) * np.exp(log_im)
+        return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
 
     def density_at(self, lam):
         x = np.clip(lam, self.grid[0], self.grid[-1])
@@ -255,219 +429,91 @@ class StieltjesSolution:
         lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
         if not self.support:
             raise EmptySupport("solution has no detected support")
-        edges = np.asarray(self.support)  # (k, 2)
-        out = lam_arr.copy()
-        moved = np.zeros(lam_arr.shape, dtype=bool)
         inside = np.zeros(lam_arr.shape, dtype=bool)
         for lo, hi in self.support:
             inside |= (lam_arr >= lo) & (lam_arr <= hi)
-        for i in np.flatnonzero(~inside):
-            x = lam_arr[i]
-            cand = edges.ravel()
-            out[i] = cand[np.argmin(np.abs(cand - x))]
-            moved[i] = True
-        return (out, moved) if np.ndim(lam) else (float(out[0]), bool(moved[0]))
+        edges = np.ravel(self.support)
+        nearest = edges[np.argmin(np.abs(edges[:, None] - lam_arr), axis=0)]
+        out = np.where(inside, lam_arr, nearest)
+        return (out, ~inside) if np.ndim(lam) else (float(out[0]),
+                                                    bool(~inside[0]))
 
 
-def companion_zero(spec: PopulationSpectrum, gamma: float, *,
-                   check: bool = True) -> float:
-    """Companion transform value at zero, for gamma < 1.
-
-    Root of  integral of tau*m/(1+tau*m) dH(tau) = gamma  on m in (0, inf),
-    found by bisection.  When check is set, the value is cross-checked against
-    the eta -> 0 limit of the companion-variable solver at z = i*eta.
-    """
-    if gamma >= 1:
-        raise DomainError(f"companion_zero requires gamma < 1, got {gamma}")
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
-    taus, ws = quadrature_nodes(spec)
-
-    def f(m: float) -> float:
-        return float(np.sum(ws * taus * m / (1.0 + taus * m))) - gamma
-
-    lo, hi = 0.0, 1.0
-    while f(hi) < 0:
-        hi *= 2.0
-        if hi > 1e18:
-            raise NoConvergence("companion_zero bracket expansion failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    if check:
-        vals = []
-        mu = None
-        for eta in (1e-3,) + ETA_SCHEDULE:
-            mu, _, conv = _solve_companion(np.array([1j * eta]), gamma, taus, ws,
-                                           mu0=mu)
-            if not conv.all():
-                raise NoConvergence(f"companion eta-limit failed at eta={eta}")
-            if eta in ETA_SCHEDULE:
-                vals.append(mu.copy())
-        limit = _richardson(vals)[0]
-        if abs(limit.real - root) > 1e-6 * max(1.0, abs(root)):
-            raise NoConvergence(
-                f"companion_zero cross-check mismatch: bisection {root}, "
-                f"eta-limit {limit.real}")
-    return root
-
-
-def _density_point(spec: PopulationSpectrum, gamma: float, lam: float,
-                   eta_schedule: Sequence[float], seed=None) -> float:
-    """Fresh extrapolated density at a single lambda (used by edge refinement)."""
-    taus, ws = quadrature_nodes(spec)
-    mu = None if seed is None else np.array([seed], dtype=complex)
-    vals = []
-    for eta in eta_schedule:
-        z = np.array([lam + 1j * eta])
-        mu, _, _ = _solve_companion(z, gamma, taus, ws, mu0=mu)
-        vals.append(_mu_to_m(z, mu, gamma))
-    return float(_richardson(vals)[0].imag / np.pi)
-
-
-def _threshold_runs(grid: np.ndarray, density: np.ndarray,
-                    valid: np.ndarray, threshold: float):
-    """Maximal index runs where the density exceeds the threshold."""
-    mask = (density > threshold) & valid
-    runs = []
-    i = 0
-    n = len(grid)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return runs
-
-
-def _refine_edge(spec, gamma, lo_lam, hi_lam, seed, *, rising: bool) -> float:
-    """Bisect the density threshold crossing between lo_lam and hi_lam."""
-    a, b = lo_lam, hi_lam
-    while b - a > EDGE_REFINE_TOL:
-        mid = 0.5 * (a + b)
-        above = _density_point(spec, gamma, mid, EDGE_ETA_SCHEDULE,
-                               seed=seed) > EDGE_THRESHOLD
-        if rising == above:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
+def companion_zero(spec: PopulationSpectrum, gamma: float) -> float:
+    """Companion transform value at zero, for gamma < 1: the positive root of
+    x(mu) = 0, i.e. of integral of tau*mu/(1+tau*mu) dH(tau) = gamma."""
+    if not 0 < gamma < 1:
+        raise DomainError(f"companion_zero requires 0 < gamma < 1, got {gamma}")
+    u = _rising_root(spec, gamma, np.zeros(1), *_critical_points(spec, gamma))
+    return float(-1.0 / u[0])
 
 
 def boundary_values(spec: PopulationSpectrum, gamma: float,
                     grid: Sequence[float],
-                    eta_schedule: Sequence[float] = ETA_SCHEDULE,
                     refine_edges: bool = True) -> StieltjesSolution:
     """Boundary values and density on an ascending positive grid.
 
-    The eta schedule must contain three levels in ratio (1, 1/2, 1/4); the
-    extrapolation coefficients assume halving steps.  Per-point solver
-    failures mark the entry invalid instead of aborting.  Support intervals
-    come from thresholding the density at 1e-8 with the interval endpoints
-    refined by bisection to 1e-6.
+    The support edges are the exact critical values of x(mu) whatever the
+    grid, so refine_edges has no effect; it is accepted for callers that pass
+    it.  Grid points inside the support come from Newton continuation, points
+    off it from the real root on a rising branch of x.  A point that misses
+    the residual, of the Newton solve or of the original equation in m, is
+    marked invalid (density 0) instead of aborting.
     """
-    if gamma == 1:
-        raise GammaOne("boundary values are not computed at gamma = 1")
+    crit, values = _critical_points(spec, gamma)
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("grid must be a non-empty 1-D array")
-    if np.any(np.diff(grid) <= 0) or grid[0] <= 0:
-        raise ValueError("grid must be strictly ascending and positive")
-    if len(eta_schedule) != 3:
-        raise ValueError("eta schedule must have three decreasing levels")
+    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0) \
+            or grid[0] <= 0:
+        raise ValueError("grid must be a strictly ascending positive 1-D array")
+    u = np.zeros(grid.shape, dtype=complex)
+    ok, off = np.ones(grid.shape, dtype=bool), np.ones(grid.shape, dtype=bool)
+    for a, b, u_a, u_b in zip(values[::2], values[1::2], crit[::2], crit[1::2]):
+        inside = (grid > a) & (grid < b)
+        if inside.any():
+            u[inside], ok[inside] = _interior(spec, gamma, grid[inside],
+                                              a, b, u_a, u_b)
+        off &= ~inside
+    u[off] = _rising_root(spec, gamma, grid[off], crit, values)
+    for edge, u_edge in zip(values, crit):
+        u[grid == edge] = u_edge
 
-    m_breve, valid = _boundary_sweep(spec, gamma, grid, eta_schedule)
-    # Im[m_breve] >= 0 exactly in the limit; extrapolation noise near support
-    # edges can dip a few 1e-4 below zero and is clamped, anything worse is a
-    # solver failure and the point is marked invalid
-    valid &= m_breve.imag >= -1e-3
-    m_breve = m_breve.real + 1j * np.maximum(m_breve.imag, 0.0)
-    density = np.where(valid, m_breve.imag / np.pi, 0.0)
-
-    support: list[tuple[float, float]] = []
-    runs = _threshold_runs(grid, density, valid, EDGE_THRESHOLD)
-    for i, j in runs:
-        lo = grid[i]
-        hi = grid[j]
-        if refine_edges:
-            if i > 0:
-                mu_seed = (m_breve[i] - (gamma - 1.0) / grid[i]) / gamma
-                lo = _refine_edge(spec, gamma, grid[i - 1], grid[i], mu_seed,
-                                  rising=True)
-            if j < len(grid) - 1:
-                mu_seed = (m_breve[j] - (gamma - 1.0) / grid[j]) / gamma
-                hi = _refine_edge(spec, gamma, grid[j], grid[j + 1], mu_seed,
-                                  rising=False)
-        support.append((float(lo), float(hi)))
-
-    m_under = companion_zero(spec, gamma, check=False) if gamma < 1 else None
+    m_breve = _mu_to_m(grid, -1.0 / u, gamma)
+    resid = _exact_gap(grid.astype(complex), m_breve, spec, gamma)
+    valid = ok & (resid <= 10 * TOL * np.maximum(1.0, np.abs(m_breve)))
     return StieltjesSolution(
-        gamma=float(gamma), grid=grid, m_breve=m_breve, density=density,
-        support=support, m_under_zero=m_under,
+        gamma=float(gamma), grid=grid, m_breve=m_breve,
+        density=np.where(valid, m_breve.imag / np.pi, 0.0),
+        support=[(float(a), float(b)) for a, b in zip(values[::2], values[1::2])],
+        m_under_zero=companion_zero(spec, gamma) if gamma < 1 else None,
         mass_at_zero=(1.0 - gamma) if gamma < 1 else 0.0, valid=valid)
 
 
 def support_edges(solution: StieltjesSolution) -> list[tuple[float, float]]:
-    """Detected support intervals; raises EmptySupport when none were found."""
+    """Support intervals; raises EmptySupport when the solution has none."""
     if not solution.support:
-        raise EmptySupport("no grid point exceeded the density threshold")
+        raise EmptySupport("solution has no support intervals")
     return list(solution.support)
-
-
-def scan_bounds(spec: PopulationSpectrum, gamma: float) -> tuple[float, float]:
-    """Outer bracket guaranteed to contain the positive part of Supp(F)."""
-    lo = (1.0 - gamma ** -0.5) ** 2 * spec.h1
-    hi = (1.0 + gamma ** -0.5) ** 2 * spec.h2
-    return max(0.6 * lo, 1e-8 * spec.h1), 1.05 * hi
-
-
-def _clustered_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """Grid on [lo, hi] with cosine clustering toward both ends."""
-    u = np.linspace(0.0, np.pi, n)
-    return lo + (hi - lo) * 0.5 * (1.0 - np.cos(u))
 
 
 def solve_density(spec: PopulationSpectrum, gamma: float,
                   num_points: int = 3000) -> StieltjesSolution:
-    """Two-pass solution: coarse scan to locate the support, then a fine
-    edge-clustered grid per support interval plus sparse off-support tails."""
-    if gamma == 1:
-        raise GammaOne("gamma = 1 excluded")
-    lo_b, hi_b = scan_bounds(spec, gamma)
-    coarse_grid = np.linspace(lo_b, hi_b, 600)
-    coarse = boundary_values(spec, gamma, coarse_grid, refine_edges=False)
-    runs = coarse.support
-    if not runs:
-        raise EmptySupport("coarse scan found no support")
-    # pad each run by two coarse cells and merge overlaps
-    cell = coarse_grid[1] - coarse_grid[0]
-    padded = [(max(lo_b, a - 2 * cell), min(hi_b, b + 2 * cell)) for a, b in runs]
-    merged = [padded[0]]
-    for a, b in padded[1:]:
-        if a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(b, merged[-1][1]))
-        else:
-            merged.append((a, b))
-    total_len = sum(b - a for a, b in merged)
-    pieces = []
-    for a, b in merged:
-        n = max(300, int(num_points * (b - a) / total_len))
-        pieces.append(_clustered_grid(a, b, n))
-    # sparse tails outside the support keep the interpolant anchored
-    gaps = [(lo_b, merged[0][0])]
-    for (a1, b1), (a2, b2) in zip(merged[:-1], merged[1:]):
-        gaps.append((b1, a2))
-    gaps.append((merged[-1][1], hi_b))
-    for a, b in gaps:
-        if b - a > 4 * cell:
-            pieces.append(np.linspace(a, b, 24)[1:-1])
-    grid = np.unique(np.concatenate(pieces))
-    return boundary_values(spec, gamma, grid)
+    """Boundary values on a grid built from the exact support edges: a
+    Chebyshev grid on each support interval with both edges as nodes, plus
+    sparse tails off the support.  Raises NoConvergence if any grid point is
+    invalid."""
+    lows, highs = _critical_points(spec, gamma)[1].reshape(-1, 2).T
+    total = float(np.sum(highs - lows))
+    pieces = [np.linspace(0.6 * lows[0], lows[0], 24)[:-1],
+              np.linspace(highs[-1], 1.05 * highs[-1], 24)[1:]]
+    for a, b in zip(lows, highs):
+        n = max(300, int(num_points * (b - a) / total))
+        nodes = a + 0.5 * (b - a) * (1.0 - np.cos(np.linspace(0.0, np.pi, n)))
+        pieces.append(np.append(nodes[:-1], b))
+    for b, a in zip(highs[:-1], lows[1:]):
+        pieces.append(np.linspace(b, a, 24)[1:-1])
+    solution = boundary_values(spec, gamma, np.unique(np.concatenate(pieces)))
+    if not solution.valid.all():
+        i = int(np.argmin(solution.valid))
+        raise NoConvergence(f"boundary value at lambda={solution.grid[i]} "
+                            f"missed its residual")
+    return solution

@@ -32,8 +32,7 @@ def test_criterion_01_closed_form_density(spec_d1):
     for gamma in (2.0, 10.0):
         a, b = oracles.point_mass_edges(gamma)
         grid = np.linspace(a + 0.01, b - 0.01, 500)
-        sol = stieltjes.boundary_values(spec_d1, gamma, grid,
-                                        refine_edges=False)
+        sol = stieltjes.boundary_values(spec_d1, gamma, grid)
         assert sol.valid.all()
         err = float(np.max(np.abs(sol.density
                                   - oracles.point_mass_density(grid, gamma))))
@@ -49,8 +48,8 @@ def test_criterion_02_support_edges(solutions):
     (lo, hi), = stieltjes.support_edges(sol)
     a, b = oracles.point_mass_edges(2.0)
     gap = max(abs(lo - a), abs(hi - b))
-    _report(2, gap <= 1e-4,
-            f"edge errors {abs(lo - a):.2e}/{abs(hi - b):.2e} (tol 1e-4)")
+    _report(2, gap <= 1e-9,
+            f"edge errors {abs(lo - a):.2e}/{abs(hi - b):.2e} (tol 1e-9)")
 
 
 def test_criterion_03_kernel_normalization(solutions):

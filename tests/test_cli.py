@@ -230,3 +230,30 @@ def test_simulate_seed_flag_overrides(tmp_path):
     assert cli.main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "simulate_report.json").read_bytes() != \
         (out2 / "simulate_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["density", "kernel", "shrink"])
+@pytest.mark.parametrize("option", [["--seed", "3"], ["--reps", "10"],
+                                    ["--assert"]])
+def test_simulation_options_only_on_simulate(tmp_path, command, option):
+    cfg = _write_config(tmp_path, "cfg.json", {"spectrum": D1, "gammas": [2]})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]
+                    + option) == 1
+    assert not (out / f"{command}.manifest.json").exists()
+
+
+def test_simulate_manifest_records_seed_in_effect(tmp_path):
+    cfg = _write_config(tmp_path, "cfg.json",
+                        {"spectrum": MIX, "N": 10, "p": 20, "reps": 4,
+                         "seed": 5})
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out2),
+                     "--seed", "6"]) == 0
+    for out, seed in ((out1, 5), (out2, 6)):
+        manifest = json.loads((out / "simulate.manifest.json").read_text())
+        assert manifest["seed"] == seed
+    manifest = json.loads((out1 / "simulate.manifest.json").read_text())
+    assert set(manifest) == {"command", "config_path", "output_paths", "seed",
+                             "version", "duration_s"}

@@ -52,12 +52,9 @@ def test_gamma_one_guard(spec_d1):
 
 def test_fig1_profile_uniform_spectrum(solutions):
     # top-edge eigenvector profile over t: integrates to one, single peak
-    # (edge approached from just inside; m_breve extrapolation is unreliable
-    # in the last ~1e-4 before the exact edge)
     spec = solutions.specs["unif56"]
     sol = solutions("unif56", 2.0)
-    lo, hi = stieltjes.support_edges(sol)[-1]
-    l_top = hi - 0.002 * (hi - lo)
+    l_top = stieltjes.support_edges(sol)[-1][1]
     assert abs(overlap.phi_h_integral(l_top, sol, spec) - 1.0) <= 1e-3
     ts = np.linspace(5.0, 6.0, 400)
     vals = overlap.phi(l_top, ts, sol, spec)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mpshrink import spectrum, stieltjes
-from mpshrink.errors import DomainError, EmptySupport, GammaOne
+from mpshrink.errors import DomainError, GammaOne
 
 
 def test_tail_behavior(spec_204040):
@@ -94,18 +94,23 @@ def test_solve_warm_start(spec_204040):
 def test_boundary_density_matches_closed_form(spec_d1):
     a, b = oracles.point_mass_edges(2.0)
     grid = np.linspace(a + 0.01, b - 0.01, 200)
-    sol = stieltjes.boundary_values(spec_d1, 2.0, grid, refine_edges=False)
+    sol = stieltjes.boundary_values(spec_d1, 2.0, grid)
     assert sol.valid.all()
     expected = oracles.point_mass_density(grid, 2.0)
     assert np.max(np.abs(sol.density - expected)) <= 1e-6
 
 
 def test_boundary_density_off_support(spec_d1):
-    sol = stieltjes.boundary_values(spec_d1, 2.0, np.array([5.0, 5.5]),
-                                    refine_edges=False)
-    assert np.all(sol.density <= 1e-8)
-    with pytest.raises(EmptySupport):
-        stieltjes.support_edges(sol)
+    # a grid that misses the support still gets the exact edges, and off the
+    # support m_breve is real: the density is exactly zero
+    sol = stieltjes.boundary_values(spec_d1, 2.0, np.array([5.0, 5.5]))
+    assert sol.valid.all()
+    assert np.all(sol.density == 0.0) and np.all(sol.m_breve.imag == 0.0)
+    (lo, hi), = stieltjes.support_edges(sol)
+    a, b = oracles.point_mass_edges(2.0)
+    assert abs(lo - a) <= 1e-9 and abs(hi - b) <= 1e-9
+    expected = oracles.point_mass_m_boundary(np.array([5.0, 5.5]), 2.0)
+    assert np.max(np.abs(sol.m_breve - expected)) <= 1e-12
 
 
 def test_total_mass(solutions):
@@ -120,17 +125,17 @@ def test_support_edges_point_mass(solutions):
     sol = solutions("d1", 2.0)
     (lo, hi), = stieltjes.support_edges(sol)
     a, b = oracles.point_mass_edges(2.0)
-    assert abs(lo - a) <= 1e-4
-    assert abs(hi - b) <= 1e-4
+    assert abs(lo - a) <= 1e-9
+    assert abs(hi - b) <= 1e-9
 
 
 def test_support_edges_gamma_10(solutions):
     sol = solutions("d1", 10.0)
     (lo, hi), = stieltjes.support_edges(sol)
     a, b = oracles.point_mass_edges(10.0)  # (1 +- sqrt(0.1))^2
-    assert lo == pytest.approx(0.46754, abs=1e-4)
-    assert hi == pytest.approx(1.73246, abs=1e-4)
-    assert abs(lo - a) <= 1e-4 and abs(hi - b) <= 1e-4
+    assert lo == pytest.approx(0.4675444679663241, abs=1e-9)
+    assert hi == pytest.approx(1.7324555320336759, abs=1e-9)
+    assert abs(lo - a) <= 1e-9 and abs(hi - b) <= 1e-9
 
 
 def test_support_width_shrinks_with_gamma(spec_d1):
@@ -150,9 +155,21 @@ def test_support_upper_edge_bound(solutions, spec_204040):
 
 
 def test_companion_zero_point_mass(spec_d1):
-    # scalar-equation root, cross-checked internally against the eta-limit
     val = stieltjes.companion_zero(spec_d1, 0.5)
     assert val == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [0.2, 0.5])
+def test_companion_zero_matches_eta_limit(spec_204040, spec_unif56, gamma):
+    # mu(i*eta) = m_under(i*eta) from the fixed-point solver tends to the
+    # companion value at zero; Re mu is off by O((eta/a)^2), with the lower
+    # edge a of the support far from zero for these gammas
+    eta = 1e-4
+    for spec in (spec_204040, spec_unif56):
+        m = stieltjes.solve_mF(1j * eta, spec, gamma)
+        mu = (m - (gamma - 1.0) / (1j * eta)) / gamma
+        val = stieltjes.companion_zero(spec, gamma)
+        assert abs(mu.real - val) <= 1e-6 * max(1.0, val)
 
 
 def test_companion_zero_scaling():
@@ -223,3 +240,38 @@ def test_clip_to_support(solutions):
     assert moved and val == pytest.approx(hi)
     val, moved = sol.clip_to_support(0.5 * (lo + hi))
     assert not moved
+
+
+@st.composite
+def mixtures(draw):
+    """Random H of up to three atoms and two uniform segments, and a gamma."""
+    n_atoms = draw(st.integers(0, 3))
+    n_segs = draw(st.integers(0 if n_atoms else 1, 2))
+    raw = [draw(st.floats(0.05, 1.0)) for _ in range(n_atoms + n_segs)]
+    w = [r / sum(raw) for r in raw]
+    w[-1] = 1.0 - sum(w[:-1])
+    atoms = [(w[i], draw(st.floats(0.2, 10.0))) for i in range(n_atoms)]
+    segs = []
+    for j in range(n_segs):
+        lo = draw(st.floats(0.2, 10.0))
+        segs.append((w[n_atoms + j], lo, lo + draw(st.floats(0.05, 5.0))))
+    gamma = draw(st.one_of(st.floats(0.1, 0.9), st.floats(1.1, 200.0)))
+    return spectrum.validate(atoms=atoms, segments=segs), gamma
+
+
+@settings(max_examples=25, deadline=None)
+@given(mixtures(), st.floats(0.0, 1.0), st.floats(-3.0, 0.5))
+def test_inverse_map_properties(case, re_frac, log_im):
+    spec, gamma = case
+    sol = stieltjes.solve_density(spec, gamma, num_points=1500)
+    assert sol.valid.all()
+    assert sol.total_mass() == pytest.approx(1.0, abs=1e-4)
+    probe = np.linspace(sol.grid[0], sol.grid[-1], 20001)
+    assert sol.m_at(probe).imag.min() >= 0.0
+    # x(mu(z)) = z for the companion value of the fixed-point solution
+    z = complex(re_frac * 1.2 * sol.grid[-1], 10.0 ** log_im * spec.h2)
+    m = stieltjes.solve_mF(z, spec, gamma)
+    mu = (m - (gamma - 1.0) / z) / gamma
+    taus, ws = spectrum.quadrature_nodes(spec)
+    x = -1.0 / mu + np.sum(ws * taus / (1.0 + taus * mu)) / gamma
+    assert abs(x - z) <= 1e-9 * max(1.0, abs(z))
