@@ -43,9 +43,13 @@ class RunManifest:
     duration_s: float
 
     def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, asdict(self))
+
+
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _fmt(x: float) -> str:
@@ -100,12 +104,17 @@ def _tag(gamma: float) -> str:
     return ("%g" % gamma).replace(".", "p")
 
 
+def _solutions(cfg: dict, spec: spectrum_mod.PopulationSpectrum):
+    """(gamma, limiting solution) for every gamma of the config."""
+    for gamma in _gammas_from(cfg):
+        yield gamma, stieltjes_mod.solve_density(spec, gamma,
+                                                 num_points=_grid_points(cfg))
+
+
 def cmd_density(cfg: dict, out_dir: str, args) -> list[str]:
     spec = _spectrum_from(cfg)
     outputs = []
-    for gamma in _gammas_from(cfg):
-        sol = stieltjes_mod.solve_density(spec, gamma,
-                                          num_points=_grid_points(cfg))
+    for gamma, sol in _solutions(cfg, spec):
         path = os.path.join(out_dir, f"density_gamma{_tag(gamma)}.csv")
         _write_csv(path, ["lambda", "m_re", "m_im", "density"],
                    ((l, mb.real, mb.imag, d) for l, mb, d in
@@ -120,9 +129,7 @@ def cmd_kernel(cfg: dict, out_dir: str, args) -> list[str]:
     n_t = int(cfg.get("t_points", 400))
     cfg = dict(cfg)
     cfg.setdefault("gammas", [2.0, 10.0, 100.0])
-    for gamma in _gammas_from(cfg):
-        sol = stieltjes_mod.solve_density(spec, gamma,
-                                          num_points=_grid_points(cfg))
+    for gamma, sol in _solutions(cfg, spec):
         edges = stieltjes_mod.support_edges(sol)
         l = edges[-1][1] if cfg.get("l", "sup") == "sup" else float(cfg["l"])
         t_grid = np.linspace(spec.h1, spec.h2, n_t)
@@ -132,10 +139,7 @@ def cmd_kernel(cfg: dict, out_dir: str, args) -> list[str]:
                    ((l, t, v) for t, v in zip(t_grid, vals)))
         norm = overlap_mod.phi_h_integral(l, sol, spec)
         meta_path = os.path.join(out_dir, f"kernel_gamma{_tag(gamma)}.meta.json")
-        with open(meta_path, "w") as fh:
-            json.dump({"gamma": gamma, "l": l, "h_integral": norm},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(meta_path, {"gamma": gamma, "l": l, "h_integral": norm})
         outputs.extend([path, meta_path])
         if "cumulative" in cfg:
             lam_vals = [float(v) for v in cfg["cumulative"].get("lambdas", ())]
@@ -155,9 +159,7 @@ def cmd_kernel(cfg: dict, out_dir: str, args) -> list[str]:
 def cmd_shrink(cfg: dict, out_dir: str, args) -> list[str]:
     spec = _spectrum_from(cfg)
     outputs = []
-    for gamma in _gammas_from(cfg):
-        sol = stieltjes_mod.solve_density(spec, gamma,
-                                          num_points=_grid_points(cfg))
+    for gamma, sol in _solutions(cfg, spec):
         edges = stieltjes_mod.support_edges(sol)
         mask = np.zeros(sol.grid.shape, dtype=bool)
         for lo, hi in edges:
@@ -182,9 +184,7 @@ def cmd_shrink(cfg: dict, out_dir: str, args) -> list[str]:
             summary["delta_zero"] = curve.delta_zero
             summary["psi_zero"] = curve.psi_zero
         json_path = os.path.join(out_dir, f"shrink_gamma{_tag(gamma)}.json")
-        with open(json_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(json_path, summary)
         outputs.extend([path, json_path])
     return outputs
 
@@ -247,10 +247,7 @@ def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
             outputs.append(ov_path)
         reports.append((n_val, doc))
     path = os.path.join(out_dir, "simulate_report.json")
-    body = {"reports": [{"N": n, "report": d} for n, d in reports]}
-    with open(path, "w") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"reports": [{"N": n, "report": d} for n, d in reports]})
     outputs.append(path)
     if args.do_assert:
         min_prial = float(cfg.get("assert_nonlinear_min", 90.0))

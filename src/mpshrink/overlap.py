@@ -15,16 +15,12 @@ the zero atom of F when gamma < 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import spectrum as spectrum_mod
 from .errors import EmptyBin, GammaOne, ZeroBranchUnavailable
 from .spectrum import PopulationSpectrum, quadrature_nodes
 from .stieltjes import StieltjesSolution
-
-_B_CROSSCHECK_TOL = 1e-6
 
 
 def _a_b(l: float, solution: StieltjesSolution) -> tuple[float, float]:
@@ -66,7 +62,12 @@ def phi(l: float, t, solution: StieltjesSolution,
 
 def phi_h_integral(l: float, solution: StieltjesSolution,
                    spec: PopulationSpectrum) -> float:
-    """Integral of phi(l, t) over dH(t); equals 1 on the support of F."""
+    """Integral of phi(l, t) over dH(t); equals 1 on the support of F.
+
+    Segments of H are integrated by Gauss-Legendre panels.  At large gamma
+    phi(l, .) peaks within a width of order |b/a| l/a (a + i*b as above),
+    small against the segment width, and the panels are inaccurate
+    (2e-3 for 0.27 delta(7.12) + 0.73 U[2.14, 5.15] at gamma = 87.5)."""
     taus, ws = quadrature_nodes(spec)
     return float(np.sum(ws * phi(l, taus, solution, spec)))
 
@@ -129,28 +130,3 @@ def average_overlap(lambda_lo: float, lambda_hi: float, tau_lo: float,
            - phi_cumulative(lambda_lo, tau_hi, solution, spec)
            + phi_cumulative(lambda_lo, tau_lo, solution, spec))
     return num / (f_mass * h_mass)
-
-
-@dataclass
-class OverlapKernel:
-    """phi sampled on a rectangular (l, t) grid, with the per-l kernel pair
-    (a, b) retained for diagnostics."""
-
-    l_grid: np.ndarray
-    t_grid: np.ndarray
-    values: np.ndarray  # shape (len(l_grid), len(t_grid))
-    gamma: float
-    a_b: np.ndarray     # shape (len(l_grid), 2)
-
-
-def build_overlap_kernel(solution: StieltjesSolution, spec: PopulationSpectrum,
-                         l_grid, t_grid) -> OverlapKernel:
-    l_grid = np.asarray(l_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    values = np.empty((len(l_grid), len(t_grid)))
-    ab = np.empty((len(l_grid), 2))
-    for i, l in enumerate(l_grid):
-        values[i] = phi(l, t_grid, solution, spec)
-        ab[i] = _a_b(l, solution) if l > 0 else (np.nan, np.nan)
-    return OverlapKernel(l_grid=l_grid, t_grid=t_grid, values=values,
-                         gamma=solution.gamma, a_b=ab)

@@ -6,19 +6,20 @@ Solves, for z in the upper half plane,
 
 and extracts boundary values m_breve(lambda), the density F' = Im[m_breve]/pi,
 the support intervals, and the companion transform value at zero (gamma < 1).
-Everything runs in the companion variable mu, 1 + z*m = gamma + gamma*z*mu.
+Everything runs in the companion variable mu, 1 + z*m = gamma + gamma*z*mu,
+through one evaluator of the explicit inverse (Silverstein & Choi 1995)
 
-For Im z > 0 (solve_mF) the companion fixed-point map
-1/(-z + (1/gamma) * int tau/(1+tau*mu) dH) maps the upper half plane strictly
-into itself, so the damped iteration cannot cross to the non-physical
-conjugate root.  On the real axis z is the explicit inverse (Silverstein &
-Choi 1995)
+    x(mu) = -1/mu + (1/gamma) * integral of tau / (1 + tau*mu) dH(tau),
 
-    x(mu) = -1/mu + (1/gamma) * integral of tau / (1 + tau*mu) dH(tau):
+with atoms summed exactly and uniform segments through closed-form logs.
 
-the support edges are x at its real critical points, inside the support mu
-solves x(mu) = lambda with Im mu > 0, and off it mu is the real root on a
-rising branch of x.  Residuals are always verified on the equation in m.
+For Im z > 0 (solve_mF) the damped fixed point mu <- 1/(x(mu) + 1/mu - z)
+maps the upper half plane strictly into itself, so it cannot cross to a
+non-physical root; Newton on x(u) = z in u = -1/mu finishes it.  On the real
+axis the support edges are x at its real critical points, inside the support
+mu solves x(mu) = lambda with Im mu > 0, and off it mu is the real root on a
+rising branch of x.  Every value is verified on the equation in m, with H
+integrated exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 
 from .errors import DomainError, EmptySupport, GammaOne, NoConvergence
-from .spectrum import PopulationSpectrum, moment, quadrature_nodes
+from .spectrum import PopulationSpectrum, moment
 
 TOL = 1e-12
 MAX_ITER = 10_000
@@ -42,132 +43,48 @@ NEWTON_STEPS = 50
 PATH_POINTS = 65
 
 
-def _companion_step(z, mu, gamma, taus, ws):
-    """One evaluation of the companion map and its mu-derivative."""
-    denom = 1.0 + taus[:, None] * mu[None, :]
-    J = np.sum(ws[:, None] * taus[:, None] / denom, axis=0)
-    dJ = -np.sum(ws[:, None] * taus[:, None] ** 2 / denom ** 2, axis=0)
-    g = -z + J / gamma
-    rhs = 1.0 / g
-    drhs = -dJ / (gamma * g * g)
-    return rhs, drhs
-
-
-def _solve_companion(z: np.ndarray, gamma: float, taus: np.ndarray,
-                     ws: np.ndarray, mu0: np.ndarray | None = None,
-                     tol: float = TOL, max_iter: int = MAX_ITER,
-                     damping: float = DAMPING):
-    """Damped fixed point with safeguarded Newton polish, vectorized over z.
-
-    Returns (mu, iterations, converged_mask).
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    mu = (-1.0 / z) if mu0 is None else np.array(np.broadcast_to(mu0, z.shape),
-                                                 dtype=complex)
-    # the seed must sit in the upper half plane for the map to be trapped there
-    bad_seed = mu.imag <= 0
-    if bad_seed.any():
-        mu[bad_seed] = (-1.0 / z)[bad_seed]
-    active = np.ones(z.shape, dtype=bool)
-    iters = np.zeros(z.shape, dtype=int)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        za, mua = z[active], mu[active]
-        rhs, drhs = _companion_step(za, mua, gamma, taus, ws)
-        resid = rhs - mua
-        nxt = mua + damping * resid
-        scale = np.maximum(1.0, np.abs(mua))
-        polish = np.abs(resid) < _NEWTON_GATE * scale
-        if polish.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = mua - resid / (drhs - 1.0)
-            ok = polish & np.isfinite(newton) & (newton.imag > 0)
-            if ok.any():
-                rhs_n, _ = _companion_step(za[ok], newton[ok], gamma, taus, ws)
-                improved = np.abs(rhs_n - newton[ok]) <= np.abs(resid[ok])
-                idx = np.flatnonzero(ok)
-                nxt[idx[improved]] = newton[ok][improved]
-        rhs2, _ = _companion_step(za, nxt, gamma, taus, ws)
-        s2 = np.maximum(1.0, np.abs(nxt))
-        done = (np.abs(nxt - mua) <= tol * s2) & (np.abs(rhs2 - nxt) <= tol * s2)
-        mu[active] = nxt
-        iters[active] += 1
-        active[np.flatnonzero(active)[done]] = False
-    return mu, iters, ~active
-
-
 def _mu_to_m(z, mu, gamma):
     return (gamma - 1.0) / z + gamma * mu
 
 
-def _m_residual(z, m, gamma, taus, ws):
-    """Residual of the original self-consistency equation in m."""
-    k = 1.0 - 1.0 / gamma - (z * m) / gamma
-    denom = taus[:, None] * k[None, :] - z[None, :]
-    rhs = np.sum(ws[:, None] / denom, axis=0)
-    return np.abs(rhs - m)
-
-
-def solve_mF(z, spec: PopulationSpectrum, gamma: float, *, m0=None,
-             tol: float = TOL, max_iter: int = MAX_ITER,
-             damping: float = DAMPING):
+def solve_mF(z, spec: PopulationSpectrum, gamma: float):
     """Solve the self-consistency equation at z (Im z > 0).
 
     Accepts a scalar or an array of z values; returns the matching shape.
-    The returned m has Im(m) > 0 and satisfies the equation with residual
-    <= tol * max(1, |m|).  Raises NoConvergence otherwise.
+    The damped fixed point mu <- 1/(x(mu) + 1/mu - z) runs from -1/z until
+    its step is below _NEWTON_GATE * max(1, |mu|); Newton on x(u) = z in
+    u = -1/mu then finishes.  The returned m has Im m > 0, Im mu > 0 and
+    solves the equation in m, H integrated exactly, within
+    10 * TOL * max(1, |m|).  Raises NoConvergence otherwise.
     """
     if gamma <= 0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(z_arr.imag <= 0):
         raise DomainError("solve_mF requires Im(z) > 0")
-    taus, ws = quadrature_nodes(spec)
-    mu0 = None
-    if m0 is not None:
-        m0_arr = np.broadcast_to(np.asarray(m0, dtype=complex), z_arr.shape)
-        mu0 = (m0_arr - (gamma - 1.0) / z_arr) / gamma
-    mu, iters, conv = _solve_companion(z_arr, gamma, taus, ws, mu0=mu0,
-                                       tol=tol, max_iter=max_iter,
-                                       damping=damping)
-    m = _mu_to_m(z_arr, mu, gamma)
-    resid = _m_residual(z_arr, m, gamma, taus, ws)
-    ok = conv & (resid <= 10 * tol * np.maximum(1.0, np.abs(m))) & (m.imag > 0)
+    mu = -1.0 / z_arr
+    iters = np.zeros(z_arr.shape, dtype=int)
+    active = np.arange(z_arr.size)
+    for _ in range(MAX_ITER):
+        if not len(active):
+            break
+        mua = mu[active]
+        step = 1.0 / (_inverse_map(mua, spec, gamma)[0] + 1.0 / mua
+                      - z_arr[active]) - mua
+        mu[active] = mua + DAMPING * step
+        iters[active] += 1
+        active = active[np.abs(step) >= _NEWTON_GATE * np.maximum(
+            1.0, np.abs(mua))]
+    u, _ = _newton(spec, gamma, z_arr, -1.0 / mu)
+    m = _mu_to_m(z_arr, -1.0 / u, gamma)
+    resid = _exact_gap(z_arr, m, spec, gamma)
+    ok = (resid <= 10 * TOL * np.maximum(1.0, np.abs(m))) & (m.imag > 0) \
+        & (u.imag > 0)
     if not ok.all():
-        i = int(np.argmax(~ok))
+        i = int(np.argmin(ok))
         raise NoConvergence(
             f"no converged solution at z={z_arr[i]}",
             residual=float(resid[i]), iterations=int(iters[i]))
-    return m if np.ndim(z) else complex(m[0])
-
-
-def solve_mF_direct(z, spec: PopulationSpectrum, gamma: float, *,
-                    tol: float = TOL, max_iter: int = MAX_ITER,
-                    damping: float = DAMPING):
-    """Damped fixed point directly in m, seeded at -1/z.
-
-    Kept as an independent route for cross-checking the companion-variable
-    solver; can land on the conjugate root for gamma < 1 near the lower edge,
-    so the physical solution is verified before returning.
-    """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    taus, ws = quadrature_nodes(spec)
-    m = -1.0 / z_arr
-    it = 0
-    for it in range(max_iter):
-        k = 1.0 - 1.0 / gamma - (z_arr * m) / gamma
-        rhs = np.sum(ws[:, None] / (taus[:, None] * k[None, :] - z_arr[None, :]),
-                     axis=0)
-        nxt = m + damping * (rhs - m)
-        if np.all(np.abs(nxt - m) <= tol * np.maximum(1.0, np.abs(nxt))):
-            m = nxt
-            break
-        m = nxt
-    resid = _m_residual(z_arr, m, gamma, taus, ws)
-    if np.any(resid > 10 * tol * np.maximum(1.0, np.abs(m))) or np.any(m.imag <= 0):
-        raise NoConvergence("direct iteration failed", residual=float(resid.max()),
-                            iterations=it + 1)
     return m if np.ndim(z) else complex(m[0])
 
 
@@ -274,22 +191,23 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
     return crit[keep], values[keep]
 
 
-def _newton(spec: PopulationSpectrum, gamma: float, lam, u):
-    """Newton on x(u) = lam from seeds with Im u > 0; returns (u, converged).
+def _newton(spec: PopulationSpectrum, gamma: float, z, u):
+    """Newton on x(u) = z from seeds u; returns (u, converged).
 
-    It stops when gamma*mu*(x - lam)/lam, the residual of the equation in m,
-    is within TOL * max(1, |m|).  A root counts only within Im(seed)/2 of its
-    seed: that disk lies in the upper half plane, where the physical root is
-    the only one, so a real root of a falling branch of x is never taken."""
-    seed = u = np.array(u, dtype=complex)
-    for it in range(NEWTON_STEPS + 1):
-        x, x1, _ = _in_u(u, spec, gamma)
-        m = _mu_to_m(lam, -1.0 / u, gamma)
-        done = gamma * np.abs(x - lam) <= TOL * lam * np.abs(u) * np.maximum(
-            1.0, np.abs(m))
-        if done.all() or it == NEWTON_STEPS:
-            return u, done & (np.abs(u - seed) <= 0.5 * seed.imag)
-        u = u - np.where(done, 0.0, (x - lam) / x1)
+    A point has converged when gamma*mu*(x - z)/z, the residual of the
+    equation in m, is within TOL * max(1, |m|).  Each evaluation is followed
+    by its step, so a converged point takes one more quadratic step, which
+    brings it to rounding level at no extra cost."""
+    u = np.array(u, dtype=complex)
+    for _ in range(NEWTON_STEPS + 1):
+        x, x1 = _in_u(u, spec, gamma)[:2]
+        m = _mu_to_m(z, -1.0 / u, gamma)
+        done = gamma * np.abs(x - z) <= TOL * np.abs(z) * np.abs(u) \
+            * np.maximum(1.0, np.abs(m))
+        u = u - (x - z) / x1
+        if done.all():
+            break
+    return u, done
 
 
 def _angle(lam, a: float, b: float):
@@ -308,7 +226,15 @@ def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
     square-root expansion x(u) ~ a + x''(u_a) (u - u_a)^2 / 2, then by
     linear extrapolation; a step whose solve fails is halved.  The points are
     solved from seeds interpolated along that path; where the path lost the
-    root they miss the residual."""
+    root they miss the residual.  A Newton root counts only within Im(seed)/2
+    of its seed: that disk lies in the upper half plane, where the physical
+    root is the only one, so a real root of a falling branch of x is never
+    taken."""
+    def solve(lam, seed):
+        seed = np.asarray(seed, dtype=complex)
+        u, done = _newton(spec, gamma, lam, seed)
+        return u, done & (np.abs(u - seed) <= 0.5 * seed.imag)
+
     curv = _in_u(np.array([u_a]), spec, gamma)[2][0]
     path_t, path_u = [0.0], [complex(u_a)]
     ends = np.pi / (PATH_POINTS - 1) * 0.5 ** np.arange(1, 13)
@@ -320,7 +246,7 @@ def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
         seed = u_a + 1j * np.sqrt(2.0 * (lam_t - a) / abs(curv)) \
             if len(path_u) == 1 else path_u[-1] + (path_u[-1] - path_u[-2]) \
             * (t - path_t[-1]) / (path_t[-1] - path_t[-2])
-        u, ok = _newton(spec, gamma, lam_t, [seed])
+        u, ok = solve(lam_t, [seed])
         if ok[0]:
             path_t.append(targets.pop())
             path_u.append(u[0])
@@ -330,8 +256,8 @@ def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
             break
     path_t, path_u = np.array(path_t + [np.pi]), np.array(path_u + [u_b])
     t = _angle(lam, a, b)
-    return _newton(spec, gamma, lam, np.interp(t, path_t, path_u.real)
-                   + 1j * np.interp(t, path_t, path_u.imag))
+    return solve(lam, np.interp(t, path_t, path_u.real)
+                 + 1j * np.interp(t, path_t, path_u.imag))
 
 
 def _rising_root(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
