@@ -174,7 +174,7 @@ def cmd_shrink(cfg: dict, out_dir: str, args) -> list[str]:
         cov_gap, inv_gap = shrinkage_mod.moment_residuals(sol, spec)
         print(f"gamma={gamma}: moment conservation gaps "
               f"cov={cov_gap:.3e} inv={inv_gap:.3e}")
-        if abs(cov_gap) > 1e-3 or abs(inv_gap) > 1e-3:
+        if max(abs(cov_gap), abs(inv_gap)) > shrinkage_mod.MOMENT_GAP_TOL:
             raise MPShrinkError(
                 f"moment conservation violated at gamma={gamma}: "
                 f"cov={cov_gap:.3e} inv={inv_gap:.3e}")

@@ -30,12 +30,6 @@ def _a_b(l: float, solution: StieltjesSolution) -> tuple[float, float]:
     return float(k.real), float(k.imag)
 
 
-def b_consistency_gap(l: float, solution: StieltjesSolution) -> float:
-    """|b - (-pi * l * F'(l) / gamma)|; a large gap flags a solver fault."""
-    _, b = _a_b(l, solution)
-    return abs(b - (-np.pi / solution.gamma * l * solution.density_at(l)))
-
-
 def phi(l: float, t, solution: StieltjesSolution,
         spec: PopulationSpectrum):
     """Overlap kernel at sample eigenvalue l and population eigenvalue(s) t."""
@@ -72,44 +66,26 @@ def phi_h_integral(l: float, solution: StieltjesSolution,
     return float(np.sum(ws * phi(l, taus, solution, spec)))
 
 
-def _partial_h_nodes(spec: PopulationSpectrum, tau: float):
-    """Quadrature nodes for integration against dH restricted to t <= tau."""
-    taus, ws = quadrature_nodes(spec, (tau,))
-    keep = taus <= tau
-    return taus[keep], ws[keep]
-
-
 def phi_cumulative(lam: float, tau: float, solution: StieltjesSolution,
                    spec: PopulationSpectrum) -> float:
-    """Phi(lambda, tau): cumulative overlap mass, a bivariate c.d.f."""
+    """Phi(lambda, tau): cumulative overlap mass, a bivariate c.d.f.: the
+    integral of phi(l, t) over t <= tau against dH, taken at the grid points
+    up to lambda from the solved m_breve, then against dF by f_integral."""
     if solution.gamma == 1:
         raise GammaOne("Phi is undefined at gamma = 1")
     if tau < spec.h1 or lam < 0:
         return 0.0
-    t_nodes, t_ws = _partial_h_nodes(spec, tau)
-    total = 0.0
-    if solution.gamma < 1 and lam >= 0:
-        mu0 = solution.m_under_zero
-        # (1-gamma) * integral of phi(0, t) dH = integral of dH/(1+mu0*t)
-        total += float(np.sum(t_ws / (1.0 + mu0 * t_nodes)))
-    grid = solution.grid
-    # F has no density off its support: integrate up to the last edge below lam
-    ends = [b for a, b in solution.support if a <= lam]
-    if lam >= grid[0] and t_nodes.size:
-        hi = min([lam, grid[-1]] + ends[-1:])
-        idx = np.searchsorted(grid, hi, side="right")
-        xs = np.concatenate([grid[:idx], [hi]]) if idx < len(grid) else grid
-        g = solution.gamma
-        k = 1.0 - 1.0 / g - xs * solution.m_at(xs) / g
-        a, b = k.real, k.imag
-        dens = solution.density_at(xs)
-        # inner integral over t for every grid l at once
-        num = (xs / g)[None, :] * t_nodes[:, None]
-        den = (a[None, :] * t_nodes[:, None] - xs[None, :]) ** 2 \
-            + (b[None, :] ** 2) * t_nodes[:, None] ** 2
-        inner = np.sum(t_ws[:, None] * num / np.maximum(den, 1e-300), axis=0)
-        total += float(np.trapezoid(inner * dens, xs))
-    return total
+    taus, ws = quadrature_nodes(spec, (tau,))
+    t, w = taus[taus <= tau, None], ws[taus <= tau, None]
+    g = solution.gamma
+    at_zero = float(np.sum(w * phi(0.0, t, solution, spec))) if g < 1 else 0.0
+    n = min(len(solution.grid), np.searchsorted(solution.grid, lam) + 1)
+    ls = solution.grid[:n]
+    k = 1.0 - 1.0 / g - ls * solution.m_breve[:n] / g
+    # phi(l, t) at all these grid points at once, floored as in phi
+    den = (k.real * t - ls) ** 2 + (k.imag * t) ** 2
+    inner = ls / g * np.sum(w * t / np.maximum(den, 1e-300), axis=0)
+    return solution.f_integral(lam, inner, at_zero)
 
 
 def average_overlap(lambda_lo: float, lambda_hi: float, tau_lo: float,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,14 @@ class SimulationConfig:
     def gamma(self) -> float:
         return self.p / self.N
 
+    @cached_property
+    def population_diag(self) -> np.ndarray:
+        """Diagonal of Sigma, the quantile eigenvalues of H; computed once
+        per config and read-only, since every draw shares it."""
+        diag = spectrum_mod.population_eigenvalues(self.spec, self.N)
+        diag.flags.writeable = False
+        return diag
+
 
 @dataclass
 class Realization:
@@ -66,7 +75,7 @@ def generate(config: SimulationConfig, rep_index: int) -> Realization:
     eigenvectors; the draw is a pure function of (seed, rep_index).
     """
     rng = _rng_for_rep(config.seed, rep_index)
-    diag = spectrum_mod.population_eigenvalues(config.spec, config.N)
+    diag = config.population_diag
     root = np.sqrt(diag)
     if config.entry_law == "real-gaussian":
         x = rng.standard_normal((config.N, config.p))

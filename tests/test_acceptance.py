@@ -94,8 +94,8 @@ def test_criterion_05_moment_conservation(solutions):
             sol = solutions(name, gamma)
             cov_gap, inv_gap = shrinkage.moment_residuals(sol, spec)
             worst = max(worst, abs(cov_gap), abs(inv_gap))
-    _report(5, worst <= 1e-3,
-            f"max moment-conservation gap {worst:.2e} over 9 cases (tol 1e-3)")
+    _report(5, worst <= 1e-10,
+            f"max moment-conservation gap {worst:.2e} over 9 cases (tol 1e-10)")
 
 
 def test_criterion_06_recursion_consistency(solutions):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mpshrink import cli
+from mpshrink import cli, shrinkage
 
 
 def _write_config(tmp_path, name, doc):
@@ -128,7 +128,7 @@ def test_shrink_point_mass(tmp_path):
     assert np.allclose(rows[interior, 1], 1.0, atol=1e-5)
     assert np.allclose(rows[interior, 2], 1.0, atol=1e-5)
     summary = json.loads((out / "shrink_gamma2.json").read_text())
-    assert abs(summary["moment_gap_cov"]) <= 1e-3
+    assert abs(summary["moment_gap_cov"]) <= shrinkage.MOMENT_GAP_TOL
     assert "delta_zero" not in summary
 
 
@@ -190,7 +190,7 @@ def test_kernel_cumulative_dump(tmp_path):
     assert header == ["lambda", "tau", "Phi"]
     table = {(r[0], r[1]): r[2] for r in rows}
     assert table[(1.0, 0.5)] == 0.0          # below the population support
-    assert abs(table[(50.0, 50.0)] - 1.0) <= 2e-3
+    assert abs(table[(50.0, 50.0)] - 1.0) <= 1e-12
     assert table[(1.0, 1.0)] <= table[(50.0, 1.0)] + 1e-12
 
 

@@ -21,7 +21,7 @@ def mixed_solutions(mixed_spec):
 
 def test_mass_and_support(mixed_spec, mixed_solutions):
     for gamma, sol in mixed_solutions.items():
-        assert sol.total_mass() == pytest.approx(1.0, abs=1e-4)
+        assert sol.total_mass() == pytest.approx(1.0, abs=1e-12)
         edges = stieltjes.support_edges(sol)
         hi_bound = (1 + gamma ** -0.5) ** 2 * mixed_spec.h2
         assert all(hi <= hi_bound * (1 + 1e-6) for _, hi in edges)
@@ -39,14 +39,14 @@ def test_cumulative_total_mass_includes_atom(mixed_spec, mixed_solutions):
     sol = mixed_solutions[0.5]
     top = sol.grid[-1]
     assert overlap.phi_cumulative(10 * top, 100.0, sol, mixed_spec) \
-        == pytest.approx(1.0, abs=2e-3)
+        == pytest.approx(1.0, abs=1e-12)
 
 
 def test_moment_conservation(mixed_spec, mixed_solutions):
     for sol in mixed_solutions.values():
         cov_gap, inv_gap = shrinkage.moment_residuals(sol, mixed_spec)
-        assert abs(cov_gap) <= 1e-3
-        assert abs(inv_gap) <= 1e-3
+        assert abs(cov_gap) <= 1e-10
+        assert abs(inv_gap) <= 1e-10
 
 
 def test_empirical_delta_tracks_limit(mixed_spec, mixed_solutions):

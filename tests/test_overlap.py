@@ -72,12 +72,6 @@ def test_kernel_normalization_mixture(solutions):
     assert max(gaps) <= 1e-3
 
 
-def test_b_recomputation_consistency(solutions):
-    sol = solutions("204040", 2.0)
-    for l in interior_points(sol, 20, margin_frac=0.05):
-        assert overlap.b_consistency_gap(l, sol) <= 1e-6
-
-
 def test_phi_nonnegative_on_grid(solutions):
     spec = solutions.specs["204040"]
     sol = solutions("204040", 2.0)
@@ -91,7 +85,7 @@ def test_cumulative_limits(solutions):
     sol = solutions("d1", 2.0)
     top = sol.grid[-1]
     assert overlap.phi_cumulative(10 * top, 100.0, sol, spec) \
-        == pytest.approx(1.0, abs=2e-3)
+        == pytest.approx(1.0, abs=1e-12)
     assert overlap.phi_cumulative(1.0, 0.5, sol, spec) == 0.0  # tau < h1
     assert overlap.phi_cumulative(-1.0, 2.0, sol, spec) == 0.0
 
@@ -101,10 +95,10 @@ def test_cumulative_reduces_to_F_for_point_mass(solutions):
     sol = solutions("d1", 2.0)
     lam = stieltjes.support_edges(sol)[-1][1]
     assert overlap.phi_cumulative(lam, 1.0, sol, spec) == pytest.approx(
-        float(sol.cdf(lam)), abs=2e-3)
+        float(sol.cdf(lam)), abs=1e-12)
     mid = 0.5 * (sol.support[0][0] + sol.support[0][1])
     assert overlap.phi_cumulative(mid, 1.0, sol, spec) == pytest.approx(
-        float(sol.cdf(mid)), abs=2e-3)
+        float(sol.cdf(mid)), abs=1e-12)
 
 
 def test_cumulative_includes_zero_atom(solutions):
@@ -115,7 +109,26 @@ def test_cumulative_includes_zero_atom(solutions):
     val = overlap.phi_cumulative(0.5 * lo_bulk, 1.0, sol, spec)
     assert val == pytest.approx(0.5, abs=1e-9)  # (1-gamma) * 1
     assert overlap.phi_cumulative(10 * sol.grid[-1], 10.0, sol, spec) \
-        == pytest.approx(1.0, abs=2e-3)
+        == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+def test_cumulative_over_all_taus_is_F(solutions, gamma):
+    # Phi(lambda, tau >= h2) is F(lambda), and both reach 1 at the top, to
+    # rounding: dF is integrated by the trapezoid rule in the Chebyshev angle
+    mixture = spectrum.validate(atoms=[(0.27, 7.12)],
+                                segments=[(0.73, 2.14, 5.15)])
+    cases = [(solutions.specs["204040"], solutions("204040", gamma)),
+             (mixture, stieltjes.solve_density(mixture, gamma))]
+    for spec, sol in cases:
+        top = 1.1 * sol.grid[-1]
+        lams = np.sort(np.random.default_rng(7).uniform(0.0, top, 50))
+        fs = sol.cdf(lams)
+        assert np.all(np.diff(fs) >= 0.0)
+        phis = [overlap.phi_cumulative(l, spec.h2, sol, spec) for l in lams]
+        assert np.max(np.abs(np.array(phis) - fs)) <= 1e-12
+        assert abs(overlap.phi_cumulative(top, spec.h2, sol, spec) - 1.0) \
+            <= 1e-12
 
 
 def test_cumulative_monotone(solutions):

@@ -62,8 +62,8 @@ def test_moment_conservation_mixture(solutions):
     for gamma in (0.5, 2.0):
         cov_gap, inv_gap = shrinkage.moment_residuals(
             solutions("204040", gamma), spec)
-        assert abs(cov_gap) <= 1e-3
-        assert abs(inv_gap) <= 1e-3
+        assert abs(cov_gap) <= 1e-10
+        assert abs(inv_gap) <= 1e-10
 
 
 def test_curve_invariants(solutions):

@@ -113,7 +113,7 @@ def test_total_mass(solutions):
     for name in ("d1", "204040", "unif56"):
         for gamma in (0.5, 2.0, 10.0):
             sol = solutions(name, gamma)
-            assert sol.total_mass() == pytest.approx(1.0, abs=1e-4)
+            assert sol.total_mass() == pytest.approx(1.0, abs=1e-12)
             assert sol.mass_at_zero == (1 - gamma if gamma < 1 else 0.0)
 
 
@@ -218,7 +218,7 @@ def test_solution_cdf_monotone(solutions):
     xs = np.linspace(0, sol.grid[-1], 200)
     fs = sol.cdf(xs)
     assert np.all(np.diff(fs) >= -1e-12)
-    assert fs[-1] == pytest.approx(1.0, abs=2e-3)
+    assert fs[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_density_deterministic(spec_d1):
@@ -261,7 +261,7 @@ def test_inverse_map_properties(case, re_frac, log_im):
     spec, gamma = case
     sol = stieltjes.solve_density(spec, gamma, num_points=1500)
     assert sol.valid.all()
-    assert sol.total_mass() == pytest.approx(1.0, abs=1e-4)
+    assert sol.total_mass() == pytest.approx(1.0, abs=1e-5)
     probe = np.linspace(sol.grid[0], sol.grid[-1], 20001)
     assert sol.m_at(probe).imag.min() >= 0.0
     # x(mu(z)) = z for the companion value of solve_mF, with x evaluated
