@@ -41,6 +41,8 @@ _NEWTON_GATE = 1e-5
 BISECT_STEPS = 100
 NEWTON_STEPS = 50
 PATH_POINTS = 65
+MASS_TOL = 1e-7
+MAX_DOUBLINGS = 4
 
 
 def _mu_to_m(z, mu, gamma):
@@ -444,21 +446,44 @@ def solve_density(spec: PopulationSpectrum, gamma: float,
                   num_points: int = 3000) -> StieltjesSolution:
     """Boundary values on a grid built from the exact support edges: a
     Chebyshev grid on each support interval with both edges as nodes, plus
-    sparse tails off the support.  Raises NoConvergence if any grid point is
+    sparse tails off the support.  An interval's node count doubles, at most
+    MAX_DOUBLINGS times, until the trapezoid rule in theta for its mass moves
+    by at most MASS_TOL when every other node is dropped; a narrow feature of
+    the density (a near split of the support at large gamma) needs more nodes
+    than its share of num_points.  Raises NoConvergence if any grid point is
     invalid."""
     lows, highs = _critical_points(spec, gamma)[1].reshape(-1, 2).T
     total = float(np.sum(highs - lows))
-    pieces = [np.linspace(0.6 * lows[0], lows[0], 24)[:-1],
-              np.linspace(highs[-1], 1.05 * highs[-1], 24)[1:]]
-    for a, b in zip(lows, highs):
-        n = max(300, int(num_points * (b - a) / total))
-        nodes = a + 0.5 * (b - a) * (1.0 - np.cos(np.linspace(0.0, np.pi, n)))
-        pieces.append(np.append(nodes[:-1], b))
+    fixed = [np.linspace(0.6 * lows[0], lows[0], 24)[:-1],
+             np.linspace(highs[-1], 1.05 * highs[-1], 24)[1:]]
     for b, a in zip(highs[:-1], lows[1:]):
-        pieces.append(np.linspace(b, a, 24)[1:-1])
-    solution = boundary_values(spec, gamma, np.unique(np.concatenate(pieces)))
-    if not solution.valid.all():
-        i = int(np.argmin(solution.valid))
-        raise NoConvergence(f"boundary value at lambda={solution.grid[i]} "
-                            f"missed its residual")
+        fixed.append(np.linspace(b, a, 24)[1:-1])
+    # odd node counts, so that every other node is again a Chebyshev grid
+    counts = [2 * max(150, int(num_points * (b - a) / total) // 2) + 1
+              for a, b in zip(lows, highs)]
+    for _ in range(MAX_DOUBLINGS + 1):
+        nodes = [a + 0.5 * (b - a) * (1.0 - np.cos(np.linspace(0.0, np.pi, n)))
+                 for a, b, n in zip(lows, highs, counts)]
+        for x, b in zip(nodes, highs):
+            x[-1] = b
+        solution = boundary_values(spec, gamma,
+                                   np.unique(np.concatenate(fixed + nodes)))
+        if not solution.valid.all():
+            i = int(np.argmin(solution.valid))
+            raise NoConvergence(f"boundary value at lambda={solution.grid[i]} "
+                                f"missed its residual")
+        coarse = [_halving_gap(solution, x) > MASS_TOL for x in nodes]
+        if not any(coarse):
+            break
+        counts = [2 * n - 1 if c else n for n, c in zip(counts, coarse)]
     return solution
+
+
+def _halving_gap(solution: StieltjesSolution, nodes: np.ndarray) -> float:
+    """Change of the trapezoid rule in theta for the mass on the Chebyshev
+    nodes of one support interval when every other node is dropped."""
+    n = len(nodes)
+    a, b = nodes[0], nodes[-1]
+    w = solution.density[np.searchsorted(solution.grid, nodes)] \
+        * np.sin(np.linspace(0.0, np.pi, n))
+    return 0.5 * (b - a) * np.pi / (n - 1) * abs(np.sum(w[1::2]) - np.sum(w[::2]))
