@@ -145,21 +145,15 @@ def empirical_overlap(config: SimulationConfig, lambda_bins,
         overlaps = config.N * np.abs(real.eigenvectors.T) ** 2  # (i, j)
         li = np.searchsorted(lam_edges, real.eigenvalues, side="left") - 1
         tj = np.searchsorted(tau_edges, real.population_diag, side="left") - 1
-        iok = (li >= 0) & (li < nl)
-        jok = (tj >= 0) & (tj < nt)
-        sub = overlaps[np.ix_(iok, jok)]
-        li_s, tj_s = li[iok], tj[jok]
-        for a in range(nl):
-            rows = li_s == a
-            if not rows.any():
-                continue
-            for b in range(nt):
-                cols = tj_s == b
-                if not cols.any():
-                    continue
-                block = sub[np.ix_(rows, cols)]
-                rep_sum[r, a, b] = block.sum()
-                rep_cnt[r, a, b] = block.size
+        # pairs outside every bin go to row nl or column nt, dropped below
+        li = np.where((li >= 0) & (li < nl), li, nl)
+        tj = np.where((tj >= 0) & (tj < nt), tj, nt)
+        cell = (li[:, None] * (nt + 1) + tj).ravel()
+        size = (nl + 1) * (nt + 1)
+        rep_sum[r] = np.bincount(cell, overlaps.ravel(), size).reshape(
+            nl + 1, nt + 1)[:nl, :nt]
+        rep_cnt[r] = np.bincount(cell, minlength=size).reshape(
+            nl + 1, nt + 1)[:nl, :nt]
     count = rep_cnt.sum(axis=0)
     empty = count == 0
     with np.errstate(invalid="ignore", divide="ignore"), warnings.catch_warnings():

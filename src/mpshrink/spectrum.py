@@ -156,31 +156,6 @@ def m_H_at_zero(spec: PopulationSpectrum) -> float:
     return moment(spec, -1)
 
 
-def _breakpoints(spec: PopulationSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breakpoints with cdf value just left and just right of each point."""
-    pts = sorted({t for _, t in spec.atoms}
-                 | {lo for _, lo, _ in spec.segments}
-                 | {hi for _, _, hi in spec.segments})
-    pts_arr = np.asarray(pts)
-    left = np.zeros(len(pts))
-    right = np.zeros(len(pts))
-    for i, x in enumerate(pts):
-        lo_val = 0.0
-        hi_val = 0.0
-        for w, t in spec.atoms:
-            if t < x:
-                lo_val += w
-            if t <= x:
-                hi_val += w
-        for w, a, b in spec.segments:
-            frac = min(max((x - a) / (b - a), 0.0), 1.0)
-            lo_val += w * frac
-            hi_val += w * frac
-        left[i] = lo_val
-        right[i] = hi_val
-    return pts_arr, left, right
-
-
 def cdf(spec: PopulationSpectrum, x: float) -> float:
     """H(x) with the right-continuous convention (atoms at x included)."""
     val = 0.0
@@ -192,25 +167,32 @@ def cdf(spec: PopulationSpectrum, x: float) -> float:
     return val
 
 
-def quantile(spec: PopulationSpectrum, q: float) -> float:
-    """Smallest x with H(x) >= q, exact on the mixture representation."""
-    if not 0.0 < q < 1.0:
+def quantile(spec: PopulationSpectrum, q):
+    """Smallest x with H(x) >= q, exact on the mixture representation; q may
+    be an array.  H is inverted along its graph, which at each breakpoint
+    rises from H just left of it to H at it, then runs linearly to the next."""
+    q = np.asarray(q, dtype=float)
+    if np.any((q <= 0.0) | (q >= 1.0)):
         raise ValueError(f"quantile needs q in (0,1), got {q}")
-    pts, left, right = _breakpoints(spec)
-    for i in range(len(pts)):
-        if right[i] >= q:
-            if left[i] <= q:  # inside the jump (or exactly at a kink)
-                return float(pts[i])
-            # strictly inside the previous linear piece
-            x0, c0 = pts[i - 1], right[i - 1]
-            slope = (left[i] - c0) / (pts[i] - x0)
-            return float(x0 + (q - c0) / slope)
-    return float(pts[-1])
+    w, t = np.reshape(spec.atoms, (-1, 2)).T
+    sw, lo, hi = np.reshape(spec.segments, (-1, 3)).T
+    pts = np.unique(np.concatenate([t, lo, hi]))[:, None]
+    seg = np.sum(sw * np.clip((pts - lo) / (hi - lo), 0.0, 1.0), axis=1)
+    xs = np.repeat(pts, 2)
+    hs = np.column_stack([np.sum(w * (t < pts), axis=1) + seg,
+                          np.sum(w * (t <= pts), axis=1) + seg]).ravel()
+    # the first vertex with H >= q, or the last one where the weights sum
+    # to just under 1
+    k = np.minimum(np.searchsorted(hs, q), len(hs) - 1)
+    x0, h0, x1, h1 = xs[k - 1], hs[k - 1], xs[k], hs[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where((h1 <= q) | (x1 == x0), x1,
+                     x0 + (q - h0) / ((h1 - h0) / (x1 - x0)))
+    return x if x.ndim else float(x)
 
 
 def population_eigenvalues(spec: PopulationSpectrum, N: int) -> np.ndarray:
     """Deterministic size-N discretization: quantiles at (j - 1/2)/N, ascending."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    qs = (np.arange(N) + 0.5) / N
-    return np.asarray([quantile(spec, q) for q in qs])
+    return quantile(spec, (np.arange(N) + 0.5) / N)

@@ -29,7 +29,6 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import DomainError, EmptySupport, GammaOne, NoConvergence
 from .spectrum import PopulationSpectrum, moment
@@ -43,6 +42,7 @@ NEWTON_STEPS = 50
 PATH_POINTS = 65
 MASS_TOL = 1e-7
 MAX_DOUBLINGS = 4
+STENCIL = 6
 
 
 def _mu_to_m(z, mu, gamma):
@@ -275,6 +275,19 @@ def _rising_root(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
     return _bisect(lambda u: _in_u(u, spec, gamma)[0] - lam, neg, pos)
 
 
+def _horner(th, left, h, coef):
+    """Local polynomials of StieltjesSolution._pieces at angles th, by
+    Horner's rule; coef[i] holds the t**i coefficient of each knot interval,
+    and th outside the knots takes the polynomial of the nearest interval."""
+    j = np.searchsorted(left[1:], th, side="right")
+    t = (th - left[j]) / h[j]
+    v = coef[-1, j]
+    for c in coef[-2::-1]:
+        v *= t
+        v += c[j]
+    return v
+
+
 @dataclass
 class StieltjesSolution:
     """Boundary values of the limiting law on a lambda grid.
@@ -292,28 +305,37 @@ class StieltjesSolution:
     support: list[tuple[float, float]]
     m_under_zero: float | None
     mass_at_zero: float
-    valid: np.ndarray = field(repr=False, default=None)
+    valid: np.ndarray = field(repr=False)
 
     @cached_property
     def _pieces(self):
-        """Interpolation data of m_at from the valid grid points: per support
-        interval, a spline in the Chebyshev angle theta (m_breve is smooth in
-        theta up to both edges) of Re m_breve and log(Im m_breve / sin theta);
-        off the support, the real values plus the spline's edge values."""
-        ok = np.ones(self.grid.shape, bool) if self.valid is None else self.valid
-        pieces, knots, off = [], [], ok.copy()
+        """Interpolation data of m_at from the valid grid points.  Per support
+        interval, its knots 0 < theta < pi in the Chebyshev angle (m_breve is
+        smooth in theta up to both edges) carry v = Re m_breve + i log(Im
+        m_breve / sin theta); each knot interval gets the polynomial of v
+        through the STENCIL nearest knots (all of them if fewer), in t =
+        (theta - left knot) / knot spacing.  Off the support, the real values
+        plus the polynomials' edge values."""
+        pieces, knots, off = [], [], self.valid.copy()
         for a, b in self.support:
             inside = (self.grid >= a) & (self.grid <= b)
             off &= ~inside
-            th, m = _angle(self.grid[inside & ok], a, b), self.m_breve[inside & ok]
+            inside &= self.valid
+            th, m = _angle(self.grid[inside], a, b), self.m_breve[inside]
             pos = (th > 0) & (th < np.pi) & (m.imag > 0)
             if pos.any():
                 th, m = th[pos], m[pos]
-                spline = make_interp_spline(th, np.column_stack(
-                    [m.real, np.log(m.imag / np.sin(th))]),
-                    k=min(3, len(th) - 1))
-                pieces.append((a, b, spline))
-                knots += [(a, spline(0.0)[0]), (b, spline(np.pi)[0])]
+                n, k = len(th), min(STENCIL, len(th))
+                left, h = (th[:-1], np.diff(th)) if n > 1 else (th, np.ones(1))
+                first = np.clip(np.arange(len(left)) - (k - 1) // 2, 0, n - k)
+                near = first[:, None] + np.arange(k)
+                t = (th[near] - left[:, None]) / h[:, None]
+                v = m.real + 1j * np.log(m.imag / np.sin(th))
+                vander = np.vander(t.ravel(), k, True).reshape(-1, k, k)
+                coef = np.linalg.solve(vander, v[near][:, :, None])[:, :, 0].T
+                pieces.append((a, b, left, h, coef))
+                edge = _horner(np.array([0.0, np.pi]), left, h, coef).real
+                knots += [(a, edge[0]), (b, edge[1])]
         knots = sorted(knots + list(zip(self.grid[off], self.m_breve[off].real)))
         return pieces, np.array(knots).reshape(-1, 2).T
 
@@ -339,11 +361,12 @@ class StieltjesSolution:
         x = np.minimum(self.grid[-1], np.maximum(
             self.grid[0], np.atleast_1d(np.asarray(lam, dtype=float))))
         out = np.interp(x, xs, ys).astype(complex)
-        for a, b, spline in pieces:
+        for a, b, *poly in pieces:
             sel = (x >= a) & (x <= b)
             th = _angle(x[sel], a, b)
-            re, log_im = spline(th).T
-            out[sel] = re + 1j * np.sin(th) * np.exp(log_im)
+            v = _horner(th, *poly)
+            v.imag = np.sin(th) * np.exp(v.imag)
+            out[sel] = v
         return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
 
     def f_integral(self, lam, values=1.0, at_zero: float = 1.0):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +261,15 @@ def test_simulate_manifest_records_seed_in_effect(tmp_path):
     manifest = json.loads((out1 / "simulate.manifest.json").read_text())
     assert set(manifest) == {"command", "config_path", "output_paths", "seed",
                              "version", "duration_s"}
+
+
+def test_runtime_imports_numpy_only():
+    # scipy is a test dependency only; importing it would also cost most of
+    # the start-up time of every CLI process
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import mpshrink, mpshrink.cli, sys; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.stdout.strip() == "[]"

@@ -88,6 +88,18 @@ def test_population_eigenvalues_uniform():
     assert list(spectrum.population_eigenvalues(s, 2)) == [5.25, 5.75]
 
 
+def test_quantile_at_atoms_and_plateau():
+    # H = 1/2 delta(1) + 1/2 delta(3) is flat at 1/2 on [1, 3): the smallest
+    # x with H(x) >= 1/2 is the atom at 1
+    s = spectrum.validate(atoms=[(0.5, 1.0), (0.5, 3.0)])
+    assert spectrum.quantile(s, 0.5) == 1.0
+    assert list(spectrum.quantile(s, np.array([0.25, 0.5, 0.75]))) == [1, 1, 3]
+    assert list(spectrum.population_eigenvalues(s, 2)) == [1.0, 3.0]
+    # weights may sum to 1 - 1e-12: above their sum, the top of the support
+    short = spectrum.validate(atoms=[(0.5, 1.0)], segments=[(0.5 - 1e-13, 2, 3)])
+    assert spectrum.quantile(short, 1.0 - 1e-14) == 3.0
+
+
 def test_esd_kolmogorov_distance():
     # atomic H whose weights align with the N-quantile grid
     s = spectrum.validate(atoms=[(0.2, 1.0), (0.4, 3.0), (0.4, 10.0)])

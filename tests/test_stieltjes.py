@@ -109,6 +109,40 @@ def test_boundary_density_off_support(spec_d1):
     assert np.max(np.abs(sol.m_breve - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 10.0, 100.0])
+@pytest.mark.parametrize("name", ["d1", "204040", "unif56"])
+def test_m_at_matches_boundary_values(solutions, name, gamma):
+    # between grid points m_at interpolates; the reference is the exact
+    # boundary value at the same lambda.  The support edges are grid nodes,
+    # where m_at continues the polynomials of the nearest knots to theta = 0
+    # and pi and must land on the exact edge value.
+    sol = solutions(name, gamma)
+    rng = np.random.default_rng(23)
+    for a, b in sol.support:
+        lam = np.sort(rng.uniform(a, b, 200))
+        exact = stieltjes.boundary_values(solutions.specs[name], gamma, lam)
+        assert exact.valid.all()
+        err = np.abs(sol.m_at(lam) - exact.m_breve) / np.abs(exact.m_breve)
+        assert err.max() <= 1e-8
+    edges = np.ravel(sol.support)
+    i = np.searchsorted(sol.grid, edges)
+    assert np.array_equal(sol.grid[i], edges)
+    err = np.abs(sol.m_at(edges) - sol.m_breve[i]) / np.abs(sol.m_breve[i])
+    assert err.max() <= 1e-9
+
+
+@pytest.mark.parametrize("knots", [1, 3])
+def test_m_at_reproduces_few_knots(spec_d1, knots):
+    # fewer interior grid points than the stencil: one polynomial through
+    # all of them, which passes through every knot
+    a, b = oracles.point_mass_edges(2.0)
+    grid = a + (b - a) * np.linspace(0.0, 1.0, knots + 2)
+    sol = stieltjes.boundary_values(spec_d1, 2.0, grid)
+    inner = sol.m_breve[1:-1]
+    assert np.max(np.abs(sol.m_at(grid[1:-1]) - inner) / np.abs(inner)) <= 1e-13
+    assert sol.m_at(np.linspace(a, b, 1001)).imag.min() >= 0.0
+
+
 def test_total_mass(solutions):
     for name in ("d1", "204040", "unif56"):
         for gamma in (0.5, 2.0, 10.0):
