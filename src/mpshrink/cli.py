@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -41,6 +42,10 @@ class RunManifest:
     seed: int | None
     version: str
     duration_s: float
+    mc_workers: int | None  # threads of the Monte-Carlo loops (simulate)
+    blas_threads: str | None  # the BLAS thread setting mc_workers read
+    numpy_version: str
+    python_version: str
 
     def write(self, path: str) -> None:
         _write_json(path, asdict(self))
@@ -197,6 +202,7 @@ def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
     reps = int(args.reps if args.reps is not None else cfg.get("reps", 100))
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
     args.seed = seed  # the manifest records the seed in effect
+    args.mc_workers = simulate_mod.mc_workers(reps)  # and the loop threads
     sizes = cfg.get("sweep_N", [int(cfg["N"])])
     ratio = cfg["p"] / cfg["N"]
     if ratio == 1:
@@ -299,7 +305,11 @@ def main(argv=None) -> int:
         manifest = RunManifest(
             command=args.command, config_path=args.config,
             output_paths=outputs, seed=getattr(args, "seed", None),
-            version=__version__, duration_s=time.perf_counter() - t0)
+            version=__version__, duration_s=time.perf_counter() - t0,
+            mc_workers=getattr(args, "mc_workers", None),
+            blas_threads=simulate_mod.blas_threads_setting(),
+            numpy_version=np.__version__,
+            python_version=platform.python_version())
         manifest.write(os.path.join(args.out, f"{args.command}.manifest.json"))
         return 0
     except UsageError as exc:

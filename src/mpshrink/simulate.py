@@ -4,11 +4,14 @@ Population eigenvectors are fixed to the standard basis (no generality lost
 for Gaussian entries, by rotation invariance), so Sigma is diagonal with the
 deterministic quantile eigenvalues and every overlap N|u_i* v_j|^2 is just
 N|U_ji|^2.  Streams are split per replication with counter-based generators
-keyed by (seed, rep index), so results do not depend on evaluation order.
+keyed by (seed, rep index), so results do not depend on evaluation order:
+the replication loops run on worker threads (see mc_workers) and return the
+same bits as a serial loop.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +26,8 @@ from .stieltjes import StieltjesSolution, solve_density
 
 ZERO_EIG_REL_TOL = 1e-10
 ENTRY_LAWS = ("real-gaussian", "complex-gaussian")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -72,24 +77,89 @@ def generate(config: SimulationConfig, rep_index: int) -> Realization:
 
     Sigma^(1/2) X has i.i.d. columns; S = (1/p) * (Sigma^(1/2) X)(...)^*.
     Eigenvalues are returned in decreasing order with orthonormal
-    eigenvectors; the draw is a pure function of (seed, rep_index).
+    eigenvectors; the draw is a pure function of (seed, rep_index).  The
+    complex law draws every real part, then every imaginary part.
     """
     rng = _rng_for_rep(config.seed, rep_index)
     diag = config.population_diag
-    root = np.sqrt(diag)
+    root = np.sqrt(diag)[:, None]
     if config.entry_law == "real-gaussian":
-        x = rng.standard_normal((config.N, config.p))
+        c = rng.standard_normal((config.N, config.p))
+        c *= root
+        s = c @ c.T  # syrk
     else:
-        x = (rng.standard_normal((config.N, config.p))
-             + 1j * rng.standard_normal((config.N, config.p))) / np.sqrt(2.0)
-    c = root[:, None] * x
-    s = (c @ c.conj().T) / config.p
-    s = 0.5 * (s + s.conj().T)
+        x = rng.standard_normal((2, config.N, config.p))
+        x *= 1.0 / np.sqrt(2.0)  # as complex division by sqrt(2) rounds
+        x *= root
+        c = np.empty((config.N, config.p), dtype=complex)
+        c.real, c.imag = x
+        del x
+        s = c @ c.conj().T
+    del c
+    s /= config.p
+    if np.iscomplexobj(s):
+        # gemm leaves S Hermitian only up to rounding (syrk fills the real S
+        # symmetric), and at p < N the null space of S turns with any
+        # rounding change of the triangle that eigh reads
+        s += s.conj().T
+        s *= 0.5
     vals, vecs = np.linalg.eigh(s)
     order = np.argsort(vals)[::-1]
     return Realization(sample_matrix=s, population_diag=diag,
                        eigenvalues=np.ascontiguousarray(vals[order]),
                        eigenvectors=np.ascontiguousarray(vecs[:, order]))
+
+
+def blas_threads_setting() -> str | None:
+    """The BLAS thread count asked for in the environment: the first of
+    BLAS_THREAD_VARS that is set, or None."""
+    for var in BLAS_THREAD_VARS:
+        if os.environ.get(var):
+            return os.environ[var]
+    return None
+
+
+def mc_workers(reps: int) -> int:
+    """Worker threads for a loop over reps replications: the usable CPUs
+    divided by the BLAS threads of each call, at most reps.  With no BLAS
+    setting, OpenBLAS and MKL already run every call on every core, and
+    more threads would only oversubscribe them, so the loop stays serial."""
+    try:
+        blas = int(blas_threads_setting())
+    except (TypeError, ValueError):
+        return 1
+    if blas < 1:
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(cpus // blas, reps))
+
+
+def _replicate(config: SimulationConfig, reducer) -> list:
+    """[reducer(generate(config, r)) for r in range(config.reps)].
+
+    The replications are split into one contiguous chunk per worker thread
+    (mc_workers); eigh, matmul and the Philox fill release the GIL.  Every
+    draw is a pure function of (seed, r) and the rows come back in
+    replication order, so the result is the same for every worker count.  A
+    reducer should return small rows, not the draw, so that at most one draw
+    per worker is alive."""
+    config.population_diag  # computed once, before the workers share it
+    workers = mc_workers(config.reps)
+
+    def rows(reps: range) -> list:
+        return [reducer(generate(config, r)) for r in reps]
+
+    if workers == 1:
+        return rows(range(config.reps))
+    # imported here: concurrent.futures loads logging, which would add
+    # about 5 ms to the start-up of every CLI process
+    from concurrent.futures import ThreadPoolExecutor
+
+    chunks = [range(k * config.reps // workers, (k + 1) * config.reps // workers)
+              for k in range(workers)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return [row for part in pool.map(rows, chunks) for row in part]
 
 
 def oracle_dtilde(U: np.ndarray, sigma_diag: np.ndarray) -> np.ndarray:
@@ -98,23 +168,27 @@ def oracle_dtilde(U: np.ndarray, sigma_diag: np.ndarray) -> np.ndarray:
     return np.einsum("ji,j->i", np.abs(U) ** 2, sigma_diag)
 
 
-def zero_eig_count(eigenvalues: np.ndarray) -> int:
-    thresh = ZERO_EIG_REL_TOL * max(eigenvalues.max(initial=0.0), 1e-300)
-    return int(np.sum(eigenvalues <= thresh))
+def zero_eig_count(eigenvalues: np.ndarray):
+    """Eigenvalues within ZERO_EIG_REL_TOL of zero, relative to the largest;
+    one count per row of a stack of spectra."""
+    top = np.max(eigenvalues, axis=-1, initial=0.0, keepdims=True)
+    thresh = ZERO_EIG_REL_TOL * np.maximum(top, 1e-300)
+    return np.sum(eigenvalues <= thresh, axis=-1)
 
 
 def empirical_delta(config: SimulationConfig, x_grid) -> np.ndarray:
     """Average over replications of (1/N) * sum d_i * 1[lambda_i <= x]."""
     x_grid = np.asarray(x_grid, dtype=float)
-    acc = np.zeros(x_grid.shape)
-    for r in range(config.reps):
-        real = generate(config, r)
-        d = oracle_dtilde(real.eigenvectors, real.population_diag)
-        lam_asc = real.eigenvalues[::-1]
-        d_asc = d[::-1]
+
+    def row(real: Realization) -> np.ndarray:
+        d_asc = oracle_dtilde(real.eigenvectors, real.population_diag)[::-1]
         csum = np.concatenate([[0.0], np.cumsum(d_asc)]) / config.N
-        idx = np.searchsorted(lam_asc, x_grid, side="right")
-        acc += csum[idx]
+        return csum[np.searchsorted(real.eigenvalues[::-1], x_grid,
+                                    side="right")]
+
+    acc = np.zeros(x_grid.shape)
+    for values in _replicate(config, row):
+        acc += values
     return acc / config.reps
 
 
@@ -138,22 +212,23 @@ def empirical_overlap(config: SimulationConfig, lambda_bins,
     lam_edges = np.asarray(lambda_bins, dtype=float)
     tau_edges = np.asarray(tau_bins, dtype=float)
     nl, nt = len(lam_edges) - 1, len(tau_edges) - 1
-    rep_sum = np.zeros((config.reps, nl, nt))
-    rep_cnt = np.zeros((config.reps, nl, nt), dtype=int)
-    for r in range(config.reps):
-        real = generate(config, r)
+    size = (nl + 1) * (nt + 1)
+    # pairs outside every bin go to row nl or column nt, dropped below
+    tj = np.searchsorted(tau_edges, config.population_diag, side="left") - 1
+    tj = np.where((tj >= 0) & (tj < nt), tj, nt)
+
+    def row(real: Realization) -> tuple[np.ndarray, np.ndarray]:
         overlaps = config.N * np.abs(real.eigenvectors.T) ** 2  # (i, j)
         li = np.searchsorted(lam_edges, real.eigenvalues, side="left") - 1
-        tj = np.searchsorted(tau_edges, real.population_diag, side="left") - 1
-        # pairs outside every bin go to row nl or column nt, dropped below
         li = np.where((li >= 0) & (li < nl), li, nl)
-        tj = np.where((tj >= 0) & (tj < nt), tj, nt)
         cell = (li[:, None] * (nt + 1) + tj).ravel()
-        size = (nl + 1) * (nt + 1)
-        rep_sum[r] = np.bincount(cell, overlaps.ravel(), size).reshape(
-            nl + 1, nt + 1)[:nl, :nt]
-        rep_cnt[r] = np.bincount(cell, minlength=size).reshape(
-            nl + 1, nt + 1)[:nl, :nt]
+        sums = np.bincount(cell, overlaps.ravel(), size)
+        counts = np.bincount(cell, minlength=size)
+        return (sums.reshape(nl + 1, nt + 1)[:nl, :nt],
+                counts.reshape(nl + 1, nt + 1)[:nl, :nt])
+
+    sums, counts = zip(*_replicate(config, row))
+    rep_sum, rep_cnt = np.array(sums), np.array(counts)
     count = rep_cnt.sum(axis=0)
     empty = count == 0
     with np.errstate(invalid="ignore", divide="ignore"), warnings.catch_warnings():
@@ -236,26 +311,20 @@ def run_prial(config: SimulationConfig,
     gamma = config.gamma
     if solution is None:
         solution = solve_density(config.spec, gamma)
-    loss_nl = np.zeros(config.reps)
-    loss_lin = np.zeros(config.reps)
-    loss_sam = np.zeros(config.reps)
-    trace_gap = 0.0
-    zero_ok = True
-    expect_zero = max(config.N - config.p, 0)
-    for r in range(config.reps):
-        real = generate(config, r)
-        lam = real.eigenvalues
-        d = oracle_dtilde(real.eigenvectors, real.population_diag)
-        trace_gap = max(trace_gap,
-                        abs(d.sum() - real.population_diag.sum()))
-        if zero_eig_count(lam) != expect_zero:
-            zero_ok = False
-        shrunk = shrinkage_mod.shrink_spectrum(lam, solution)
-        lin = shrinkage_mod.linear_shrinkage_oracle(
-            lam, float(real.population_diag.sum()), float(np.dot(lam, d)))
-        loss_nl[r] = float(np.sum((shrunk - d) ** 2))
-        loss_lin[r] = float(np.sum((lin - d) ** 2))
-        loss_sam[r] = float(np.sum((lam - d) ** 2))
+    rows = _replicate(config, lambda real: (
+        real.eigenvalues,
+        oracle_dtilde(real.eigenvectors, real.population_diag)))
+    lam, d = (np.array(col) for col in zip(*rows))
+    trace_sigma = float(config.population_diag.sum())
+    trace_gap = np.max(np.abs(d.sum(axis=1) - trace_sigma))
+    zero_ok = bool(np.all(zero_eig_count(lam) == max(config.N - config.p, 0)))
+    shrunk = shrinkage_mod.shrink_spectrum(lam, solution)
+    lin = np.array([shrinkage_mod.linear_shrinkage_oracle(
+        lam_r, trace_sigma, float(np.dot(lam_r, d_r)))
+        for lam_r, d_r in zip(lam, d)])
+    loss_nl = np.sum((shrunk - d) ** 2, axis=1)
+    loss_lin = np.sum((lin - d) ** 2, axis=1)
+    loss_sam = np.sum((lam - d) ** 2, axis=1)
     report = SimulationReport(
         prial_nonlinear=_prial(loss_nl, loss_sam),
         prial_linear=_prial(loss_lin, loss_sam),
@@ -284,12 +353,11 @@ def null_space_dtilde_mean(config: SimulationConfig) -> float:
     Only meaningful for p < N, where S has exactly N - p null directions."""
     if config.p >= config.N:
         raise ValueError("null space requires p < N")
-    total, cnt = 0.0, 0
-    for r in range(config.reps):
-        real = generate(config, r)
+
+    def row(real: Realization) -> tuple[float, int]:
         d = oracle_dtilde(real.eigenvectors, real.population_diag)
-        k = zero_eig_count(real.eigenvalues)
-        if k:
-            total += float(d[-k:].sum())
-            cnt += k
-    return total / cnt
+        k = int(zero_eig_count(real.eigenvalues))
+        return (float(d[-k:].sum()) if k else 0.0), k
+
+    totals, counts = zip(*_replicate(config, row))
+    return sum(totals) / sum(counts)

@@ -45,8 +45,23 @@ MAX_DOUBLINGS = 4
 STENCIL = 6
 
 
-def _mu_to_m(z, mu, gamma):
-    return (gamma - 1.0) / z + gamma * mu
+def _mu_to_m(z, mu, spec: PopulationSpectrum, gamma: float):
+    """m from the companion value mu at z, where x(mu) = z.
+
+    For gamma < 1, F has an atom at zero and m = (gamma - 1)/z + gamma*mu
+    keeps its pole apart from the regular mu.  For gamma > 1 the companion
+    law has the atom instead, and the two terms cancel to |m| << gamma/|z|;
+    there m = -(1/z) * integral of dH(tau) / (1 + tau*mu), atoms summed
+    exactly and segments through the log of _inverse_map."""
+    if gamma < 1:
+        return (gamma - 1.0) / z + gamma * mu
+    mu = np.asarray(mu)[None, :]
+    aw, at, sw, lo, hi = _components(spec)
+    total = (aw / (1.0 + at * mu)).sum(axis=0)
+    if len(sw):
+        total += (sw / (hi - lo) * np.log(
+            (1.0 + hi * mu) / (1.0 + lo * mu))).sum(axis=0) / mu[0]
+    return -total / z + 0.0  # turns the -0.0 imaginary parts of real m to +0.0
 
 
 def solve_mF(z, spec: PopulationSpectrum, gamma: float):
@@ -78,7 +93,7 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
         active = active[np.abs(step) >= _NEWTON_GATE * np.maximum(
             1.0, np.abs(mua))]
     u, _ = _newton(spec, gamma, z_arr, -1.0 / mu)
-    m = _mu_to_m(z_arr, -1.0 / u, gamma)
+    m = _mu_to_m(z_arr, -1.0 / u, spec, gamma)
     resid = _exact_gap(z_arr, m, spec, gamma)
     ok = (resid <= 10 * TOL * np.maximum(1.0, np.abs(m))) & (m.imag > 0) \
         & (u.imag > 0)
@@ -203,7 +218,9 @@ def _newton(spec: PopulationSpectrum, gamma: float, z, u):
     u = np.array(u, dtype=complex)
     for _ in range(NEWTON_STEPS + 1):
         x, x1 = _in_u(u, spec, gamma)[:2]
-        m = _mu_to_m(z, -1.0 / u, gamma)
+        # |m| only scales the tolerance, so the cancellation of this form at
+        # gamma >> 1 (see _mu_to_m) does not matter, and it is cheaper
+        m = (gamma - 1.0) / z - gamma / u
         done = gamma * np.abs(x - z) <= TOL * np.abs(z) * np.abs(u) \
             * np.maximum(1.0, np.abs(m))
         u = u - (x - z) / x1
@@ -288,6 +305,23 @@ def _horner(th, left, h, coef):
     return v
 
 
+def _monomial(t, v):
+    """Coefficients (row i: t**i) of the polynomials through the points
+    (t[j], v[j]) of each row j, by Newton's divided differences, vectorized
+    over the rows and expanded to the monomial basis of _horner."""
+    dd = np.array(v, dtype=complex)
+    k = dd.shape[1]
+    for i in range(1, k):
+        dd[:, i:] = (dd[:, i:] - dd[:, i - 1:-1]) / (t[:, i:] - t[:, :-i])
+    coef = np.zeros((k, len(dd)), dtype=complex)
+    coef[0] = dd[:, -1]
+    for i in range(k - 2, -1, -1):
+        # multiply by (t - t_i) and add the i-th divided difference
+        coef[1:] = coef[:-1] - t[:, i] * coef[1:]
+        coef[0] = dd[:, i] - t[:, i] * coef[0]
+    return coef
+
+
 @dataclass
 class StieltjesSolution:
     """Boundary values of the limiting law on a lambda grid.
@@ -331,8 +365,7 @@ class StieltjesSolution:
                 near = first[:, None] + np.arange(k)
                 t = (th[near] - left[:, None]) / h[:, None]
                 v = m.real + 1j * np.log(m.imag / np.sin(th))
-                vander = np.vander(t.ravel(), k, True).reshape(-1, k, k)
-                coef = np.linalg.solve(vander, v[near][:, :, None])[:, :, 0].T
+                coef = _monomial(t, v[near])
                 pieces.append((a, b, left, h, coef))
                 edge = _horner(np.array([0.0, np.pi]), left, h, coef).real
                 knots += [(a, edge[0]), (b, edge[1])]
@@ -447,7 +480,7 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
     for edge, u_edge in zip(values, crit):
         u[grid == edge] = u_edge
 
-    m_breve = _mu_to_m(grid, -1.0 / u, gamma)
+    m_breve = _mu_to_m(grid, -1.0 / u, spec, gamma)
     resid = _exact_gap(grid.astype(complex), m_breve, spec, gamma)
     valid = ok & (resid <= 10 * TOL * np.maximum(1.0, np.abs(m_breve)))
     return StieltjesSolution(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mpshrink import cli, shrinkage
+from mpshrink import cli, shrinkage, simulate
 
 
 def _write_config(tmp_path, name, doc):
@@ -260,7 +261,29 @@ def test_simulate_manifest_records_seed_in_effect(tmp_path):
         assert manifest["seed"] == seed
     manifest = json.loads((out1 / "simulate.manifest.json").read_text())
     assert set(manifest) == {"command", "config_path", "output_paths", "seed",
-                             "version", "duration_s"}
+                             "version", "duration_s", "mc_workers",
+                             "blas_threads", "numpy_version",
+                             "python_version"}
+
+
+def test_manifest_records_runtime(tmp_path, monkeypatch):
+    # the Monte-Carlo threads have exited when the run ends, so the manifest
+    # is where the worker count and the BLAS setting it read are recorded
+    for var in simulate.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    cfg = _write_config(tmp_path, "cfg.json",
+                        {"spectrum": MIX, "N": 10, "p": 20, "reps": 4,
+                         "gammas": [2]})
+    for command in ("simulate", "density"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / f"{command}.manifest.json").read_text())
+        assert manifest["blas_threads"] == "1"
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["python_version"] == platform.python_version()
+        expected = simulate.mc_workers(4) if command == "simulate" else None
+        assert manifest["mc_workers"] == expected
 
 
 def test_runtime_imports_numpy_only():

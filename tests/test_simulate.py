@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -182,3 +185,95 @@ def test_empirical_overlap_bins_are_half_open(spec_204040):
     # atoms sit exactly on the right edges: (0.5, 1] catches tau = 1
     assert table.count[0, 0] > 0
     assert table.count[0, 1] > 0
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+
+
+@pytest.fixture
+def no_blas_setting(monkeypatch):
+    for var in simulate.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+
+def test_mc_workers_rule(monkeypatch, no_blas_setting):
+    # unset: OpenBLAS and MKL take every core, so the loop stays serial
+    assert simulate.blas_threads_setting() is None
+    assert simulate.mc_workers(100) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert simulate.blas_threads_setting() == "1"
+    assert simulate.mc_workers(100) == min(_cpus(), 100)
+    assert simulate.mc_workers(1) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(_cpus()))
+    assert simulate.mc_workers(100) == 1
+    # the first variable that is set wins
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", str(2 * _cpus()))
+    assert simulate.blas_threads_setting() == str(2 * _cpus())
+    assert simulate.mc_workers(100) == 1
+    monkeypatch.setenv("OMP_NUM_THREADS", "auto")
+    assert simulate.mc_workers(100) == 1
+
+
+def _mc_outputs(spec_204040, solutions) -> dict:
+    """Every Monte-Carlo reduction, on odd rep counts (uneven chunks)."""
+    out = {}
+    for n, p in ((15, 30), (30, 15)):
+        config = simulate.SimulationConfig(N=n, p=p, spec=spec_204040, reps=7,
+                                           seed=3)
+        sol = solutions("204040", p / n)
+        out[f"prial_{n}_{p}"] = json.dumps(
+            simulate.run_prial(config, sol).to_dict(), sort_keys=True)
+    low = simulate.SimulationConfig(N=30, p=15, spec=spec_204040, reps=5,
+                                    seed=8, entry_law="complex-gaussian")
+    out["delta"] = simulate.empirical_delta(low, np.linspace(0.0, 30.0, 31))
+    out["null"] = simulate.null_space_dtilde_mean(low)
+    config = simulate.SimulationConfig(N=40, p=80, spec=spec_204040, reps=9,
+                                       seed=4, entry_law="complex-gaussian")
+    table = simulate.empirical_overlap(config, np.linspace(0.0, 40.0, 9),
+                                       np.array([0.5, 2.0, 5.0, 11.0]))
+    out.update({f"overlap_{k}": getattr(table, k)
+                for k in ("mean", "std_error", "count", "empty")})
+    return out
+
+
+def test_replications_bit_identical_across_worker_counts(
+        monkeypatch, solutions, spec_204040):
+    # more workers than cores, switching threads as often as the
+    # interpreter allows
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulate, "mc_workers",
+                                lambda reps, workers=workers: min(workers, reps))
+            results.append(_mc_outputs(spec_204040, solutions))
+    finally:
+        sys.setswitchinterval(interval)
+    # the serial loop over generate is the reference
+    config = simulate.SimulationConfig(N=15, p=30, spec=spec_204040, reps=7,
+                                       seed=3)
+    loss_sample = []
+    for r in range(config.reps):
+        real = simulate.generate(config, r)
+        d = simulate.oracle_dtilde(real.eigenvectors, real.population_diag)
+        loss_sample.append(float(np.sum((real.eigenvalues - d) ** 2)))
+    assert json.loads(results[2]["prial_15_30"])["loss_sample"] == loss_sample
+    for other in results[1:]:
+        for key, value in results[0].items():
+            same = value == other[key] if isinstance(value, str) else \
+                np.array_equal(value, other[key], equal_nan=True)
+            assert same, key
+
+
+def test_run_prial_leaves_no_threads(monkeypatch, solutions, spec_204040):
+    monkeypatch.setattr(simulate, "mc_workers", lambda reps: min(2, reps))
+    baseline = threading.active_count()
+    config = simulate.SimulationConfig(N=15, p=30, spec=spec_204040, reps=6,
+                                       seed=1)
+    simulate.run_prial(config, solutions("204040", 2.0))
+    assert threading.active_count() == baseline

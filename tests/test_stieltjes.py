@@ -80,6 +80,26 @@ def test_solve_mF_exact_on_segments(spec_unif56, gamma):
         assert np.all(errs[1] <= 1e-2 * errs[0])
 
 
+@pytest.mark.parametrize("gamma", [500.0, 1e4])
+def test_solve_mF_large_gamma_small_z(spec_d1, gamma):
+    # at gamma >> 1 and small |z| the two terms of (gamma - 1)/z + gamma*mu
+    # cancel to |m| << gamma/|z|; that form missed the residual at 37 to 138
+    # points of this grid per case, among them z = 0.001 + 1e-6j for d1 at
+    # gamma = 1e4
+    mixture = spectrum.validate(atoms=[(0.27, 7.12)],
+                                segments=[(0.73, 2.14, 5.15)])
+    z = (np.geomspace(1e-3, 3.0, 40)[:, None]
+         + 1j * np.geomspace(1e-6, 1.0, 8)).ravel()
+    for spec in (spec_d1, mixture):
+        m = stieltjes.solve_mF(z, spec, gamma)
+        gap = stieltjes._exact_gap(z, m, spec, gamma)
+        assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(m)))
+    # the root of the quadratic of oracles.point_mass_m in 40-digit
+    # arithmetic; in double precision the quadratic itself loses 8e-11
+    m = stieltjes.solve_mF(0.001 + 1e-6j, spec_d1, 1e4)
+    assert abs(m - (1.0011013116622095 + 1.0023042674216177e-06j)) <= 1e-14
+
+
 def test_solve_rejects_lower_half_plane(spec_d1):
     with pytest.raises(DomainError):
         stieltjes.solve_mF(1.0 - 1e-3j, spec_d1, 2.0)
@@ -129,6 +149,16 @@ def test_m_at_matches_boundary_values(solutions, name, gamma):
     assert np.array_equal(sol.grid[i], edges)
     err = np.abs(sol.m_at(edges) - sol.m_breve[i]) / np.abs(sol.m_breve[i])
     assert err.max() <= 1e-9
+
+
+def test_monomial_recovers_polynomials():
+    # divided differences on 6 unevenly spaced points per row give back the
+    # coefficients of a degree-5 polynomial, row by row
+    rng = np.random.default_rng(5)
+    coef = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    t = np.sort(rng.uniform(-2.0, 3.0, (4, 6)), axis=1)
+    v = sum(coef[i][:, None] * t ** i for i in range(6))
+    assert np.max(np.abs(stieltjes._monomial(t, v) - coef)) <= 1e-10
 
 
 @pytest.mark.parametrize("knots", [1, 3])
