@@ -11,6 +11,10 @@ phi(0, t) = 1/((1-gamma)*(1 + mu0*t)) with mu0 the companion transform at 0.
 
 Phi(lambda, tau) is the double integral of phi against dH(t) dF(l), including
 the zero atom of F when gamma < 1.
+
+With S(s) = integral of dH(t)/(t - s) and s = l/(a + i*b), phi(l, .) integrates
+against dH to (l/gamma) / (a^2 + b^2) * Im(s*S(s)) / Im s, with the limit
+Re(S + s*S') at Im s = 0, and phi(0, .) to S(-1/mu0) / (mu0 * (1 - gamma)).
 """
 
 from __future__ import annotations
@@ -19,15 +23,8 @@ import numpy as np
 
 from . import spectrum as spectrum_mod
 from .errors import EmptyBin, GammaOne, ZeroBranchUnavailable
-from .spectrum import PopulationSpectrum, quadrature_nodes
+from .spectrum import PopulationSpectrum, _stieltjes_h
 from .stieltjes import StieltjesSolution
-
-
-def _a_b(l: float, solution: StieltjesSolution) -> tuple[float, float]:
-    """Real/imaginary part of 1 - 1/gamma - l*m_breve(l)/gamma at l."""
-    g = solution.gamma
-    k = 1.0 - 1.0 / g - l * solution.m_at(l) / g
-    return float(k.real), float(k.imag)
 
 
 def phi(l: float, t, solution: StieltjesSolution,
@@ -45,25 +42,49 @@ def phi(l: float, t, solution: StieltjesSolution,
         mu0 = solution.m_under_zero
         out = 1.0 / ((1.0 - solution.gamma) * (1.0 + mu0 * t_arr))
         return out if np.ndim(t) else float(out)
-    a, b = _a_b(l, solution)
-    den = (a * t_arr - l) ** 2 + b * b * t_arr ** 2
+    g = solution.gamma
+    k = 1.0 - 1.0 / g - l * solution.m_at(l) / g  # a + i*b
+    den = (k.real * t_arr - l) ** 2 + k.imag * k.imag * t_arr ** 2
     # exactly at a support edge b -> 0 while a*t - l can cross zero; the
     # kernel concentrates there and the denominator is floored to keep the
     # point evaluation finite (integrals against dF are unaffected)
-    out = (l / solution.gamma) * t_arr / np.maximum(den, 1e-300)
+    out = (l / g) * t_arr / np.maximum(den, 1e-300)
     return out if np.ndim(t) else float(out)
+
+
+def _h_integral(ls, m, gamma: float, spec: PopulationSpectrum,
+                upto: float = np.inf):
+    """Integral of phi(l, t) over t <= upto against dH, for an array of l > 0
+    and the m_breve(l)."""
+    k = 1.0 - 1.0 / gamma - ls * m / gamma
+    s = ls / k
+    real = s.imag == 0
+    S = _stieltjes_h(spec, s, upto, order=int(real.any()))
+    ratio = (s * S[0]).imag / np.where(real, 1.0, s.imag)
+    if real.any():
+        ratio[real] = (S[0] + s * S[1]).real[real]
+    return ls / gamma * ratio / np.abs(k) ** 2
+
+
+def _h_integral_zero(solution: StieltjesSolution, spec: PopulationSpectrum,
+                     upto: float = np.inf) -> float:
+    """Integral of phi(0, t) over t <= upto against dH (gamma < 1)."""
+    if solution.gamma > 1:
+        raise ZeroBranchUnavailable("l = 0 branch requires gamma < 1")
+    mu0 = solution.m_under_zero
+    S = _stieltjes_h(spec, np.array([-1.0 / mu0]), upto, order=0)[0][0]
+    return float(S) / (mu0 * (1.0 - solution.gamma))
 
 
 def phi_h_integral(l: float, solution: StieltjesSolution,
                    spec: PopulationSpectrum) -> float:
-    """Integral of phi(l, t) over dH(t); equals 1 on the support of F.
-
-    Segments of H are integrated by Gauss-Legendre panels.  At large gamma
-    phi(l, .) peaks within a width of order |b/a| l/a (a + i*b as above),
-    small against the segment width, and the panels are inaccurate
-    (2e-3 for 0.27 delta(7.12) + 0.73 U[2.14, 5.15] at gamma = 87.5)."""
-    taus, ws = quadrature_nodes(spec)
-    return float(np.sum(ws * phi(l, taus, solution, spec)))
+    """Integral of phi(l, t) over dH(t); equals 1 on the support of F."""
+    if solution.gamma == 1:
+        raise GammaOne("phi is undefined at gamma = 1")
+    if l <= 0:
+        return 0.0 if l < 0 else _h_integral_zero(solution, spec)
+    return float(_h_integral(np.array([l]), np.array([solution.m_at(l)]),
+                             solution.gamma, spec)[0])
 
 
 def phi_cumulative(lam: float, tau: float, solution: StieltjesSolution,
@@ -75,16 +96,14 @@ def phi_cumulative(lam: float, tau: float, solution: StieltjesSolution,
         raise GammaOne("Phi is undefined at gamma = 1")
     if tau < spec.h1 or lam < 0:
         return 0.0
-    taus, ws = quadrature_nodes(spec, (tau,))
-    t, w = taus[taus <= tau, None], ws[taus <= tau, None]
-    g = solution.gamma
-    at_zero = float(np.sum(w * phi(0.0, t, solution, spec))) if g < 1 else 0.0
     n = min(len(solution.grid), np.searchsorted(solution.grid, lam) + 1)
-    ls = solution.grid[:n]
-    k = 1.0 - 1.0 / g - ls * solution.m_breve[:n] / g
-    # phi(l, t) at all these grid points at once, floored as in phi
-    den = (k.real * t - ls) ** 2 + (k.imag * t) ** 2
-    inner = ls / g * np.sum(w * t / np.maximum(den, 1e-300), axis=0)
+    # grid points of zero density carry no weight in f_integral
+    inner = np.zeros(n)
+    pos = solution.density[:n] > 0
+    inner[pos] = _h_integral(solution.grid[:n][pos], solution.m_breve[:n][pos],
+                             solution.gamma, spec, tau)
+    at_zero = _h_integral_zero(solution, spec, tau) if solution.gamma < 1 \
+        else 0.0
     return solution.f_integral(lam, inner, at_zero)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +38,6 @@ class SimulationConfig:
     reps: int
     seed: int = 0
     entry_law: str = "real-gaussian"
-    outputs: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.N < 2 or self.p < 1 or self.reps < 1:
@@ -258,30 +257,9 @@ class SimulationReport:
     zero_count_ok: bool
     seeds_used: list[int]
     config: dict
-    empirical_delta: dict | None = None
-    empirical_phi_bins: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "prial_nonlinear": self.prial_nonlinear,
-            "prial_linear": self.prial_linear,
-            "prial_sample": self.prial_sample,
-            "prial_oracle": self.prial_oracle,
-            "se_nonlinear": self.se_nonlinear,
-            "se_linear": self.se_linear,
-            "loss_nonlinear": self.loss_nonlinear,
-            "loss_linear": self.loss_linear,
-            "loss_sample": self.loss_sample,
-            "trace_identity_max_gap": self.trace_identity_max_gap,
-            "zero_count_ok": self.zero_count_ok,
-            "seeds_used": self.seeds_used,
-            "config": self.config,
-        }
-        if self.empirical_delta is not None:
-            out["empirical_delta"] = self.empirical_delta
-        if self.empirical_phi_bins is not None:
-            out["empirical_phi_bins"] = self.empirical_phi_bins
-        return out
+        return asdict(self)
 
 
 def _prial(numer: np.ndarray, denom: np.ndarray) -> float:

@@ -2,8 +2,10 @@
 
 The distribution H is the limit of the empirical spectral distribution of the
 population covariance matrix.  It is represented exactly as a finite mixture
-of point masses and uniform densities, which keeps every integral against H
-either closed-form (atoms) or a fixed-order Gauss-Legendre sum (segments).
+of point masses and uniform densities.  Every integral against H of a rational
+function of tau is algebra on one closed form, S(s) = integral of dH(t)/(t - s)
+(_stieltjes_h); only a general weight (functionals.theta_g) and the moments
+other than k = -1 take a fixed-order Gauss-Legendre sum over the segments.
 """
 
 from __future__ import annotations
@@ -137,6 +139,42 @@ def quadrature_nodes(spec: PopulationSpectrum,
     return np.asarray(locs, dtype=float), np.asarray(wts, dtype=float)
 
 
+@lru_cache(maxsize=128)
+def _components(spec: PopulationSpectrum):
+    """Atom (weight, location) and segment (weight, lo, hi) columns."""
+    atoms = np.reshape(spec.atoms, (-1, 2)).astype(float)
+    segs = np.reshape(spec.segments, (-1, 3)).astype(float)
+    return atoms[:, :1], atoms[:, 1:], segs[:, :1], segs[:, 1:2], segs[:, 2:]
+
+
+def _stieltjes_h(spec: PopulationSpectrum, s, upto: float = np.inf,
+                 order: int = 2) -> list:
+    """[S(s), S'(s), ...] up to the order-th derivative (order <= 2) of
+    S(s) = integral of dH(t) / (t - s), for an array of s off supp H, real for
+    real s; upto restricts H to t <= upto, atoms at upto included.  Atoms are
+    summed exactly; a segment [lo, hi] of density c adds
+    c * log((hi - s) / (lo - s)) and its derivatives, the principal log being
+    the right branch since the path t - s, t in [lo, hi], misses zero."""
+    aw, at, sw, lo, hi = _components(spec)
+    c = sw / (hi - lo)
+    if upto < spec.h2:
+        a, g = at[:, 0] <= upto, lo[:, 0] < upto
+        aw, at, c, lo, hi = aw[a], at[a], c[g], lo[g], np.minimum(hi[g], upto)
+    s = np.asarray(s)[None, :]
+    r = 1.0 / (at - s)
+    wr = aw * r
+    out = [np.sum(wr, axis=0)]
+    for j in range(1, order + 1):
+        wr = wr * r
+        out.append(np.sum(wr, axis=0) * j)  # j! w / (t - s)**(j + 1)
+    if len(c):
+        out[0] = out[0] + np.sum(c * np.log((hi - s) / (lo - s)), axis=0)
+        r_lo, r_hi = 1.0 / (lo - s), 1.0 / (hi - s)
+        for j in range(1, order + 1):
+            out[j] = out[j] + np.sum(c * (r_lo ** j - r_hi ** j), axis=0)
+    return out
+
+
 def integrate(spec: PopulationSpectrum, f: Callable[[np.ndarray], np.ndarray],
               split_points: Sequence[float] = ()) -> complex | float:
     """Integral of f against H; f must accept an ndarray of tau values."""
@@ -147,13 +185,18 @@ def integrate(spec: PopulationSpectrum, f: Callable[[np.ndarray], np.ndarray],
 
 
 def moment(spec: PopulationSpectrum, k: int) -> float:
-    """k-th moment of H; k may be negative since the support excludes 0."""
+    """k-th moment of H; k may be negative since the support excludes 0.
+    k = -1 is m_H_at_zero, in closed form; other k take the Gauss-Legendre
+    sum over the segments, which is exact for polynomials (k >= 0)."""
+    if k == -1:
+        return m_H_at_zero(spec)
     return float(integrate(spec, lambda t: t ** float(k)))
 
 
+@lru_cache(maxsize=128)
 def m_H_at_zero(spec: PopulationSpectrum) -> float:
     """Stieltjes transform of H at z = 0, i.e. integral of 1/tau dH(tau)."""
-    return moment(spec, -1)
+    return float(_stieltjes_h(spec, np.zeros(1), order=0)[0][0])
 
 
 def cdf(spec: PopulationSpectrum, x: float) -> float:
@@ -174,9 +217,8 @@ def quantile(spec: PopulationSpectrum, q):
     q = np.asarray(q, dtype=float)
     if np.any((q <= 0.0) | (q >= 1.0)):
         raise ValueError(f"quantile needs q in (0,1), got {q}")
-    w, t = np.reshape(spec.atoms, (-1, 2)).T
-    sw, lo, hi = np.reshape(spec.segments, (-1, 3)).T
-    pts = np.unique(np.concatenate([t, lo, hi]))[:, None]
+    w, t, sw, lo, hi = (col.T for col in _components(spec))
+    pts = np.unique(np.concatenate([t, lo, hi], axis=1))[:, None]
     seg = np.sum(sw * np.clip((pts - lo) / (hi - lo), 0.0, 1.0), axis=1)
     xs = np.repeat(pts, 2)
     hs = np.column_stack([np.sum(w * (t < pts), axis=1) + seg,

@@ -6,18 +6,19 @@ Solves, for z in the upper half plane,
 
 and extracts boundary values m_breve(lambda), the density F' = Im[m_breve]/pi,
 the support intervals, and the companion transform value at zero (gamma < 1).
-Everything runs in the companion variable mu, 1 + z*m = gamma + gamma*z*mu,
-through one evaluator of the explicit inverse (Silverstein & Choi 1995)
+Everything runs in u = -1/mu, where mu is the companion variable,
+1 + z*m = gamma + gamma*z*mu, through one evaluator of the explicit inverse
+(Silverstein & Choi 1995)
 
-    x(mu) = -1/mu + (1/gamma) * integral of tau / (1 + tau*mu) dH(tau),
+    x(u) = u * (1 - 1/gamma) - u^2 * S(u) / gamma,
 
-with atoms summed exactly and uniform segments through closed-form logs.
+with S(s) = integral of dH(t) / (t - s) in closed form (spectrum._stieltjes_h).
 
-For Im z > 0 (solve_mF) the damped fixed point mu <- 1/(x(mu) + 1/mu - z)
+For Im z > 0 (solve_mF) the damped fixed point mu <- 1/(x(-1/mu) + 1/mu - z)
 maps the upper half plane strictly into itself, so it cannot cross to a
-non-physical root; Newton on x(u) = z in u = -1/mu finishes it.  On the real
-axis the support edges are x at its real critical points, inside the support
-mu solves x(mu) = lambda with Im mu > 0, and off it mu is the real root on a
+non-physical root; Newton on x(u) = z finishes it.  On the real axis the
+support edges are x at its real critical points, inside the support u
+solves x(u) = lambda with Im u > 0, and off it u is the real root on a
 rising branch of x.  Every value is verified on the equation in m, with H
 integrated exactly.
 """
@@ -31,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, EmptySupport, GammaOne, NoConvergence
-from .spectrum import PopulationSpectrum, moment
+from .spectrum import PopulationSpectrum, _stieltjes_h, moment
 
 TOL = 1e-12
 MAX_ITER = 10_000
@@ -45,30 +46,24 @@ MAX_DOUBLINGS = 4
 STENCIL = 6
 
 
-def _mu_to_m(z, mu, spec: PopulationSpectrum, gamma: float):
-    """m from the companion value mu at z, where x(mu) = z.
+def _u_to_m(z, u, spec: PopulationSpectrum, gamma: float):
+    """m from u = -1/mu at z, where x(u) = z.
 
     For gamma < 1, F has an atom at zero and m = (gamma - 1)/z + gamma*mu
     keeps its pole apart from the regular mu.  For gamma > 1 the companion
     law has the atom instead, and the two terms cancel to |m| << gamma/|z|;
-    there m = -(1/z) * integral of dH(tau) / (1 + tau*mu), atoms summed
-    exactly and segments through the log of _inverse_map."""
+    there m = u * S(u) / z."""
     if gamma < 1:
-        return (gamma - 1.0) / z + gamma * mu
-    mu = np.asarray(mu)[None, :]
-    aw, at, sw, lo, hi = _components(spec)
-    total = (aw / (1.0 + at * mu)).sum(axis=0)
-    if len(sw):
-        total += (sw / (hi - lo) * np.log(
-            (1.0 + hi * mu) / (1.0 + lo * mu))).sum(axis=0) / mu[0]
-    return -total / z + 0.0  # turns the -0.0 imaginary parts of real m to +0.0
+        return (gamma - 1.0) / z - gamma / u
+    # + 0.0 turns the -0.0 imaginary parts of real m to +0.0
+    return u * _stieltjes_h(spec, u, order=0)[0] / z + 0.0
 
 
 def solve_mF(z, spec: PopulationSpectrum, gamma: float):
     """Solve the self-consistency equation at z (Im z > 0).
 
     Accepts a scalar or an array of z values; returns the matching shape.
-    The damped fixed point mu <- 1/(x(mu) + 1/mu - z) runs from -1/z until
+    The damped fixed point mu <- 1/(x(-1/mu) + 1/mu - z) runs from -1/z until
     its step is below _NEWTON_GATE * max(1, |mu|); Newton on x(u) = z in
     u = -1/mu then finishes.  The returned m has Im m > 0, Im mu > 0 and
     solves the equation in m, H integrated exactly, within
@@ -86,14 +81,16 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
         if not len(active):
             break
         mua = mu[active]
-        step = 1.0 / (_inverse_map(mua, spec, gamma)[0] + 1.0 / mua
-                      - z_arr[active]) - mua
+        u = -1.0 / mua
+        # x(u) + 1/mu = x(u) - u, the integral term of x alone
+        step = 1.0 / (-u * (1.0 + u * _stieltjes_h(spec, u, order=0)[0])
+                      / gamma - z_arr[active]) - mua
         mu[active] = mua + DAMPING * step
         iters[active] += 1
         active = active[np.abs(step) >= _NEWTON_GATE * np.maximum(
             1.0, np.abs(mua))]
     u, _ = _newton(spec, gamma, z_arr, -1.0 / mu)
-    m = _mu_to_m(z_arr, -1.0 / u, spec, gamma)
+    m = _u_to_m(z_arr, u, spec, gamma)
     resid = _exact_gap(z_arr, m, spec, gamma)
     ok = (resid <= 10 * TOL * np.maximum(1.0, np.abs(m))) & (m.imag > 0) \
         & (u.imag > 0)
@@ -105,61 +102,21 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
     return m if np.ndim(z) else complex(m[0])
 
 
-@lru_cache(maxsize=128)
-def _components(spec: PopulationSpectrum):
-    """Atom (weight, location) and segment (weight, lo, hi) columns."""
-    atoms = np.reshape(spec.atoms, (-1, 2)).astype(float)
-    segs = np.reshape(spec.segments, (-1, 3)).astype(float)
-    return atoms[:, :1], atoms[:, 1:], segs[:, :1], segs[:, 1:2], segs[:, 2:]
-
-
-def _inverse_map(mu, spec: PopulationSpectrum, gamma: float):
-    """x(mu), x'(mu) and x''(mu) for an array of mu off the real cut of H.
-
-    Atoms are summed exactly.  A uniform segment on [lo, hi] enters through
-    L = log((1 + hi*mu) / (1 + lo*mu)), the integral of mu/(1 + tau*mu) over
-    the segment; the principal log is the right branch because the path
-    1 + tau*mu, tau in [lo, hi], is a straight segment that misses zero.
-    """
-    mu = np.asarray(mu)[None, :]
-    aw, at, sw, lo, hi = _components(spec)
-    r = at / (1.0 + at * mu)
-    J0 = np.sum(aw * r, axis=0)
-    J1 = -np.sum(aw * r ** 2, axis=0)
-    J2 = 2.0 * np.sum(aw * r ** 3, axis=0)
-    if len(sw):
-        s_lo, s_hi = 1.0 + lo * mu, 1.0 + hi * mu
-        L = np.log(s_hi / s_lo)
-        L1 = hi / s_hi - lo / s_lo
-        L2 = (lo / s_lo) ** 2 - (hi / s_hi) ** 2
-        c = sw / (hi - lo)
-        J0 = J0 + np.sum(sw / mu - c * L / mu ** 2, axis=0)
-        J1 = J1 - np.sum(sw / mu ** 2 + c * (L1 / mu ** 2 - 2.0 * L / mu ** 3),
-                         axis=0)
-        J2 = J2 + np.sum(2.0 * sw / mu ** 3 - c * (
-            L2 / mu ** 2 - 4.0 * L1 / mu ** 3 + 6.0 * L / mu ** 4), axis=0)
-    mu = mu[0]
-    return (-1.0 / mu + J0 / gamma, 1.0 / mu ** 2 + J1 / gamma,
-            -2.0 / mu ** 3 + J2 / gamma)
-
-
 def _in_u(u, spec: PopulationSpectrum, gamma: float):
-    """x and its first two derivatives in u = -1/mu.  Unlike mu, u stays
-    finite at the lower edge as gamma -> 1, and Im u > 0 iff Im mu > 0."""
-    mu = -1.0 / np.asarray(u)
-    x, x1, x2 = _inverse_map(mu, spec, gamma)
-    return x, mu ** 2 * x1, mu ** 3 * (2.0 * x1 + mu * x2)
+    """x(u), x'(u) and x''(u) for an array of u = -1/mu off supp H, real for
+    real u.  Unlike mu, u stays finite at the lower edge as gamma -> 1."""
+    S, S1, S2 = _stieltjes_h(spec, u)
+    return (u * (1.0 - 1.0 / gamma) - u * u * S / gamma,
+            (1.0 - 1.0 / gamma) - (2.0 * u * S + u * u * S1) / gamma,
+            -(2.0 * S + 4.0 * u * S1 + u * u * S2) / gamma)
 
 
 def _exact_gap(z, m, spec: PopulationSpectrum, gamma: float):
     """|m - integral of dH(tau) / (tau*k - z)|, k = 1 - 1/gamma - z*m/gamma,
-    the residual of the equation in m with H integrated exactly."""
-    aw, at, sw, lo, hi = _components(spec)
-    k = (1.0 - 1.0 / gamma - z * m / gamma)[None, :]
-    z = np.asarray(z)[None, :]
-    rhs = np.sum(aw / (at * k - z), axis=0) + np.sum(
-        sw / ((hi - lo) * k) * np.log((hi * k - z) / (lo * k - z)), axis=0)
-    return np.abs(rhs - m)
+    the residual of the equation in m with H integrated exactly: the
+    integral is S(z/k) / k."""
+    k = 1.0 - 1.0 / gamma - z * m / gamma
+    return np.abs(_stieltjes_h(spec, z / k, order=0)[0] / k - m)
 
 
 def _bisect(f, neg, pos) -> np.ndarray:
@@ -219,7 +176,7 @@ def _newton(spec: PopulationSpectrum, gamma: float, z, u):
     for _ in range(NEWTON_STEPS + 1):
         x, x1 = _in_u(u, spec, gamma)[:2]
         # |m| only scales the tolerance, so the cancellation of this form at
-        # gamma >> 1 (see _mu_to_m) does not matter, and it is cheaper
+        # gamma >> 1 (see _u_to_m) does not matter, and it is cheaper
         m = (gamma - 1.0) / z - gamma / u
         done = gamma * np.abs(x - z) <= TOL * np.abs(z) * np.abs(u) \
             * np.maximum(1.0, np.abs(m))
@@ -444,7 +401,7 @@ class StieltjesSolution:
 
 def companion_zero(spec: PopulationSpectrum, gamma: float) -> float:
     """Companion transform value at zero, for gamma < 1: the positive root of
-    x(mu) = 0, i.e. of integral of tau*mu/(1+tau*mu) dH(tau) = gamma."""
+    x(-1/mu) = 0, i.e. of integral of tau*mu/(1+tau*mu) dH(tau) = gamma."""
     if not 0 < gamma < 1:
         raise DomainError(f"companion_zero requires 0 < gamma < 1, got {gamma}")
     u = _rising_root(spec, gamma, np.zeros(1), *_critical_points(spec, gamma))
@@ -456,7 +413,7 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
                     refine_edges: bool = True) -> StieltjesSolution:
     """Boundary values and density on an ascending positive grid.
 
-    The support edges are the exact critical values of x(mu) whatever the
+    The support edges are the exact critical values of x(u) whatever the
     grid, so refine_edges has no effect; it is accepted for callers that pass
     it.  Grid points inside the support come from Newton continuation, points
     off it from the real root on a rising branch of x.  A point that misses
@@ -480,7 +437,7 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
     for edge, u_edge in zip(values, crit):
         u[grid == edge] = u_edge
 
-    m_breve = _mu_to_m(grid, -1.0 / u, spec, gamma)
+    m_breve = _u_to_m(grid, u, spec, gamma)
     resid = _exact_gap(grid.astype(complex), m_breve, spec, gamma)
     valid = ok & (resid <= 10 * TOL * np.maximum(1.0, np.abs(m_breve)))
     return StieltjesSolution(

@@ -16,13 +16,17 @@ import numpy as np
 
 def point_mass_m(z, gamma: float, c: float = 1.0):
     """Stieltjes transform of the limiting sample law for H = delta_c,
-    upper-half-plane branch of the quadratic."""
+    upper-half-plane branch of the quadratic.  The large root comes from the
+    sign-stable formula q = -(a1 + sign * disc)/2, which adds two terms of
+    the same sign, and the small one from Vieta's product 1/a2: the textbook
+    formula cancels at gamma >> 1 and small |z|."""
     z = np.asarray(z, dtype=complex)
     a2 = c * z / gamma
     a1 = -(c * (1.0 - 1.0 / gamma) - z)
     disc = np.sqrt(a1 * a1 - 4.0 * a2 + 0j)
-    r1 = (-a1 + disc) / (2.0 * a2)
-    r2 = (-a1 - disc) / (2.0 * a2)
+    disc = np.where((np.conj(a1) * disc).real >= 0, disc, -disc)
+    q = -0.5 * (a1 + disc)
+    r1, r2 = q / a2, 1.0 / q
     return np.where(r1.imag > r2.imag, r1, r2)
 
 

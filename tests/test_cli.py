@@ -147,6 +147,18 @@ def test_shrink_gamma_below_one_reports_zero_values(tmp_path):
     assert summary["psi_zero"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_shrink_segment_near_zero(tmp_path):
+    # U[0.01, 10] at gamma = 2 failed the moment check (inv = 1.7e-4) while
+    # its integral of 1/tau dH was taken by Gauss-Legendre nodes
+    cfg = _write_config(tmp_path, "cfg.json", {
+        "spectrum": {"atoms": [], "segments": [[1.0, 0.01, 10.0]]},
+        "gammas": [2]})
+    out = tmp_path / "out"
+    assert cli.main(["shrink", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "shrink_gamma2.json").read_text())
+    assert abs(summary["moment_gap_inv"]) <= shrinkage.MOMENT_GAP_TOL
+
+
 def test_simulate_roundtrip_and_determinism(tmp_path):
     cfg = _write_config(tmp_path, "cfg.json",
                         {"spectrum": MIX, "N": 15, "p": 30, "reps": 25,

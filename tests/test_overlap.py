@@ -7,6 +7,25 @@ from mpshrink import overlap, spectrum, stieltjes
 from mpshrink.errors import EmptyBin, GammaOne, ZeroBranchUnavailable
 from conftest import interior_points
 
+MIXTURE = spectrum.validate(atoms=[(0.27, 7.12)], segments=[(0.73, 2.14, 5.15)])
+
+# phi_h_integral at the support edges, in order, as 64 Gauss-Legendre nodes
+# per segment gave it on the SOLUTION_POINTS solutions; these spectra are
+# smooth enough for the nodes to be accurate at the edges
+EDGE_INTEGRALS = {
+    ("d1", 0.5): [1.0000000000035216, 1.0000000000000011],
+    ("d1", 2.0): [1.0000000000049909, 1.0000000000000082],
+    ("d1", 10.0): [0.99999999999995104, 0.99999999999999611],
+    ("204040", 0.5): [1.0000000000281879, 1.0000000000000002],
+    ("204040", 2.0): [1.0000000003134466, 1.0000000000000018],
+    ("204040", 10.0): [1.0000000001096505, 0.99999999999732925,
+                       1.0000000000067448, 0.99999999999989775,
+                       1.0000000000000289, 1.0000000000000167],
+    ("unif56", 0.5): [1.00000000000358, 0.99999999999999811],
+    ("unif56", 2.0): [1.0000000000051479, 0.99999999999998823],
+    ("unif56", 10.0): [0.99999999999997635, 0.99999999999995426],
+}
+
 
 def test_point_mass_kernel_is_one(solutions):
     sol = solutions("d1", 2.0)
@@ -70,6 +89,39 @@ def test_kernel_normalization_mixture(solutions):
     ls = interior_points(sol, 50)
     gaps = [abs(overlap.phi_h_integral(l, sol, spec) - 1.0) for l in ls]
     assert max(gaps) <= 1e-3
+
+
+@pytest.mark.parametrize("gamma", [87.5, 100.0])
+def test_kernel_integrals_exact_at_large_gamma(gamma):
+    # phi(l, .) peaks far inside the segment at large gamma, where 64
+    # Gauss-Legendre nodes missed the H-integral 1 by 1.9e-3 and 4.5e-3, and
+    # Phi(lambda, h2) = F(lambda) by 3.4e-6 and 9.1e-6
+    sol = stieltjes.solve_density(MIXTURE, gamma)
+    gaps = [abs(overlap.phi_h_integral(l, sol, MIXTURE) - 1.0)
+            for l in interior_points(sol, 50)]
+    assert max(gaps) <= 1e-12
+    lams = np.random.default_rng(11).uniform(0.0, 1.1 * sol.grid[-1], 50)
+    phis = [overlap.phi_cumulative(l, MIXTURE.h2, sol, MIXTURE) for l in lams]
+    assert np.max(np.abs(np.array(phis) - sol.cdf(lams))) <= 1e-12
+
+
+def test_cumulative_is_F_for_segment_near_zero():
+    # U[0.01, 10] at gamma = 2: the nodes missed F by 7.0e-4
+    spec = spectrum.uniform(0.01, 10.0)
+    sol = stieltjes.solve_density(spec, 2.0)
+    lams = np.random.default_rng(12).uniform(0.0, 1.1 * sol.grid[-1], 50)
+    phis = [overlap.phi_cumulative(l, spec.h2, sol, spec) for l in lams]
+    assert np.max(np.abs(np.array(phis) - sol.cdf(lams))) <= 1e-12
+
+
+@pytest.mark.parametrize("name,gamma", list(EDGE_INTEGRALS))
+def test_kernel_integral_at_support_edges(solutions, name, gamma):
+    # at a support edge Im m_at vanishes, exactly so at the lower edge, and
+    # the integral takes its limit as Im s -> 0
+    sol = solutions(name, gamma)
+    got = [overlap.phi_h_integral(e, sol, solutions.specs[name])
+           for e in np.ravel(sol.support)]
+    assert np.max(np.abs(np.array(got) - EDGE_INTEGRALS[name, gamma])) <= 1e-12
 
 
 def test_phi_nonnegative_on_grid(solutions):

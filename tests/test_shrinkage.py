@@ -66,6 +66,17 @@ def test_moment_conservation_mixture(solutions):
         assert abs(inv_gap) <= 1e-10
 
 
+@pytest.mark.parametrize("lo", [0.01, 0.003])
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 10.0])
+def test_moment_conservation_near_zero(lo, gamma):
+    # the inverse moment of a segment reaching close to zero; 64
+    # Gauss-Legendre nodes missed it by 1.7e-4 and 6.4e-3 at gamma > 1
+    spec = spectrum.uniform(lo, 10.0)
+    sol = stieltjes.solve_density(spec, gamma)
+    cov_gap, inv_gap = shrinkage.moment_residuals(sol, spec)
+    assert abs(cov_gap) <= 1e-6 and abs(inv_gap) <= 1e-6
+
+
 def test_curve_invariants(solutions):
     spec = solutions.specs["204040"]
     sol = solutions("204040", 2.0)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from mpshrink import spectrum
 from mpshrink.errors import MassNotOne, NonPositiveSupport
 
+MIXTURE = spectrum.validate(atoms=[(0.27, 7.12)], segments=[(0.73, 2.14, 5.15)])
+
 
 def test_validate_three_atoms():
     s = spectrum.validate(atoms=[(0.2, 1.0), (0.4, 3.0), (0.4, 10.0)])
@@ -71,6 +73,63 @@ def test_m_H_at_zero_values():
     s = spectrum.validate(atoms=[(0.2, 1.0), (0.4, 3.0), (0.4, 10.0)])
     assert spectrum.m_H_at_zero(s) == pytest.approx(0.2 + 0.4 / 3 + 0.04,
                                                     abs=1e-13)
+
+
+@pytest.mark.parametrize("lo", [0.01, 0.003])
+def test_m_H_at_zero_closed_form(lo):
+    # 64 Gauss-Legendre nodes missed these by 2.4e-4 and 7.8e-3 relative
+    s = spectrum.uniform(lo, 10.0)
+    exact = np.log(10.0 / lo) / (10.0 - lo)
+    assert abs(spectrum.m_H_at_zero(s) - exact) <= 1e-14 * exact
+    assert spectrum.moment(s, -1) == spectrum.m_H_at_zero(s)
+
+
+def _transform_by_quad(s, z):
+    """S(z), S'(z), S''(z) of H: the integrals of p!/(t - z)^(p+1) dH(t),
+    atoms summed and segments integrated by scipy's adaptive quadrature."""
+    from scipy.integrate import quad
+
+    out = []
+    for p, fact in enumerate((1.0, 1.0, 2.0)):
+        def f(t):
+            return fact / (t - z) ** (p + 1)
+        val = sum(w * f(t) for w, t in s.atoms)
+        for w, lo, hi in s.segments:
+            # a break at Re z, where the integrand peaks for small Im z
+            near = [z.real] if lo < z.real < hi else None
+            parts = [quad(lambda t: part(f(t)), lo, hi, epsabs=0.0,
+                          epsrel=1e-12, limit=200, points=near)[0]
+                     for part in ((np.real, np.imag) if np.imag(z) else
+                                  (np.real,))]
+            val += w / (hi - lo) * complex(*parts)
+        out.append(val)
+    return out
+
+
+# quad warns where the cancellation across a peak keeps it from proving
+# 1e-12; its results are still within 2e-12 of 40-digit values there
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("name,real_points", [
+    ("204040", [-1.0, 0.5, 2.0, 5.0, 12.0]),
+    ("unif56", [-1.0, 0.5, 4.0, 7.0]),
+    ("mixture", [-1.0, 1.0, 6.0, 8.0])])
+def test_stieltjes_h_matches_quadrature(name, real_points):
+    s = {"204040": spectrum.validate(atoms=[(0.2, 1.0), (0.4, 3.0),
+                                            (0.4, 10.0)]),
+         "unif56": spectrum.uniform(5.0, 6.0), "mixture": MIXTURE}[name]
+    complex_points = np.array([5.5 + 0.3j, 2.2 + 1e-2j, 3.0 + 0.05j,
+                               -1.0 + 2.0j, 12.0 + 0.5j, 7.0 - 0.2j])
+    got = spectrum._stieltjes_h(s, complex_points)
+    for i, z in enumerate(complex_points):
+        for val, ref in zip(got, _transform_by_quad(s, z)):
+            assert abs(val[i] - ref) <= 1e-11 * abs(ref)
+    # a real s off supp H gives real values
+    got = spectrum._stieltjes_h(s, np.array(real_points))
+    assert all(not np.iscomplexobj(val) for val in got)
+    for i, x in enumerate(real_points):
+        for val, ref in zip(got, _transform_by_quad(s, x)):
+            assert ref.imag == 0.0
+            assert abs(val[i] - ref.real) <= 1e-11 * abs(ref)
 
 
 def test_population_eigenvalues_point_mass():

@@ -94,10 +94,14 @@ def test_solve_mF_large_gamma_small_z(spec_d1, gamma):
         m = stieltjes.solve_mF(z, spec, gamma)
         gap = stieltjes._exact_gap(z, m, spec, gamma)
         assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(m)))
-    # the root of the quadratic of oracles.point_mass_m in 40-digit
-    # arithmetic; in double precision the quadratic itself loses 8e-11
+    m = stieltjes.solve_mF(z, spec_d1, gamma)
+    assert np.all(np.abs(m - oracles.point_mass_m(z, gamma))
+                  <= 1e-13 * np.maximum(1.0, np.abs(m)))
+    # the oracle against the root of its quadratic in 40-digit arithmetic
+    exact = 1.0011013116622095 + 1.0023042674216177e-06j
+    assert abs(oracles.point_mass_m(0.001 + 1e-6j, 1e4) - exact) <= 1e-15
     m = stieltjes.solve_mF(0.001 + 1e-6j, spec_d1, 1e4)
-    assert abs(m - (1.0011013116622095 + 1.0023042674216177e-06j)) <= 1e-14
+    assert abs(m - oracles.point_mass_m(0.001 + 1e-6j, 1e4)) <= 1e-14
 
 
 def test_solve_rejects_lower_half_plane(spec_d1):
@@ -333,5 +337,5 @@ def test_inverse_map_properties(case, re_frac, log_im):
     z = complex(re_frac * 1.2 * sol.grid[-1], 10.0 ** log_im * spec.h2)
     m = stieltjes.solve_mF(z, spec, gamma)
     mu = (m - (gamma - 1.0) / z) / gamma
-    x = stieltjes._inverse_map(np.array([mu]), spec, gamma)[0][0]
+    x = stieltjes._in_u(np.array([-1.0 / mu]), spec, gamma)[0][0]
     assert abs(x - z) <= 1e-9 * max(1.0, abs(z))
