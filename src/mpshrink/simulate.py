@@ -60,7 +60,6 @@ class SimulationConfig:
 
 @dataclass
 class Realization:
-    sample_matrix: np.ndarray
     population_diag: np.ndarray
     eigenvalues: np.ndarray   # descending
     eigenvectors: np.ndarray  # columns paired with eigenvalues
@@ -72,7 +71,7 @@ def _rng_for_rep(seed: int, rep_index: int) -> np.random.Generator:
 
 
 def generate(config: SimulationConfig, rep_index: int) -> Realization:
-    """Draw one sample covariance matrix and its eigensystem.
+    """Draw one sample covariance matrix and return its eigensystem.
 
     Sigma^(1/2) X has i.i.d. columns; S = (1/p) * (Sigma^(1/2) X)(...)^*.
     Eigenvalues are returned in decreasing order with orthonormal
@@ -104,7 +103,7 @@ def generate(config: SimulationConfig, rep_index: int) -> Realization:
         s *= 0.5
     vals, vecs = np.linalg.eigh(s)
     order = np.argsort(vals)[::-1]
-    return Realization(sample_matrix=s, population_diag=diag,
+    return Realization(population_diag=diag,
                        eigenvalues=np.ascontiguousarray(vals[order]),
                        eigenvectors=np.ascontiguousarray(vecs[:, order]))
 

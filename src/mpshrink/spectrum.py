@@ -4,8 +4,8 @@ The distribution H is the limit of the empirical spectral distribution of the
 population covariance matrix.  It is represented exactly as a finite mixture
 of point masses and uniform densities.  Every integral against H of a rational
 function of tau is algebra on one closed form, S(s) = integral of dH(t)/(t - s)
-(_stieltjes_h); only a general weight (functionals.theta_g) and the moments
-other than k = -1 take a fixed-order Gauss-Legendre sum over the segments.
+(_stieltjes_h) or, for the moments, its own closed form; only a general
+weight (functionals.theta_g) takes a fixed-order Gauss-Legendre sum.
 """
 
 from __future__ import annotations
@@ -184,13 +184,17 @@ def integrate(spec: PopulationSpectrum, f: Callable[[np.ndarray], np.ndarray],
     return complex(out) if np.iscomplexobj(vals) else float(out)
 
 
+@lru_cache(maxsize=512)
 def moment(spec: PopulationSpectrum, k: int) -> float:
-    """k-th moment of H; k may be negative since the support excludes 0.
-    k = -1 is m_H_at_zero, in closed form; other k take the Gauss-Legendre
-    sum over the segments, which is exact for polynomials (k >= 0)."""
+    """k-th moment of H in closed form (k = -1: m_H_at_zero); k < 0 is allowed
+    as the support excludes 0.  A segment [lo, hi] of weight c adds c (hi^(k+1)
+    - lo^(k+1)) / ((k + 1)(hi - lo)), in expm1/log1p form: no cancellation."""
     if k == -1:
         return m_H_at_zero(spec)
-    return float(integrate(spec, lambda t: t ** float(k)))
+    aw, at, sw, lo, hi = _components(spec)
+    r = np.log1p((lo - hi) / hi)  # log(lo / hi)
+    return float(np.sum(aw * at ** k) + np.sum(
+        sw * hi ** k * np.expm1((k + 1) * r) / ((k + 1) * np.expm1(r))))
 
 
 @lru_cache(maxsize=128)

@@ -17,14 +17,17 @@ with S(s) = integral of dH(t) / (t - s) in closed form (spectrum._stieltjes_h).
 For Im z > 0 (solve_mF) the damped fixed point mu <- 1/(x(-1/mu) + 1/mu - z)
 maps the upper half plane strictly into itself, so it cannot cross to a
 non-physical root; Newton on x(u) = z finishes it.  On the real axis the
-support edges are x at its real critical points, inside the support u
-solves x(u) = lambda with Im u > 0, and off it u is the real root on a
-rising branch of x.  Every value is verified on the equation in m, with H
-integrated exactly.
+support edges are x at its real critical points, bisected to the last bit.
+Inside the support the roots with Im u > 0 form the curve Im x(u) = 0 over
+the falling branch of x, one monotone equation in Im u per Re u; Chebyshev
+samples of it, refined where a point misses, seed Newton on x(u) = lambda.
+Off it u is the real root on a rising branch of x.  Every value is verified
+on the equation in m, with H integrated exactly.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -38,9 +41,8 @@ TOL = 1e-12
 MAX_ITER = 10_000
 DAMPING = 0.5
 _NEWTON_GATE = 1e-5
-BISECT_STEPS = 100
 NEWTON_STEPS = 50
-PATH_POINTS = 65
+PATH_POINTS = 129
 MASS_TOL = 1e-7
 MAX_DOUBLINGS = 4
 STENCIL = 6
@@ -102,13 +104,17 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
     return m if np.ndim(z) else complex(m[0])
 
 
-def _in_u(u, spec: PopulationSpectrum, gamma: float):
-    """x(u), x'(u) and x''(u) for an array of u = -1/mu off supp H, real for
-    real u.  Unlike mu, u stays finite at the lower edge as gamma -> 1."""
-    S, S1, S2 = _stieltjes_h(spec, u)
-    return (u * (1.0 - 1.0 / gamma) - u * u * S / gamma,
-            (1.0 - 1.0 / gamma) - (2.0 * u * S + u * u * S1) / gamma,
-            -(2.0 * S + 4.0 * u * S1 + u * u * S2) / gamma)
+def _in_u(u, spec: PopulationSpectrum, gamma: float, order: int = 2):
+    """[x(u), x'(u), ...] up to the order-th derivative (order <= 2) for an
+    array of u = -1/mu off supp H, real for real u.  Unlike mu, u stays finite
+    at the lower edge as gamma -> 1."""
+    S = _stieltjes_h(spec, u, order=order)
+    out = [u * (1.0 - 1.0 / gamma) - u * u * S[0] / gamma]
+    if order > 0:
+        out.append((1.0 - 1.0 / gamma) - (2.0 * u * S[0] + u * u * S[1]) / gamma)
+    if order > 1:
+        out.append(-(2.0 * S[0] + 4.0 * u * S[1] + u * u * S[2]) / gamma)
+    return out
 
 
 def _exact_gap(z, m, spec: PopulationSpectrum, gamma: float):
@@ -120,14 +126,15 @@ def _exact_gap(z, m, spec: PopulationSpectrum, gamma: float):
 
 
 def _bisect(f, neg, pos) -> np.ndarray:
-    """Roots of f between neg (where f < 0) and pos (where f > 0), vectorized;
-    the bracket ends themselves are never evaluated."""
+    """Roots of f between neg (f < 0) and pos (f > 0), vectorized, never evaluated
+    at the ends; stops once every midpoint rounds to an end (or is nan)."""
     neg, pos = np.array(neg, dtype=float), np.array(pos, dtype=float)
-    for _ in range(BISECT_STEPS):
+    while True:
         mid = 0.5 * (neg + pos)
+        if not np.any((np.minimum(neg, pos) < mid) & (mid < np.maximum(neg, pos))):
+            return mid
         below = f(mid) < 0
         neg, pos = np.where(below, mid, neg), np.where(below, pos, mid)
-    return 0.5 * (neg + pos)
 
 
 @lru_cache(maxsize=128)
@@ -151,14 +158,14 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
     gap = lo[1:] > hi[:-1]
     p, q = hi[:-1][gap], lo[1:][gap]          # the gaps (p, q) of supp H
     peak = _bisect(lambda u: _in_u(u, spec, gamma)[2], q, p)
-    rising = _in_u(peak, spec, gamma)[1] > 0
+    rising = _in_u(peak, spec, gamma, order=1)[1] > 0
     root = spec.h2 / np.sqrt(gamma)
     neg = [spec.h1 if gamma > 1 else 0.0, spec.h2] + list(p[rising]) \
         + list(q[rising])
     pos = [0.0 if gamma > 1 else -2.0 * root, spec.h2 + 2.0 * root] \
         + 2 * list(peak[rising])
-    crit = np.sort(_bisect(lambda u: _in_u(u, spec, gamma)[1], neg, pos))
-    values = _in_u(crit, spec, gamma)[0]
+    crit = np.sort(_bisect(lambda u: _in_u(u, spec, gamma, order=1)[1], neg, pos))
+    values = _in_u(crit, spec, gamma, order=0)[0]
     # a gap where x barely rises can come out empty in floating point
     keep = np.concatenate([[True], np.repeat(np.diff(values)[1::2] > 0, 2),
                            [True]])
@@ -174,7 +181,7 @@ def _newton(spec: PopulationSpectrum, gamma: float, z, u):
     brings it to rounding level at no extra cost."""
     u = np.array(u, dtype=complex)
     for _ in range(NEWTON_STEPS + 1):
-        x, x1 = _in_u(u, spec, gamma)[:2]
+        x, x1 = _in_u(u, spec, gamma, order=1)
         # |m| only scales the tolerance, so the cancellation of this form at
         # gamma >> 1 (see _u_to_m) does not matter, and it is cheaper
         m = (gamma - 1.0) / z - gamma / u
@@ -192,48 +199,46 @@ def _angle(lam, a: float, b: float):
                                                 / (b - a))))
 
 
+def _curve(spec: PopulationSpectrum, gamma: float, v: np.ndarray):
+    """u = v + i*w with x(u) real and w > 0, for real v strictly inside a
+    critical pair of x.  Im x = (w/gamma)(gamma - g), where
+    g = int t^2 / ((t - v)^2 + w^2) dH falls strictly in w from
+    gamma (1 - x'(v)) > gamma at w = 0+ to below M2/w^2: w is the one root
+    of Im x in (0, sqrt(M2/gamma)]."""
+    w = _bisect(lambda w: _in_u(v + 1j * w, spec, gamma, order=0)[0].imag,
+                np.zeros(v.shape), np.sqrt(moment(spec, 2) / gamma))
+    return v + 1j * w
+
+
 def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
               a: float, b: float, u_a: float, u_b: float):
     """(u, converged) at points inside the support interval (a, b) with
     edges x(u_a), x(u_b).
 
-    Newton continuation walks from the lower edge in steps of the Chebyshev
-    angle theta, in which u is smooth up to both edges, seeded first from the
-    square-root expansion x(u) ~ a + x''(u_a) (u - u_a)^2 / 2, then by
-    linear extrapolation; a step whose solve fails is halved.  The points are
-    solved from seeds interpolated along that path; where the path lost the
-    root they miss the residual.  A Newton root counts only within Im(seed)/2
-    of its seed: that disk lies in the upper half plane, where the physical
-    root is the only one, so a real root of a falling branch of x is never
-    taken."""
-    def solve(lam, seed):
-        seed = np.asarray(seed, dtype=complex)
-        u, done = _newton(spec, gamma, lam, seed)
-        return u, done & (np.abs(u - seed) <= 0.5 * seed.imag)
-
-    curv = _in_u(np.array([u_a]), spec, gamma)[2][0]
-    path_t, path_u = [0.0], [complex(u_a)]
-    ends = np.pi / (PATH_POINTS - 1) * 0.5 ** np.arange(1, 13)
-    targets = sorted(np.concatenate([ends, np.linspace(0.0, np.pi, PATH_POINTS)
-                                     [1:-1], np.pi - ends]), reverse=True)
-    while targets:
-        t = targets[-1]
-        lam_t = a + 0.5 * (b - a) * (1.0 - np.cos(t))
-        seed = u_a + 1j * np.sqrt(2.0 * (lam_t - a) / abs(curv)) \
-            if len(path_u) == 1 else path_u[-1] + (path_u[-1] - path_u[-2]) \
-            * (t - path_t[-1]) / (path_t[-1] - path_t[-2])
-        u, ok = solve(lam_t, [seed])
-        if ok[0]:
-            path_t.append(targets.pop())
-            path_u.append(u[0])
-        elif t - path_t[-1] > 1e-9:
-            targets.append(0.5 * (t + path_t[-1]))
-        else:
-            break
-    path_t, path_u = np.array(path_t + [np.pi]), np.array(path_u + [u_b])
+    Newton starts from the curve of physical roots (_curve), along which
+    lambda rises from a to b, sampled at PATH_POINTS Chebyshev points of
+    (u_a, u_b) and interpolated in the Chebyshev angle theta of lambda, in
+    which u is smooth up to both edges.  Its root counts only within
+    Im(seed)/2 of the seed, a disk in the upper half plane, where the
+    physical root is the only one.  Points that miss are solved again once
+    the v-midpoints of the sample pairs around their theta join the samples,
+    until all pass or no such pair splits in floating point."""
+    path = np.array([u_a, u_b], dtype=complex)
+    v = u_a + 0.5 * (u_b - u_a) * (1.0 - np.cos(np.linspace(0.0, np.pi,
+                                                            PATH_POINTS)))[1:-1]
     t = _angle(lam, a, b)
-    return solve(lam, np.interp(t, path_t, path_u.real)
-                 + 1j * np.interp(t, path_t, path_u.imag))
+    u, ok = np.zeros(lam.shape, dtype=complex), np.zeros(lam.shape, dtype=bool)
+    while len(v):
+        path = np.sort(np.concatenate([path, _curve(spec, gamma, v)]))
+        path_t = _angle(_in_u(path, spec, gamma, order=0)[0].real, a, b)
+        todo = np.flatnonzero(~ok)
+        seed = np.interp(t[todo], path_t, path)
+        u[todo], done = _newton(spec, gamma, lam[todo], seed)
+        ok[todo] = done & (np.abs(u[todo] - seed) <= 0.5 * seed.imag)
+        k = np.unique(np.clip(np.searchsorted(path_t, t[~ok]), 1, len(path) - 1))
+        v = 0.5 * (path.real[k - 1] + path.real[k])
+        v = v[(path.real[k - 1] < v) & (v < path.real[k])]
+    return u, ok
 
 
 def _rising_root(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
@@ -246,7 +251,7 @@ def _rising_root(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
     left = np.minimum(crit[0], lam - moment(spec, 1) / gamma) - spec.h2
     neg = np.where(k == 0, left, crit[np.maximum(2 * k - 1, 0)])
     pos = np.where(2 * k > last, lam, crit[np.minimum(2 * k, last)])
-    return _bisect(lambda u: _in_u(u, spec, gamma)[0] - lam, neg, pos)
+    return _bisect(lambda u: _in_u(u, spec, gamma, order=0)[0] - lam, neg, pos)
 
 
 def _horner(th, left, h, coef):
@@ -415,10 +420,11 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
 
     The support edges are the exact critical values of x(u) whatever the
     grid, so refine_edges has no effect; it is accepted for callers that pass
-    it.  Grid points inside the support come from Newton continuation, points
-    off it from the real root on a rising branch of x.  A point that misses
-    the residual, of the Newton solve or of the original equation in m, is
-    marked invalid (density 0) instead of aborting.
+    it.  Inside the support, Newton is seeded from Chebyshev samples of the
+    curve Im x(u) = 0, refined where a point misses (_interior); off it u is
+    the real root on a rising branch of x.  A point that misses the residual,
+    of the Newton solve or of the original equation in m, is marked invalid
+    (density 0) instead of aborting.
     """
     crit, values = _critical_points(spec, gamma)
     grid = np.asarray(grid, dtype=float)
@@ -464,7 +470,8 @@ def solve_density(spec: PopulationSpectrum, gamma: float,
     by at most MASS_TOL when every other node is dropped; a narrow feature of
     the density (a near split of the support at large gamma) needs more nodes
     than its share of num_points.  Raises NoConvergence if any grid point is
-    invalid."""
+    invalid; warns (RuntimeWarning) if a halving gap is still above MASS_TOL
+    after the last doubling."""
     lows, highs = _critical_points(spec, gamma)[1].reshape(-1, 2).T
     total = float(np.sum(highs - lows))
     fixed = [np.linspace(0.6 * lows[0], lows[0], 24)[:-1],
@@ -485,10 +492,14 @@ def solve_density(spec: PopulationSpectrum, gamma: float,
             i = int(np.argmin(solution.valid))
             raise NoConvergence(f"boundary value at lambda={solution.grid[i]} "
                                 f"missed its residual")
-        coarse = [_halving_gap(solution, x) > MASS_TOL for x in nodes]
-        if not any(coarse):
-            break
-        counts = [2 * n - 1 if c else n for n, c in zip(counts, coarse)]
+        gaps = [_halving_gap(solution, x) for x in nodes]
+        if max(gaps) <= MASS_TOL:
+            return solution
+        counts = [2 * n - 1 if g > MASS_TOL else n for n, g in zip(counts, gaps)]
+    i = int(np.argmax(gaps))
+    warnings.warn(f"support interval [{lows[i]}, {highs[i]}]: halving gap "
+                  f"{gaps[i]:.3e} after {MAX_DOUBLINGS} doublings, total mass "
+                  f"gap {abs(solution.total_mass() - 1.0):.3e}", RuntimeWarning)
     return solution
 
 

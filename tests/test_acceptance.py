@@ -225,9 +225,11 @@ def test_criterion_11_exact_identities(solutions, spec_204040, spec_d1):
         real = simulate.generate(config_low, r)
         if simulate.zero_eig_count(real.eigenvalues) != 25:
             zero_ok = False
-        eig_sum_gap = max(eig_sum_gap,
-                          abs(real.eigenvalues.sum()
-                              - np.trace(real.sample_matrix).real))
+        # trace S = (1/p) sum_i sigma_i sum_j X_ij^2, from the same draw
+        x = simulate._rng_for_rep(config_low.seed, r).standard_normal(
+            (config_low.N, config_low.p))
+        trace = np.sum(real.population_diag[:, None] * x * x) / config_low.p
+        eig_sum_gap = max(eig_sum_gap, abs(real.eigenvalues.sum() - trace))
     ok = ok and zero_ok and eig_sum_gap <= 1e-10 * 50
     _report(11, ok,
             f"PRIAL(S)={report.prial_sample}, PRIAL(oracle)="

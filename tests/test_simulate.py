@@ -48,7 +48,7 @@ def test_complex_entry_law(spec_204040):
     assert np.max(np.abs(U.conj().T @ U - np.eye(40))) <= 1e-10
     assert np.all(np.abs(real.eigenvalues.imag) == 0) \
         if np.iscomplexobj(real.eigenvalues) else True
-    assert real.sample_matrix.dtype.kind == "c"
+    assert real.eigenvectors.dtype.kind == "c"
 
 
 def test_rank_deficiency(spec_d1):
@@ -98,9 +98,11 @@ def test_generate_deterministic(spec_204040):
                                        seed=123)
     a = simulate.generate(config, 1)
     b = simulate.generate(config, 1)
-    assert np.array_equal(a.sample_matrix, b.sample_matrix)
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(a.eigenvectors, b.eigenvectors)
     c = simulate.generate(config, 0)
-    assert not np.array_equal(a.sample_matrix, c.sample_matrix)
+    assert not np.array_equal(a.eigenvalues, c.eigenvalues)
+    assert not np.array_equal(a.eigenvectors, c.eigenvectors)
 
 
 def test_run_prial_identities(solutions, spec_204040):

@@ -84,6 +84,22 @@ def test_m_H_at_zero_closed_form(lo):
     assert spectrum.moment(s, -1) == spectrum.m_H_at_zero(s)
 
 
+@pytest.mark.parametrize("s", [spectrum.uniform(0.01, 10.0), MIXTURE,
+                               spectrum.uniform(5.0, 5.0 + 1e-9)])
+@pytest.mark.parametrize("k", [-3, -2, 1, 2, 5])
+def test_moment_closed_form(s, k):
+    # the exact rational value of the moment of the stored floats; 64
+    # Gauss-Legendre nodes missed k = -2 on U[0.01, 10] by 6.8e-3 relative,
+    # and (hi^(k+1) - lo^(k+1)) / ((k + 1)(hi - lo)) as written misses the
+    # narrow segment by up to 8.6e-8
+    from fractions import Fraction as F
+
+    exact = sum(F(w) * F(t) ** k for w, t in s.atoms) + sum(
+        F(w) * (F(hi) ** (k + 1) - F(lo) ** (k + 1)) / ((k + 1) * (F(hi) - F(lo)))
+        for w, lo, hi in s.segments)
+    assert abs(F(spectrum.moment(s, k)) - exact) <= F(1e-13) * abs(exact)
+
+
 def _transform_by_quad(s, z):
     """S(z), S'(z), S''(z) of H: the integrals of p!/(t - z)^(p+1) dH(t),
     atoms summed and segments integrated by scipy's adaptive quadrature."""

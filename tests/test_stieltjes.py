@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,11 @@ import oracles
 from conftest import SOLUTION_POINTS, interior_points
 from mpshrink import spectrum, stieltjes
 from mpshrink.errors import DomainError, GammaOne
+
+U_HARD = spectrum.uniform(0.01, 10.0)   # segment reaching down to 1e-3 * h2
+MIXTURE = spectrum.validate(atoms=[(0.27, 7.12)], segments=[(0.73, 2.14, 5.15)])
+LIMIT_CASES = [(name, gamma) for name in ("d1", "204040", "unif56")
+               for gamma in (0.5, 2.0, 10.0, 100.0)]
 
 
 def test_tail_behavior(spec_204040):
@@ -339,3 +346,65 @@ def test_inverse_map_properties(case, re_frac, log_im):
     mu = (m - (gamma - 1.0) / z) / gamma
     x = stieltjes._in_u(np.array([-1.0 / mu]), spec, gamma)[0][0]
     assert abs(x - z) <= 1e-9 * max(1.0, abs(z))
+
+
+@pytest.mark.parametrize("case", LIMIT_CASES + [("U", 2.0), ("U", 10.0),
+                                                ("mixture", 87.5)])
+def test_curve_samples_are_real_and_rising(solutions, case):
+    # over the Chebyshev points of each critical pair the curve points have
+    # x(u) real, and the Chebyshev angle of lambda = x(u) rises strictly
+    name, gamma = case
+    spec = {"U": U_HARD, "mixture": MIXTURE}.get(name) or solutions.specs[name]
+    crit, values = stieltjes._critical_points(spec, gamma)
+    n = stieltjes.PATH_POINTS
+    for u_a, u_b, a, b in zip(crit[::2], crit[1::2], values[::2], values[1::2]):
+        v = u_a + 0.5 * (u_b - u_a) * (1.0 - np.cos(np.linspace(0.0, np.pi, n)))
+        u = stieltjes._curve(spec, gamma, v[1:-1])
+        x = stieltjes._in_u(u, spec, gamma, order=0)[0]
+        assert np.all(u.imag > 0)
+        assert np.all(np.abs(x.imag) <= 1e-12 * np.maximum(1.0, np.abs(x)))
+        assert np.all(np.diff(stieltjes._angle(x.real, a, b)) > 0)
+
+
+@pytest.mark.parametrize("gamma", [200.0, 1e3])
+def test_hard_edge_at_large_gamma_solves(gamma):
+    # the sequential Newton walk lost the root near the lower edge here and
+    # raised NoConvergence at lambda ~ 0.00996 and 0.0313
+    sol = stieltjes.solve_density(U_HARD, gamma)
+    assert sol.valid.all()
+    assert abs(sol.total_mass() - 1.0) <= stieltjes.MASS_TOL
+
+
+def _bisect_fixed_steps(f, neg, pos):
+    """The reference: 100 bisection steps, whatever the brackets."""
+    neg, pos = np.array(neg, dtype=float), np.array(pos, dtype=float)
+    for _ in range(100):
+        mid = 0.5 * (neg + pos)
+        below = f(mid) < 0
+        neg, pos = np.where(below, mid, neg), np.where(below, pos, mid)
+    return 0.5 * (neg + pos)
+
+
+@pytest.mark.parametrize("case", LIMIT_CASES)
+def test_bisect_stop_matches_fixed_steps(solutions, monkeypatch, case):
+    spec = solutions.specs[case[0]]
+    crit, values = stieltjes._critical_points.__wrapped__(spec, case[1])
+    monkeypatch.setattr(stieltjes, "_bisect", _bisect_fixed_steps)
+    ref_crit, ref_values = stieltjes._critical_points.__wrapped__(spec, case[1])
+    assert np.array_equal(crit, ref_crit)
+    assert np.array_equal(values, ref_values)
+
+
+@pytest.mark.parametrize("name", ["d1", "unif56"])
+def test_solve_density_warns_at_doubling_cap(solutions, name):
+    # near gamma = 1 the lower edge approaches 0; at 1 +- 1e-4 the last
+    # doubling still leaves a halving mass gap of about 9e-6
+    spec = solutions.specs[name]
+    for gamma in (1.0 - 1e-4, 1.0 + 1e-4):
+        with pytest.warns(RuntimeWarning, match="halving gap"):
+            stieltjes.solve_density(spec, gamma)
+    for gamma in (1.0 - 1e-3, 1.0 + 1e-3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = stieltjes.solve_density(spec, gamma)
+        assert abs(sol.total_mass() - 1.0) <= stieltjes.MASS_TOL
