@@ -127,27 +127,29 @@ def shrink_inverse_spectrum(sample_eigs, solution: StieltjesSolution,
     return out
 
 
-def linear_shrinkage_oracle(sample_eigs, trace_sigma: float,
-                            trace_s_sigma: float) -> np.ndarray:
+def linear_shrinkage_oracle(sample_eigs, trace_sigma, trace_s_sigma) -> np.ndarray:
     """Eigenvalues of the Frobenius projection of Sigma onto span{I, S}.
 
     Needs only Tr(Sigma) and Tr(S*Sigma) from the oracle side; the projection
     a*I + b*S shares the sample eigenvectors, so its eigenvalues are
     a + b*lambda_i.  A degenerate span (S proportional to I) falls back to the
-    least-norm solution, which projects onto span{I}.
+    least-norm solution, which projects onto span{I}.  A stack of spectra
+    (..., n) takes traces of shape (...) and is solved in one call.
     """
     eigs = np.asarray(sample_eigs, dtype=float)
-    n = len(eigs)
+    n = eigs.shape[-1]
     if n == 0:
         raise DegenerateSpan("no eigenvalues supplied")
-    gram = np.array([[float(n), float(eigs.sum())],
-                     [float(eigs.sum()), float(np.sum(eigs ** 2))]])
-    rhs = np.array([float(trace_sigma), float(trace_s_sigma)])
+    tot = eigs.sum(axis=-1)
+    gram = np.stack([np.full(tot.shape, float(n)), tot, tot, np.sum(eigs ** 2, axis=-1)], -1)
+    rhs = np.stack(np.broadcast_arrays(trace_sigma, trace_s_sigma), axis=-1)
     if not np.all(np.isfinite(gram)) or not np.all(np.isfinite(rhs)):
         raise DegenerateSpan("non-finite trace statistics")
-    coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    a, b = coef
-    return a + b * eigs
+    # the least-norm solution, with the singular value cutoff of lstsq
+    pinv = np.linalg.pinv(gram.reshape(*tot.shape, 2, 2),
+                          rcond=2 * np.finfo(float).eps)
+    coef = np.einsum("...ij,...j->...i", pinv, rhs)
+    return coef[..., :1] + coef[..., 1:] * eigs
 
 
 def linear_shrinkage_limit(spec: PopulationSpectrum, gamma: float

@@ -5,8 +5,9 @@ for Gaussian entries, by rotation invariance), so Sigma is diagonal with the
 deterministic quantile eigenvalues and every overlap N|u_i* v_j|^2 is just
 N|U_ji|^2.  Streams are split per replication with counter-based generators
 keyed by (seed, rep index), so results do not depend on evaluation order:
-the replication loops run on worker threads (see mc_workers) and return the
-same bits as a serial loop.
+the replication loops run on worker threads (see mc_workers), each drawing
+memory-capped stacks (BATCH_ENTRIES) with one eigh call per stack, and
+return the same bits as a serial loop over single draws.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ ZERO_EIG_REL_TOL = 1e-10
 ENTRY_LAWS = ("real-gaussian", "complex-gaussian")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
+# per worker thread: 81 replications at N = 20, p = 40; 1 at N = 400, p = 800
+BATCH_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -70,42 +73,57 @@ def _rng_for_rep(seed: int, rep_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def generate(config: SimulationConfig, rep_index: int) -> Realization:
-    """Draw one sample covariance matrix and return its eigensystem.
+def _batch_reps(config: SimulationConfig) -> int:
+    """Replications per stack: BATCH_ENTRIES entries of Sigma^(1/2) X at most."""
+    per_rep = config.N * config.p * (1 if config.entry_law == "real-gaussian" else 2)
+    return max(1, BATCH_ENTRIES // per_rep)
+
+
+def generate(config: SimulationConfig, reps: int | range) -> Realization:
+    """Draw sample covariance matrices and return their eigensystems.
 
     Sigma^(1/2) X has i.i.d. columns; S = (1/p) * (Sigma^(1/2) X)(...)^*.
     Eigenvalues are returned in decreasing order with orthonormal
-    eigenvectors; the draw is a pure function of (seed, rep_index).  The
+    eigenvectors.  A rep index gives eigenvalues (N,) and eigenvectors
+    (N, N); a range of B indices gives the stack, (B, N) and (B, N, N), from
+    one eigh call.  Each draw is a pure function of (seed, rep index).  The
     complex law draws every real part, then every imaginary part.
     """
-    rng = _rng_for_rep(config.seed, rep_index)
-    diag = config.population_diag
-    root = np.sqrt(diag)[:, None]
-    if config.entry_law == "real-gaussian":
-        c = rng.standard_normal((config.N, config.p))
-        c *= root
-        s = c @ c.T  # syrk
-    else:
-        x = rng.standard_normal((2, config.N, config.p))
-        x *= 1.0 / np.sqrt(2.0)  # as complex division by sqrt(2) rounds
-        x *= root
-        c = np.empty((config.N, config.p), dtype=complex)
-        c.real, c.imag = x
-        del x
-        s = c @ c.conj().T
-    del c
+    batch = reps if isinstance(reps, range) else range(reps, reps + 1)
+    root = np.sqrt(config.population_diag)[:, None]
+    real_law = config.entry_law == "real-gaussian"
+    c = np.empty((config.N, config.p), dtype=float if real_law else complex)
+    x = c if real_law else np.empty((2, *c.shape))
+    s = np.empty((len(batch), config.N, config.N), dtype=c.dtype)
+    for b, r in enumerate(batch):
+        _rng_for_rep(config.seed, r).standard_normal(out=x)
+        if real_law:
+            c *= root
+            np.matmul(c, c.T, out=s[b])  # syrk
+        else:
+            x *= 1.0 / np.sqrt(2.0)  # as complex division by sqrt(2) rounds
+            x *= root
+            c.real, c.imag = x
+            # into the dead draw buffer: a fresh one costs 0.1 ms at N = 100
+            conj = np.conjugate(c, out=x.reshape(-1).view(complex).reshape(c.shape))
+            np.matmul(c, conj.T, out=s[b])
+    del c, x
     s /= config.p
-    if np.iscomplexobj(s):
+    if not real_law:
         # gemm leaves S Hermitian only up to rounding (syrk fills the real S
         # symmetric), and at p < N the null space of S turns with any
         # rounding change of the triangle that eigh reads
-        s += s.conj().T
+        s += s.conj().swapaxes(-1, -2)
         s *= 0.5
     vals, vecs = np.linalg.eigh(s)
-    order = np.argsort(vals)[::-1]
-    return Realization(population_diag=diag,
-                       eigenvalues=np.ascontiguousarray(vals[order]),
-                       eigenvectors=np.ascontiguousarray(vecs[:, order]))
+    order, stack = np.argsort(vals, axis=-1)[:, ::-1], np.arange(len(batch))[:, None]
+    # rows of the transpose: 3 times faster than take_along_axis at N = 100
+    vals = vals[stack, order]
+    vecs = np.ascontiguousarray(vecs.swapaxes(1, 2)[stack, order].swapaxes(1, 2))
+    if not isinstance(reps, range):
+        vals, vecs = vals[0], vecs[0]
+    return Realization(population_diag=config.population_diag,
+                       eigenvalues=vals, eigenvectors=vecs)
 
 
 def blas_threads_setting() -> str | None:
@@ -133,37 +151,43 @@ def mc_workers(reps: int) -> int:
     return max(1, min(cpus // blas, reps))
 
 
-def _replicate(config: SimulationConfig, reducer) -> list:
-    """[reducer(generate(config, r)) for r in range(config.reps)].
+def _replicate(config: SimulationConfig, reducer) -> tuple:
+    """reducer(generate(config, range(config.reps))), drawn in stacks.
 
-    The replications are split into one contiguous chunk per worker thread
-    (mc_workers); eigh, matmul and the Philox fill release the GIL.  Every
-    draw is a pure function of (seed, r) and the rows come back in
-    replication order, so the result is the same for every worker count.  A
-    reducer should return small rows, not the draw, so that at most one draw
-    per worker is alive."""
+    The reducer returns a tuple of arrays with one row per replication of its
+    stack.  The replications are split into one contiguous chunk per worker
+    thread (mc_workers), drawn in stacks of _batch_reps; eigh, matmul and the
+    Philox fill release the GIL.  Every draw is a pure function of (seed, r),
+    so the result is the same for every worker count and stack size.  The
+    reducer should return small rows, so that one stack per worker is alive."""
     config.population_diag  # computed once, before the workers share it
     workers = mc_workers(config.reps)
+    step = _batch_reps(config)
 
     def rows(reps: range) -> list:
-        return [reducer(generate(config, r)) for r in reps]
+        return [reducer(generate(config, reps[k:k + step]))
+                for k in range(0, len(reps), step)]
 
     if workers == 1:
-        return rows(range(config.reps))
-    # imported here: concurrent.futures loads logging, which would add
-    # about 5 ms to the start-up of every CLI process
-    from concurrent.futures import ThreadPoolExecutor
+        parts = rows(range(config.reps))
+    else:
+        # imported here: concurrent.futures loads logging, which would add
+        # about 5 ms to the start-up of every CLI process
+        from concurrent.futures import ThreadPoolExecutor
 
-    chunks = [range(k * config.reps // workers, (k + 1) * config.reps // workers)
-              for k in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [row for part in pool.map(rows, chunks) for row in part]
+        chunks = [range(k * config.reps // workers,
+                        (k + 1) * config.reps // workers)
+                  for k in range(workers)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = [part for chunk in pool.map(rows, chunks) for part in chunk]
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def oracle_dtilde(U: np.ndarray, sigma_diag: np.ndarray) -> np.ndarray:
     """Diagonal of U* Sigma U for diagonal Sigma: the oracle replacements
-    d_i = u_i* Sigma u_i, paired with the (descending) sample eigenvalues."""
-    return np.einsum("ji,j->i", np.abs(U) ** 2, sigma_diag)
+    d_i = u_i* Sigma u_i, paired with the (descending) sample eigenvalues;
+    one row per matrix of a stack U."""
+    return np.einsum("...ji,j->...i", np.abs(U) ** 2, sigma_diag)
 
 
 def zero_eig_count(eigenvalues: np.ndarray):
@@ -178,16 +202,15 @@ def empirical_delta(config: SimulationConfig, x_grid) -> np.ndarray:
     """Average over replications of (1/N) * sum d_i * 1[lambda_i <= x]."""
     x_grid = np.asarray(x_grid, dtype=float)
 
-    def row(real: Realization) -> np.ndarray:
-        d_asc = oracle_dtilde(real.eigenvectors, real.population_diag)[::-1]
-        csum = np.concatenate([[0.0], np.cumsum(d_asc)]) / config.N
-        return csum[np.searchsorted(real.eigenvalues[::-1], x_grid,
-                                    side="right")]
+    def rows(real: Realization) -> tuple[np.ndarray]:
+        d_asc = oracle_dtilde(real.eigenvectors, real.population_diag)[:, ::-1]
+        csum = np.pad(np.cumsum(d_asc, axis=1), ((0, 0), (1, 0))) / config.N
+        # eigenvalues <= x, as searchsorted(side="right") counts them
+        below = np.sum(real.eigenvalues[:, :, None] <= x_grid, axis=1)
+        return np.take_along_axis(csum, below, axis=1),
 
-    acc = np.zeros(x_grid.shape)
-    for values in _replicate(config, row):
-        acc += values
-    return acc / config.reps
+    values, = _replicate(config, rows)
+    return values.sum(axis=0) / config.reps
 
 
 @dataclass
@@ -215,18 +238,18 @@ def empirical_overlap(config: SimulationConfig, lambda_bins,
     tj = np.searchsorted(tau_edges, config.population_diag, side="left") - 1
     tj = np.where((tj >= 0) & (tj < nt), tj, nt)
 
-    def row(real: Realization) -> tuple[np.ndarray, np.ndarray]:
-        overlaps = config.N * np.abs(real.eigenvectors.T) ** 2  # (i, j)
+    def rows(real: Realization) -> tuple[np.ndarray, np.ndarray]:
+        overlaps = config.N * np.abs(real.eigenvectors.swapaxes(1, 2)) ** 2
         li = np.searchsorted(lam_edges, real.eigenvalues, side="left") - 1
         li = np.where((li >= 0) & (li < nl), li, nl)
-        cell = (li[:, None] * (nt + 1) + tj).ravel()
-        sums = np.bincount(cell, overlaps.ravel(), size)
-        counts = np.bincount(cell, minlength=size)
-        return (sums.reshape(nl + 1, nt + 1)[:nl, :nt],
-                counts.reshape(nl + 1, nt + 1)[:nl, :nt])
+        shape = (len(li), nl + 1, nt + 1)  # replication b owns cells b*size...
+        cell = (li[:, :, None] * (nt + 1) + tj
+                + size * np.arange(len(li))[:, None, None]).ravel()
+        sums = np.bincount(cell, overlaps.ravel(), len(li) * size)
+        counts = np.bincount(cell, minlength=len(li) * size)
+        return sums.reshape(shape)[:, :nl, :nt], counts.reshape(shape)[:, :nl, :nt]
 
-    sums, counts = zip(*_replicate(config, row))
-    rep_sum, rep_cnt = np.array(sums), np.array(counts)
+    rep_sum, rep_cnt = _replicate(config, rows)
     count = rep_cnt.sum(axis=0)
     empty = count == 0
     with np.errstate(invalid="ignore", divide="ignore"), warnings.catch_warnings():
@@ -288,17 +311,15 @@ def run_prial(config: SimulationConfig,
     gamma = config.gamma
     if solution is None:
         solution = solve_density(config.spec, gamma)
-    rows = _replicate(config, lambda real: (
+    lam, d = _replicate(config, lambda real: (
         real.eigenvalues,
         oracle_dtilde(real.eigenvectors, real.population_diag)))
-    lam, d = (np.array(col) for col in zip(*rows))
     trace_sigma = float(config.population_diag.sum())
     trace_gap = np.max(np.abs(d.sum(axis=1) - trace_sigma))
     zero_ok = bool(np.all(zero_eig_count(lam) == max(config.N - config.p, 0)))
     shrunk = shrinkage_mod.shrink_spectrum(lam, solution)
-    lin = np.array([shrinkage_mod.linear_shrinkage_oracle(
-        lam_r, trace_sigma, float(np.dot(lam_r, d_r)))
-        for lam_r, d_r in zip(lam, d)])
+    lin = shrinkage_mod.linear_shrinkage_oracle(
+        lam, trace_sigma, np.einsum("ri,ri->r", lam, d))
     loss_nl = np.sum((shrunk - d) ** 2, axis=1)
     loss_lin = np.sum((lin - d) ** 2, axis=1)
     loss_sam = np.sum((lam - d) ** 2, axis=1)
@@ -331,10 +352,12 @@ def null_space_dtilde_mean(config: SimulationConfig) -> float:
     if config.p >= config.N:
         raise ValueError("null space requires p < N")
 
-    def row(real: Realization) -> tuple[float, int]:
+    def rows(real: Realization) -> tuple[np.ndarray, np.ndarray]:
         d = oracle_dtilde(real.eigenvectors, real.population_diag)
-        k = int(zero_eig_count(real.eigenvalues))
-        return (float(d[-k:].sum()) if k else 0.0), k
+        k = zero_eig_count(real.eigenvalues)
+        # the k null directions come last, the eigenvalues being descending
+        return np.array([d_r[config.N - k_r:].sum()
+                         for d_r, k_r in zip(d, k)]), k
 
-    totals, counts = zip(*_replicate(config, row))
-    return sum(totals) / sum(counts)
+    totals, counts = _replicate(config, rows)
+    return sum(totals.tolist()) / int(counts.sum())

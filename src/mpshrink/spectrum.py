@@ -4,8 +4,9 @@ The distribution H is the limit of the empirical spectral distribution of the
 population covariance matrix.  It is represented exactly as a finite mixture
 of point masses and uniform densities.  Every integral against H of a rational
 function of tau is algebra on one closed form, S(s) = integral of dH(t)/(t - s)
-(_stieltjes_h) or, for the moments, its own closed form; only a general
-weight (functionals.theta_g) takes a fixed-order Gauss-Legendre sum.
+(_stieltjes_h) or, for the moments, its own closed form.  There is no
+general integral against H: only functionals.theta_g, for a general weight,
+sums over the fixed-order Gauss-Legendre nodes of quadrature_nodes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -173,15 +174,6 @@ def _stieltjes_h(spec: PopulationSpectrum, s, upto: float = np.inf,
         for j in range(1, order + 1):
             out[j] = out[j] + np.sum(c * (r_lo ** j - r_hi ** j), axis=0)
     return out
-
-
-def integrate(spec: PopulationSpectrum, f: Callable[[np.ndarray], np.ndarray],
-              split_points: Sequence[float] = ()) -> complex | float:
-    """Integral of f against H; f must accept an ndarray of tau values."""
-    locs, wts = quadrature_nodes(spec, tuple(split_points))
-    vals = np.asarray(f(locs))
-    out = np.sum(wts * vals)
-    return complex(out) if np.iscomplexobj(vals) else float(out)
 
 
 @lru_cache(maxsize=512)

@@ -120,7 +120,10 @@ def _in_u(u, spec: PopulationSpectrum, gamma: float, order: int = 2):
 def _exact_gap(z, m, spec: PopulationSpectrum, gamma: float):
     """|m - integral of dH(tau) / (tau*k - z)|, k = 1 - 1/gamma - z*m/gamma,
     the residual of the equation in m with H integrated exactly: the
-    integral is S(z/k) / k."""
+    integral is S(z/k) / k.  For gamma < 1 near z = 0 it is ill-conditioned,
+    as k = -z*mu cancels there: for unif56 at gamma = 0.2 and z = 1e-4 i a
+    1-ulp change of m moves it by 1.3e-7, above the 8e-8 (10 TOL |m|) that
+    solve_mF accepts."""
     k = 1.0 - 1.0 / gamma - z * m / gamma
     return np.abs(_stieltjes_h(spec, z / k, order=0)[0] / k - m)
 
@@ -416,7 +419,7 @@ def companion_zero(spec: PopulationSpectrum, gamma: float) -> float:
 def boundary_values(spec: PopulationSpectrum, gamma: float,
                     grid: Sequence[float],
                     refine_edges: bool = True) -> StieltjesSolution:
-    """Boundary values and density on an ascending positive grid.
+    """Boundary values and density on an ascending, positive, finite grid.
 
     The support edges are the exact critical values of x(u) whatever the
     grid, so refine_edges has no effect; it is accepted for callers that pass
@@ -428,9 +431,9 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
     """
     crit, values = _critical_points(spec, gamma)
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0) \
-            or grid[0] <= 0:
-        raise ValueError("grid must be a strictly ascending positive 1-D array")
+    if grid.ndim != 1 or len(grid) == 0 or not np.all(np.isfinite(grid)) \
+            or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
+        raise ValueError("grid must be a strictly ascending positive finite 1-D array")
     u = np.zeros(grid.shape, dtype=complex)
     ok, off = np.ones(grid.shape, dtype=bool), np.ones(grid.shape, dtype=bool)
     for a, b, u_a, u_b in zip(values[::2], values[1::2], crit[::2], crit[1::2]):

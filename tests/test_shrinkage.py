@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpshrink import shrinkage, simulate, spectrum, stieltjes
-from mpshrink.errors import GammaOne
+from mpshrink.errors import DegenerateSpan, GammaOne
 from conftest import interior_points
 
 
@@ -206,6 +206,38 @@ def test_linear_oracle_target_in_span():
     trace_s_sigma = float(np.sum(eigs ** 2))
     out = shrinkage.linear_shrinkage_oracle(eigs, trace_sigma, trace_s_sigma)
     assert np.allclose(out, eigs, atol=1e-10)
+
+
+def _linear_oracle_row(eigs, trace_sigma, trace_s_sigma):
+    # one spectrum, solved by lstsq: the least-norm solution
+    n = len(eigs)
+    gram = np.array([[n, eigs.sum()], [eigs.sum(), np.sum(eigs ** 2)]])
+    coef, *_ = np.linalg.lstsq(gram, [trace_sigma, trace_s_sigma], rcond=None)
+    return coef[0] + coef[1] * eigs
+
+
+def test_linear_oracle_stack_matches_rows():
+    rng = np.random.default_rng(5)
+    eigs = rng.gamma(2.0, size=(40, 20))
+    eigs[7] = 2.5  # S proportional to I: the span degenerates to span{I}
+    trace_sigma = 20 * 3.0
+    trace_s_sigma = np.sum(eigs * rng.gamma(2.0, size=eigs.shape), axis=1)
+    trace_s_sigma[7] = 2.5 * trace_sigma  # Tr(S Sigma) for S = 2.5 I
+    stack = shrinkage.linear_shrinkage_oracle(eigs, trace_sigma, trace_s_sigma)
+    assert stack.shape == eigs.shape
+    for row, lam, tss in zip(stack, eigs, trace_s_sigma):
+        ref = _linear_oracle_row(lam, trace_sigma, tss)
+        assert np.allclose(row, ref, rtol=1e-12, atol=0)
+        assert np.array_equal(
+            row, shrinkage.linear_shrinkage_oracle(lam, trace_sigma, tss))
+    assert np.allclose(stack[7], trace_sigma / 20, rtol=1e-12, atol=0)
+    for bad in (np.nan, np.inf):
+        tss = trace_s_sigma.copy()
+        tss[3] = bad
+        with pytest.raises(DegenerateSpan):
+            shrinkage.linear_shrinkage_oracle(eigs, trace_sigma, tss)
+        with pytest.raises(DegenerateSpan):
+            shrinkage.linear_shrinkage_oracle(eigs, bad, trace_s_sigma)
 
 
 def test_linear_limit_preserves_trace(spec_204040):

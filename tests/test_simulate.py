@@ -105,6 +105,48 @@ def test_generate_deterministic(spec_204040):
     assert not np.array_equal(a.eigenvectors, c.eigenvectors)
 
 
+@pytest.mark.parametrize("entry_law", simulate.ENTRY_LAWS)
+@pytest.mark.parametrize("n, p", [(20, 40), (30, 15)])
+def test_generate_range_matches_single_draws(spec_204040, entry_law, n, p):
+    config = simulate.SimulationConfig(N=n, p=p, spec=spec_204040, reps=1,
+                                       seed=6, entry_law=entry_law)
+    batch = simulate._batch_reps(config)
+    # the last range straddles the loops' first batch boundary
+    for reps in (range(0, 1), range(2, 7), range(batch - 1, batch + 2)):
+        stack = simulate.generate(config, reps)
+        assert stack.eigenvalues.shape == (len(reps), n)
+        assert stack.eigenvectors.shape == (len(reps), n, n)
+        for k, r in enumerate(reps):
+            single = simulate.generate(config, r)
+            assert np.array_equal(stack.eigenvalues[k], single.eigenvalues)
+            assert np.array_equal(stack.eigenvectors[k], single.eigenvectors)
+            assert single.eigenvectors.flags.c_contiguous
+
+
+def test_replication_batches_respect_memory_cap(monkeypatch, solutions,
+                                                spec_204040):
+    monkeypatch.setattr(simulate, "mc_workers", lambda reps: min(2, reps))
+    draw = simulate.generate
+    seen = []
+
+    def spy(config, reps):
+        seen.append(reps)
+        return draw(config, reps)
+
+    monkeypatch.setattr(simulate, "generate", spy)
+    for n, p, law, reps in ((20, 40, "real-gaussian", 400),
+                            (30, 15, "complex-gaussian", 200),
+                            (100, 200, "real-gaussian", 9)):
+        config = simulate.SimulationConfig(N=n, p=p, spec=spec_204040,
+                                           reps=reps, seed=2, entry_law=law)
+        cap = max(1, simulate.BATCH_ENTRIES
+                  // (n * p * (2 if law == "complex-gaussian" else 1)))
+        seen.clear()
+        simulate.run_prial(config, solutions("204040", p / n))
+        assert max(len(b) for b in seen) == min(cap, reps // 2)
+        assert sorted(r for b in seen for r in b) == list(range(reps))
+
+
 def test_run_prial_identities(solutions, spec_204040):
     sol = solutions("204040", 2.0)
     config = simulate.SimulationConfig(N=20, p=40, spec=spec_204040, reps=50,
@@ -245,15 +287,20 @@ def _mc_outputs(spec_204040, solutions) -> dict:
 def test_replications_bit_identical_across_worker_counts(
         monkeypatch, solutions, spec_204040):
     # more workers than cores, switching threads as often as the
-    # interpreter allows
+    # interpreter allows, with stacks of 1, 2 and 3 replications and of the
+    # default size
     results = []
     interval = sys.getswitchinterval()
+    default_batch = simulate._batch_reps
     try:
         sys.setswitchinterval(1e-6)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(simulate, "mc_workers",
-                                lambda reps, workers=workers: min(workers, reps))
-            results.append(_mc_outputs(spec_204040, solutions))
+        for batch in (None, 1, 2, 3):
+            monkeypatch.setattr(simulate, "_batch_reps", default_batch if batch
+                                is None else lambda config, batch=batch: batch)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(simulate, "mc_workers", lambda reps,
+                                    workers=workers: min(workers, reps))
+                results.append(_mc_outputs(spec_204040, solutions))
     finally:
         sys.setswitchinterval(interval)
     # the serial loop over generate is the reference

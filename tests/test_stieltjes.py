@@ -278,6 +278,10 @@ def test_boundary_values_rejects_bad_grid(spec_d1):
         stieltjes.boundary_values(spec_d1, 2.0, np.array([]))
     with pytest.raises(ValueError):
         stieltjes.boundary_values(spec_d1, 2.0, np.array([-1.0, 1.0]))
+    # nan differences compare false, and +inf is ascending: both are caught
+    for bad in ([0.1, np.nan, 1.0], [0.1, 1.0, np.inf]):
+        with pytest.raises(ValueError):
+            stieltjes.boundary_values(spec_d1, 2.0, np.array(bad))
 
 
 def test_boundary_imaginary_part_nonnegative(solutions):
