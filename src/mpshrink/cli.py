@@ -80,8 +80,11 @@ def _spectrum_from(cfg: dict) -> spectrum_mod.PopulationSpectrum:
     if "spectrum" not in cfg:
         raise UsageError("config missing 'spectrum'")
     doc = cfg["spectrum"]
-    return spectrum_mod.validate(atoms=doc.get("atoms", ()),
-                                 segments=doc.get("segments", ()))
+    try:
+        return spectrum_mod.validate(atoms=doc.get("atoms", ()),
+                                     segments=doc.get("segments", ()))
+    except ValueError as exc:  # a malformed entry; MassNotOne etc. stay numeric
+        raise UsageError(f"bad 'spectrum': {exc}") from exc
 
 
 def _gammas_from(cfg: dict) -> list[float]:
@@ -99,7 +102,10 @@ def _gammas_from(cfg: dict) -> list[float]:
 
 
 def _grid_points(cfg: dict, default: int = 2000) -> int:
-    n = int(cfg.get("grid", {}).get("n", default))
+    try:
+        n = int(cfg.get("grid", {}).get("n", default))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError(f"'grid' needs the form {{\"n\": 2000}}: {exc}") from exc
     if n < 2:
         raise UsageError("grid needs at least 2 points")
     return n
@@ -165,11 +171,7 @@ def cmd_shrink(cfg: dict, out_dir: str, args) -> list[str]:
     spec = _spectrum_from(cfg)
     outputs = []
     for gamma, sol in _solutions(cfg, spec):
-        edges = stieltjes_mod.support_edges(sol)
-        mask = np.zeros(sol.grid.shape, dtype=bool)
-        for lo, hi in edges:
-            mask |= (sol.grid >= lo) & (sol.grid <= hi)
-        lam = sol.grid[mask]
+        lam = sol.grid[~sol.clip_to_support(sol.grid)[1]]  # in the support
         curve = shrinkage_mod.build_shrinkage_curve(sol, spec, lam)
         a_lin, b_lin = shrinkage_mod.linear_shrinkage_limit(spec, gamma)
         path = os.path.join(out_dir, f"shrink_gamma{_tag(gamma)}.csv")
@@ -214,9 +216,12 @@ def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
     for n_val in sizes:
         n_val = int(n_val)
         p_val = int(round(n_val * ratio))
-        config = simulate_mod.SimulationConfig(
-            N=n_val, p=p_val, spec=spec, reps=reps, seed=seed,
-            entry_law=cfg.get("entry_law", "real-gaussian"))
+        try:
+            config = simulate_mod.SimulationConfig(
+                N=n_val, p=p_val, spec=spec, reps=reps, seed=seed,
+                entry_law=cfg.get("entry_law", "real-gaussian"))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         report = simulate_mod.run_prial(config, sol)
         doc = report.to_dict()
         if "delta" in cfg.get("outputs", ()):

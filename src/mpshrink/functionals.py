@@ -123,4 +123,4 @@ def theta_inv(z: complex, spec: PopulationSpectrum, gamma: float, *,
     if m is None:
         m = solve_mF(z, spec, gamma)
     k = _kernel_weights(z, m, gamma)
-    return complex(m / z * k - spectrum_mod.m_H_at_zero(spec) / z)
+    return complex(m / z * k - spectrum_mod.moment(spec, -1) / z)

@@ -24,6 +24,7 @@ from .spectrum import PopulationSpectrum
 from .stieltjes import StieltjesSolution
 
 MOMENT_GAP_TOL = 1e-5  # worst gap over random mixtures measured 2.1e-6
+ZERO_EIG_REL_TOL = 1e-10
 
 
 def _check_gamma(solution: StieltjesSolution) -> None:
@@ -31,38 +32,30 @@ def _check_gamma(solution: StieltjesSolution) -> None:
         raise GammaOne("shrinkage formulas are undefined at gamma = 1")
 
 
-def _m_lookup(lam: np.ndarray, solution: StieltjesSolution) -> np.ndarray:
-    """m_breve at lam, moving out-of-support points to the nearest edge.
-
-    The limit formulas are only meaningful on Supp(F); finite-N eigenvalues
-    that fluctuate outside use the nearest in-support value.
-    """
-    if solution.support:
-        looked, _ = solution.clip_to_support(lam)
-    else:
-        looked = lam
-    return solution.m_at(looked)
-
-
-def delta(lam, solution: StieltjesSolution):
-    """Covariance bias correction delta(lambda); scalar or array lambda."""
-    _check_gamma(solution)
+def _correction(lam, solution: StieltjesSolution, at_zero: float, formula):
+    """formula(lambda, m_breve, gamma) for lambda > 0, m_breve read at the
+    nearest point of Supp(F) (finite-N eigenvalues fluctuate outside it);
+    at_zero, the value at lambda = 0 (0 when gamma > 1); 0 for lambda < 0."""
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     out = np.zeros(lam_arr.shape)
     pos = lam_arr > 0
     if pos.any():
-        g = solution.gamma
-        m = _m_lookup(lam_arr[pos], solution)
-        k = 1.0 - 1.0 / g - lam_arr[pos] * m / g
-        out[pos] = lam_arr[pos] / np.abs(k) ** 2
-    zero = lam_arr == 0
-    if zero.any() and solution.gamma < 1:
-        out[zero] = delta_zero(solution)
+        looked, _ = solution.clip_to_support(lam_arr[pos])
+        out[pos] = formula(lam_arr[pos], solution.m_at(looked), solution.gamma)
+    out[lam_arr == 0] = at_zero
     return out if np.ndim(lam) else float(out[0])
 
 
+def delta(lam, solution: StieltjesSolution):
+    """Covariance bias correction delta(lambda); scalar or array lambda,
+    delta_zero at lambda = 0 and 0 below."""
+    return _correction(lam, solution, delta_zero(solution), lambda lam, m, g:
+                       lam / np.abs(1.0 - 1.0 / g - lam * m / g) ** 2)
+
+
 def delta_zero(solution: StieltjesSolution) -> float:
-    """delta(0) = gamma / ((1-gamma) * m_under(0)) for gamma < 1."""
+    """delta(0) = gamma / ((1-gamma) * m_under(0)) for gamma < 1; 0 for
+    gamma > 1, where S has no null eigenvalues."""
     _check_gamma(solution)
     if solution.gamma > 1:
         return 0.0
@@ -71,60 +64,53 @@ def delta_zero(solution: StieltjesSolution) -> float:
 
 
 def psi(lam, solution: StieltjesSolution, spec: PopulationSpectrum):
-    """Inverse-covariance bias correction psi(lambda)."""
-    _check_gamma(solution)
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    out = np.zeros(lam_arr.shape)
-    pos = lam_arr > 0
-    if pos.any():
-        g = solution.gamma
-        m = _m_lookup(lam_arr[pos], solution)
-        out[pos] = (1.0 - 1.0 / g - 2.0 / g * lam_arr[pos] * m.real) / lam_arr[pos]
-    zero = lam_arr == 0
-    if zero.any() and solution.gamma < 1:
-        out[zero] = psi_zero(solution, spec)
-    return out if np.ndim(lam) else float(out[0])
+    """Inverse-covariance bias correction psi(lambda); psi_zero at
+    lambda = 0 and 0 below."""
+    return _correction(lam, solution, psi_zero(solution, spec), lambda lam, m, g:
+                       (1.0 - 1.0 / g - 2.0 / g * lam * m.real) / lam)
 
 
 def psi_zero(solution: StieltjesSolution, spec: PopulationSpectrum) -> float:
-    """psi(0) = m_H(0)/(1-gamma) - m_under(0) for gamma < 1."""
+    """psi(0) = m_H(0)/(1-gamma) - m_under(0) for gamma < 1; 0 for gamma > 1."""
     _check_gamma(solution)
     if solution.gamma > 1:
         return 0.0
     g = solution.gamma
-    return spectrum_mod.m_H_at_zero(spec) / (1.0 - g) - solution.m_under_zero
+    return spectrum_mod.moment(spec, -1) / (1.0 - g) - solution.m_under_zero
 
 
-def shrink_spectrum(sample_eigs, solution: StieltjesSolution, *,
-                    zero_tol: float = 1e-12) -> np.ndarray:
-    """Map sample eigenvalues through the covariance correction.
+def zero_eigenvalues(eigs) -> np.ndarray:
+    """True where a sample eigenvalue counts as zero: |lambda| at most
+    ZERO_EIG_REL_TOL times the largest eigenvalue of its row (the last axis)."""
+    eigs = np.atleast_1d(np.asarray(eigs, dtype=float))
+    top = np.max(eigs, axis=-1, initial=0.0, keepdims=True)
+    return np.abs(eigs) <= ZERO_EIG_REL_TOL * top
 
-    lambda_i > 0 -> lambda_i / |1 - 1/gamma - lambda_i*m_breve(lambda_i)/gamma|^2;
-    eigenvalues at zero (within zero_tol * max) map to delta(0) when gamma < 1.
-    Output order matches input order.
-    """
-    _check_gamma(solution)
+
+def _zeroed(sample_eigs) -> np.ndarray:
+    """Sample eigenvalues with the zero_eigenvalues entries set to 0; raises
+    ValueError on a negative one outside that band."""
     eigs = np.asarray(sample_eigs, dtype=float)
-    if np.any(eigs < -zero_tol * max(1.0, np.abs(eigs).max(initial=0.0))):
+    zero = zero_eigenvalues(eigs)
+    if np.any((eigs < 0) & ~zero):
         raise ValueError("sample eigenvalues must be >= 0")
-    pos = eigs > zero_tol * max(1.0, eigs.max(initial=0.0))
-    out = np.full(eigs.shape, delta_zero(solution))
-    out[pos] = delta(eigs[pos], solution)
-    return out
+    return np.where(zero, 0.0, eigs)
+
+
+def shrink_spectrum(sample_eigs, solution: StieltjesSolution) -> np.ndarray:
+    """delta of each sample eigenvalue, a spectrum or a stack of them (one row
+    each), in input order: the zero eigenvalues (zero_eigenvalues) map to
+    delta(0).  Raises ValueError on a negative eigenvalue outside the zero
+    band."""
+    return delta(_zeroed(sample_eigs), solution)
 
 
 def shrink_inverse_spectrum(sample_eigs, solution: StieltjesSolution,
-                            spec: PopulationSpectrum, *,
-                            zero_tol: float = 1e-12) -> np.ndarray:
-    """Map sample eigenvalues to corrected inverse-covariance eigenvalues:
-    (1/lambda_i) * (1 - 1/gamma - 2*lambda_i*Re[m_breve(lambda_i)]/gamma),
-    with psi(0) for the zero eigenvalues when gamma < 1."""
-    _check_gamma(solution)
-    eigs = np.asarray(sample_eigs, dtype=float)
-    pos = eigs > zero_tol * max(1.0, eigs.max(initial=0.0))
-    out = np.full(eigs.shape, psi_zero(solution, spec))
-    out[pos] = psi(eigs[pos], solution, spec)
-    return out
+                            spec: PopulationSpectrum) -> np.ndarray:
+    """psi of each sample eigenvalue, the eigenvalues of the corrected
+    inverse covariance; zero eigenvalues map to psi(0), as in
+    shrink_spectrum."""
+    return psi(_zeroed(sample_eigs), solution, spec)
 
 
 def linear_shrinkage_oracle(sample_eigs, trace_sigma, trace_s_sigma) -> np.ndarray:

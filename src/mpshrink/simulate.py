@@ -5,9 +5,10 @@ for Gaussian entries, by rotation invariance), so Sigma is diagonal with the
 deterministic quantile eigenvalues and every overlap N|u_i* v_j|^2 is just
 N|U_ji|^2.  Streams are split per replication with counter-based generators
 keyed by (seed, rep index), so results do not depend on evaluation order:
-the replication loops run on worker threads (see mc_workers), each drawing
-memory-capped stacks (BATCH_ENTRIES) with one eigh call per stack, and
-return the same bits as a serial loop over single draws.
+the replication loops cut the replications into memory-capped stacks
+(BATCH_ENTRIES), each drawn with one eigh call, and map the stacks onto
+worker threads (see mc_workers); they return the same bits as a serial loop
+over single draws.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import GammaOne
 from .spectrum import PopulationSpectrum
 from .stieltjes import StieltjesSolution, solve_density
 
-ZERO_EIG_REL_TOL = 1e-10
 ENTRY_LAWS = ("real-gaussian", "complex-gaussian")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
@@ -115,11 +115,8 @@ def generate(config: SimulationConfig, reps: int | range) -> Realization:
         # rounding change of the triangle that eigh reads
         s += s.conj().swapaxes(-1, -2)
         s *= 0.5
-    vals, vecs = np.linalg.eigh(s)
-    order, stack = np.argsort(vals, axis=-1)[:, ::-1], np.arange(len(batch))[:, None]
-    # rows of the transpose: 3 times faster than take_along_axis at N = 100
-    vals = vals[stack, order]
-    vecs = np.ascontiguousarray(vecs.swapaxes(1, 2)[stack, order].swapaxes(1, 2))
+    vals, vecs = np.linalg.eigh(s)  # ascending
+    vals, vecs = vals[:, ::-1].copy(), vecs[:, :, ::-1].copy()
     if not isinstance(reps, range):
         vals, vecs = vals[0], vecs[0]
     return Realization(population_diag=config.population_diag,
@@ -155,31 +152,30 @@ def _replicate(config: SimulationConfig, reducer) -> tuple:
     """reducer(generate(config, range(config.reps))), drawn in stacks.
 
     The reducer returns a tuple of arrays with one row per replication of its
-    stack.  The replications are split into one contiguous chunk per worker
-    thread (mc_workers), drawn in stacks of _batch_reps; eigh, matmul and the
-    Philox fill release the GIL.  Every draw is a pure function of (seed, r),
-    so the result is the same for every worker count and stack size.  The
-    reducer should return small rows, so that one stack per worker is alive."""
+    stack.  The replications are cut into stacks of _batch_reps, mapped onto
+    mc_workers threads (eigh, matmul and the Philox fill release the GIL), or
+    looped over when there is one; the rows come back in replication order.
+    Every draw is a pure function of (seed, r), so the result is the same for
+    every worker count and stack size.  The reducer should return small rows,
+    so that one stack per worker is alive."""
     config.population_diag  # computed once, before the workers share it
     workers = mc_workers(config.reps)
     step = _batch_reps(config)
+    stacks = [range(k, min(k + step, config.reps))
+              for k in range(0, config.reps, step)]
 
-    def rows(reps: range) -> list:
-        return [reducer(generate(config, reps[k:k + step]))
-                for k in range(0, len(reps), step)]
+    def rows(reps: range) -> tuple:
+        return reducer(generate(config, reps))
 
     if workers == 1:
-        parts = rows(range(config.reps))
+        parts = map(rows, stacks)
     else:
         # imported here: concurrent.futures loads logging, which would add
         # about 5 ms to the start-up of every CLI process
         from concurrent.futures import ThreadPoolExecutor
 
-        chunks = [range(k * config.reps // workers,
-                        (k + 1) * config.reps // workers)
-                  for k in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = [part for chunk in pool.map(rows, chunks) for part in chunk]
+            parts = list(pool.map(rows, stacks))
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -191,11 +187,9 @@ def oracle_dtilde(U: np.ndarray, sigma_diag: np.ndarray) -> np.ndarray:
 
 
 def zero_eig_count(eigenvalues: np.ndarray):
-    """Eigenvalues within ZERO_EIG_REL_TOL of zero, relative to the largest;
-    one count per row of a stack of spectra."""
-    top = np.max(eigenvalues, axis=-1, initial=0.0, keepdims=True)
-    thresh = ZERO_EIG_REL_TOL * np.maximum(top, 1e-300)
-    return np.sum(eigenvalues <= thresh, axis=-1)
+    """The zero eigenvalues of shrinkage.zero_eigenvalues, counted per row of
+    a stack of spectra."""
+    return np.sum(shrinkage_mod.zero_eigenvalues(eigenvalues), axis=-1)
 
 
 def empirical_delta(config: SimulationConfig, x_grid) -> np.ndarray:

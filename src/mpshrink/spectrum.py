@@ -178,21 +178,15 @@ def _stieltjes_h(spec: PopulationSpectrum, s, upto: float = np.inf,
 
 @lru_cache(maxsize=512)
 def moment(spec: PopulationSpectrum, k: int) -> float:
-    """k-th moment of H in closed form (k = -1: m_H_at_zero); k < 0 is allowed
-    as the support excludes 0.  A segment [lo, hi] of weight c adds c (hi^(k+1)
+    """k-th moment of H in closed form, k < 0 allowed as 0 is off supp H; k = -1
+    is S(0) (_stieltjes_h).  Else a segment [lo, hi] of weight c adds c (hi^(k+1)
     - lo^(k+1)) / ((k + 1)(hi - lo)), in expm1/log1p form: no cancellation."""
     if k == -1:
-        return m_H_at_zero(spec)
+        return float(_stieltjes_h(spec, np.zeros(1), order=0)[0][0])
     aw, at, sw, lo, hi = _components(spec)
     r = np.log1p((lo - hi) / hi)  # log(lo / hi)
     return float(np.sum(aw * at ** k) + np.sum(
         sw * hi ** k * np.expm1((k + 1) * r) / ((k + 1) * np.expm1(r))))
-
-
-@lru_cache(maxsize=128)
-def m_H_at_zero(spec: PopulationSpectrum) -> float:
-    """Stieltjes transform of H at z = 0, i.e. integral of 1/tau dH(tau)."""
-    return float(_stieltjes_h(spec, np.zeros(1), order=0)[0][0])
 
 
 def cdf(spec: PopulationSpectrum, x: float) -> float:

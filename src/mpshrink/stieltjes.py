@@ -151,6 +151,7 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
     critical point lies left of supp H, one right of it, and a pair in each
     gap of supp H where the peak of dx/du is positive.  The pairs
     (u*[2i], u*[2i+1]) bound the support intervals [x(u*[2i]), x(u*[2i+1])].
+    The first and last are always kept, so every solution has a support.
     """
     if gamma == 1:
         raise GammaOne("gamma = 1 excluded: the density can be unbounded at 0")

@@ -75,6 +75,33 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 1
 
 
+@pytest.mark.parametrize("command,doc,extra", [
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "entry_law": "gaussian"},
+     []),
+    ("simulate", {"spectrum": MIX, "N": 1, "p": 2}, []),
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 30}, ["--reps", "0"]),
+    ("density", {"spectrum": D1, "gammas": [2], "grid": 50}, []),
+    ("density", {"spectrum": {"segments": [[1.0, 6.0, 5.0]]}, "gammas": [2]},
+     []),
+], ids=["entry_law", "N", "reps", "grid", "segment"])
+def test_config_errors_are_usage_errors(tmp_path, capsys, command, doc, extra):
+    cfg = _write_config(tmp_path, "cfg.json", doc)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)] + extra) == 1
+    assert capsys.readouterr().err.startswith("usage error")
+    assert not (out / f"{command}.manifest.json").exists()
+
+
+@pytest.mark.parametrize("spec", [{"atoms": [[0.9, 1.0]]},
+                                  {"atoms": [[1.0, 0.0]]}],
+                         ids=["mass", "support"])
+def test_spectrum_faults_stay_numeric(tmp_path, capsys, spec):
+    cfg = _write_config(tmp_path, "cfg.json", {"spectrum": spec, "gammas": [2]})
+    out = tmp_path / "out"
+    assert cli.main(["density", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("numeric failure")
+
+
 def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     from mpshrink.errors import NoConvergence
 

@@ -107,11 +107,39 @@ def test_shrink_spectrum_order_preserved(solutions):
     singles = np.array([shrinkage.shrink_spectrum(np.array([e]), sol)[0]
                         for e in eigs])
     assert np.allclose(out, singles, rtol=0, atol=0)
+    assert shrinkage.shrink_spectrum(eigs[0], sol)[0] == out[0]  # a scalar
 
 
 def test_shrink_spectrum_rejects_negative(solutions):
     with pytest.raises(ValueError):
         shrinkage.shrink_spectrum(np.array([-1.0]), solutions("204040", 2.0))
+    # rounding below zero, inside the zero band of a row topping out at 10
+    sol, spec = solutions("204040", 0.5), solutions.specs["204040"]
+    out = shrinkage.shrink_spectrum(np.array([10.0, 2.0, -1e-17]), sol)
+    assert out[2] == shrinkage.delta_zero(sol)
+    for shrink in (shrinkage.shrink_spectrum,
+                   lambda eigs, sol: shrinkage.shrink_inverse_spectrum(
+                       eigs, sol, spec)):
+        with pytest.raises(ValueError):
+            shrink(np.array([10.0, 2.0, -1.0]), sol)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e13])
+def test_zero_rule_is_per_row(solutions, scale):
+    # zero_eig_count and both shrink_* read the same zero rule, row by row,
+    # on a stack whose rows differ in scale
+    sol, spec = solutions("204040", 0.5), solutions.specs["204040"]
+    config = simulate.SimulationConfig(N=40, p=20, spec=spec, reps=2, seed=3)
+    eigs = simulate.generate(config, range(2)).eigenvalues
+    eigs[1] *= scale
+    counts = simulate.zero_eig_count(eigs)
+    assert counts.tolist() == [20, 20]
+    shrunk = shrinkage.shrink_spectrum(eigs, sol)
+    assert np.array_equal(
+        np.sum(shrunk == shrinkage.delta_zero(sol), axis=-1), counts)
+    inv = shrinkage.shrink_inverse_spectrum(eigs, sol, spec)
+    assert np.array_equal(
+        np.sum(inv == shrinkage.psi_zero(sol, spec), axis=-1), counts)
 
 
 def test_gamma_one_rejected(spec_d1):

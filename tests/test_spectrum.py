@@ -69,11 +69,11 @@ def test_integrate_complex_valued():
 
 
 def test_m_H_at_zero_values():
-    assert spectrum.m_H_at_zero(spectrum.point_mass(1.0)) == pytest.approx(1.0)
-    assert spectrum.m_H_at_zero(spectrum.point_mass(2.0)) == pytest.approx(0.5)
+    assert spectrum.moment(spectrum.point_mass(1.0), -1) == pytest.approx(1.0)
+    assert spectrum.moment(spectrum.point_mass(2.0), -1) == pytest.approx(0.5)
     s = spectrum.validate(atoms=[(0.2, 1.0), (0.4, 3.0), (0.4, 10.0)])
-    assert spectrum.m_H_at_zero(s) == pytest.approx(0.2 + 0.4 / 3 + 0.04,
-                                                    abs=1e-13)
+    assert spectrum.moment(s, -1) == pytest.approx(0.2 + 0.4 / 3 + 0.04,
+                                                   abs=1e-13)
 
 
 @pytest.mark.parametrize("lo", [0.01, 0.003])
@@ -81,8 +81,7 @@ def test_m_H_at_zero_closed_form(lo):
     # 64 Gauss-Legendre nodes missed these by 2.4e-4 and 7.8e-3 relative
     s = spectrum.uniform(lo, 10.0)
     exact = np.log(10.0 / lo) / (10.0 - lo)
-    assert abs(spectrum.m_H_at_zero(s) - exact) <= 1e-14 * exact
-    assert spectrum.moment(s, -1) == spectrum.m_H_at_zero(s)
+    assert abs(spectrum.moment(s, -1) - exact) <= 1e-14 * exact
 
 
 @pytest.mark.parametrize("s", [spectrum.uniform(0.01, 10.0), MIXTURE,
