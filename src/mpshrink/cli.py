@@ -23,7 +23,7 @@ from . import shrinkage as shrinkage_mod
 from . import simulate as simulate_mod
 from . import spectrum as spectrum_mod
 from . import stieltjes as stieltjes_mod
-from .errors import MPShrinkError
+from .errors import DomainError, MPShrinkError
 
 USAGE_ERROR = 1
 NUMERIC_ERROR = 2
@@ -68,64 +68,76 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _object(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected an object, got {doc!r}")
+    return doc
+
+
+def _list(item, least: int = 0):
+    """The kind of a list of `least` or more entries, each made by item."""
+    def kind(doc) -> list:
+        if not isinstance(doc, list) or len(doc) < least:
+            raise TypeError(f"expected a list of {least}+ items, got {doc!r}")
+        return [item(v) for v in doc]
+    return kind
+
+
+def _count(lo: int):
+    """The kind of an integer >= lo."""
+    def kind(doc) -> int:
+        if int(doc) < lo:
+            raise ValueError(f"needs an integer >= {lo}, got {doc!r}")
+        return int(doc)
+    return kind
+
+
+def _spectrum(doc) -> spectrum_mod.PopulationSpectrum:
+    # a malformed entry raises TypeError/ValueError; MassNotOne stays numeric
+    return spectrum_mod.validate(atoms=_object(doc).get("atoms", ()),
+                                 segments=doc.get("segments", ()))
+
+
+def _get(cfg: dict, key: str, kind, default=...):
+    """cfg[key] converted by kind, or default if key is absent; a missing key
+    with no default, or a TypeError or ValueError of kind, is a UsageError."""
+    if key not in cfg:
+        if default is ...:
+            raise UsageError(f"config missing '{key}'")
+        return default
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad '{key}': {exc}") from exc
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return _object(json.load(fh))
+    except (OSError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-
-
-def _spectrum_from(cfg: dict) -> spectrum_mod.PopulationSpectrum:
-    if "spectrum" not in cfg:
-        raise UsageError("config missing 'spectrum'")
-    doc = cfg["spectrum"]
-    try:
-        return spectrum_mod.validate(atoms=doc.get("atoms", ()),
-                                     segments=doc.get("segments", ()))
-    except ValueError as exc:  # a malformed entry; MassNotOne etc. stay numeric
-        raise UsageError(f"bad 'spectrum': {exc}") from exc
-
-
-def _gammas_from(cfg: dict) -> list[float]:
-    gammas = cfg.get("gammas")
-    if not gammas:
-        raise UsageError("config missing non-empty 'gammas'")
-    for g in gammas:
-        if g == 1:
-            raise UsageError(
-                "gamma = 1 is excluded: the limiting density can be unbounded "
-                "near zero; pick gamma < 1 or > 1")
-        if g <= 0:
-            raise UsageError(f"gamma must be positive, got {g}")
-    return [float(g) for g in gammas]
-
-
-def _grid_points(cfg: dict, default: int = 2000) -> int:
-    try:
-        n = int(cfg.get("grid", {}).get("n", default))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise UsageError(f"'grid' needs the form {{\"n\": 2000}}: {exc}") from exc
-    if n < 2:
-        raise UsageError("grid needs at least 2 points")
-    return n
 
 
 def _tag(gamma: float) -> str:
     return ("%g" % gamma).replace(".", "p")
 
 
-def _solutions(cfg: dict, spec: spectrum_mod.PopulationSpectrum):
-    """(gamma, limiting solution) for every gamma of the config."""
-    for gamma in _gammas_from(cfg):
-        yield gamma, stieltjes_mod.solve_density(spec, gamma,
-                                                 num_points=_grid_points(cfg))
+def _limits(cfg: dict, gammas=...):
+    """The spectrum of cfg and its (gamma, limiting solution) pairs, read at
+    the call; each solve runs as its pair is drawn."""
+    spec = _get(cfg, "spectrum", _spectrum)
+    # a gamma outside stieltjes.check_gamma raises DomainError (exit 1)
+    gammas = _get(cfg, "gammas", _list(
+        lambda g: stieltjes_mod.check_gamma(float(g)), 1), gammas)
+    n = _get(_get(cfg, "grid", _object, {}), "n", _count(2), 2000)
+    return spec, ((g, stieltjes_mod.solve_density(spec, g, num_points=n))
+                  for g in gammas)
 
 
 def cmd_density(cfg: dict, out_dir: str, args) -> list[str]:
-    spec = _spectrum_from(cfg)
     outputs = []
-    for gamma, sol in _solutions(cfg, spec):
+    for gamma, sol in _limits(cfg)[1]:
         path = os.path.join(out_dir, f"density_gamma{_tag(gamma)}.csv")
         _write_csv(path, ["lambda", "m_re", "m_im", "density"],
                    ((l, mb.real, mb.imag, d) for l, mb, d in
@@ -135,14 +147,16 @@ def cmd_density(cfg: dict, out_dir: str, args) -> list[str]:
 
 
 def cmd_kernel(cfg: dict, out_dir: str, args) -> list[str]:
-    spec = _spectrum_from(cfg)
+    spec, solutions = _limits(cfg, [2.0, 10.0, 100.0])
+    n_t = _get(cfg, "t_points", _count(0), 400)
+    l_cfg = _get(cfg, "l", lambda v: v if v == "sup" else float(v), "sup")
+    cum = _get(cfg, "cumulative", _object, None)
+    if cum is not None:
+        lam_vals = _get(cum, "lambdas", _list(float, 1))
+        tau_vals = _get(cum, "taus", _list(float, 1))
     outputs = []
-    n_t = int(cfg.get("t_points", 400))
-    cfg = dict(cfg)
-    cfg.setdefault("gammas", [2.0, 10.0, 100.0])
-    for gamma, sol in _solutions(cfg, spec):
-        edges = stieltjes_mod.support_edges(sol)
-        l = edges[-1][1] if cfg.get("l", "sup") == "sup" else float(cfg["l"])
+    for gamma, sol in solutions:
+        l = stieltjes_mod.support_edges(sol)[-1][1] if l_cfg == "sup" else l_cfg
         t_grid = np.linspace(spec.h1, spec.h2, n_t)
         vals = overlap_mod.phi(l, t_grid, sol, spec)
         path = os.path.join(out_dir, f"kernel_gamma{_tag(gamma)}.csv")
@@ -152,11 +166,7 @@ def cmd_kernel(cfg: dict, out_dir: str, args) -> list[str]:
         meta_path = os.path.join(out_dir, f"kernel_gamma{_tag(gamma)}.meta.json")
         _write_json(meta_path, {"gamma": gamma, "l": l, "h_integral": norm})
         outputs.extend([path, meta_path])
-        if "cumulative" in cfg:
-            lam_vals = [float(v) for v in cfg["cumulative"].get("lambdas", ())]
-            tau_vals = [float(v) for v in cfg["cumulative"].get("taus", ())]
-            if not lam_vals or not tau_vals:
-                raise UsageError("'cumulative' needs 'lambdas' and 'taus'")
+        if cum is not None:
             cum_path = os.path.join(out_dir,
                                     f"cumulative_gamma{_tag(gamma)}.csv")
             _write_csv(cum_path, ["lambda", "tau", "Phi"],
@@ -168,9 +178,9 @@ def cmd_kernel(cfg: dict, out_dir: str, args) -> list[str]:
 
 
 def cmd_shrink(cfg: dict, out_dir: str, args) -> list[str]:
-    spec = _spectrum_from(cfg)
+    spec, solutions = _limits(cfg)
     outputs = []
-    for gamma, sol in _solutions(cfg, spec):
+    for gamma, sol in solutions:
         lam = sol.grid[~sol.clip_to_support(sol.grid)[1]]  # in the support
         curve = shrinkage_mod.build_shrinkage_curve(sol, spec, lam)
         a_lin, b_lin = shrinkage_mod.linear_shrinkage_limit(spec, gamma)
@@ -197,55 +207,49 @@ def cmd_shrink(cfg: dict, out_dir: str, args) -> list[str]:
 
 
 def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
-    spec = _spectrum_from(cfg)
-    for key in ("N", "p"):
-        if key not in cfg:
-            raise UsageError(f"config missing '{key}'")
-    reps = int(args.reps if args.reps is not None else cfg.get("reps", 100))
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    spec = _get(cfg, "spectrum", _spectrum)
+    reps = args.reps if args.reps is not None else _get(cfg, "reps", int, 100)
+    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
     args.seed = seed  # the manifest records the seed in effect
     args.mc_workers = simulate_mod.mc_workers(reps)  # and the loop threads
-    sizes = cfg.get("sweep_N", [int(cfg["N"])])
-    ratio = cfg["p"] / cfg["N"]
-    if ratio == 1:
-        raise UsageError("p/N = 1 is excluded; pick p != N")
+    n, p = _get(cfg, "N", _count(1)), _get(cfg, "p", _count(1))
+    ratio = stieltjes_mod.check_gamma(p / n)
+    law = _get(cfg, "entry_law", str, "real-gaussian")
+    try:
+        configs = [simulate_mod.SimulationConfig(
+            N=n_val, p=round(n_val * ratio), spec=spec, reps=reps, seed=seed,
+            entry_law=law) for n_val in _get(cfg, "sweep_N", _list(int), [n])]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    wanted = _get(cfg, "outputs", _list(str), [])
+    n_delta = _get(cfg, "delta_points", _count(0), 101)
+    lam_bins = _get(cfg, "lambda_bins", _list(float, 2), [])
+    tau_bins = _get(cfg, "tau_bins", _list(float, 2), [])
+    if "overlap" in wanted and not (lam_bins and tau_bins):
+        raise UsageError("'overlap' output needs 'lambda_bins' and 'tau_bins'")
+    min_prial = _get(cfg, "assert_nonlinear_min", float, 90.0)
     # one limiting solution at the target aspect ratio serves the whole sweep
     sol = stieltjes_mod.solve_density(spec, ratio)
-    outputs = []
-    reports = []
-    for n_val in sizes:
-        n_val = int(n_val)
-        p_val = int(round(n_val * ratio))
-        try:
-            config = simulate_mod.SimulationConfig(
-                N=n_val, p=p_val, spec=spec, reps=reps, seed=seed,
-                entry_law=cfg.get("entry_law", "real-gaussian"))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    outputs, reports = [], []
+    for config in configs:
         report = simulate_mod.run_prial(config, sol)
         doc = report.to_dict()
-        if "delta" in cfg.get("outputs", ()):
-            hi = max(e[1] for e in sol.support)
-            xs = np.linspace(0.0, 1.05 * hi, int(cfg.get("delta_points", 101)))
+        if "delta" in wanted:
+            xs = np.linspace(0.0, 1.05 * sol.support[-1][1], n_delta)
             emp = simulate_mod.empirical_delta(config, xs)
             doc["empirical_delta"] = {"x": list(map(float, xs)),
                                       "value": list(map(float, emp))}
-        if "losses" in cfg.get("outputs", ()):
-            loss_path = os.path.join(out_dir, f"losses_N{n_val}.csv")
+        if "losses" in wanted:
+            loss_path = os.path.join(out_dir, f"losses_N{config.N}.csv")
             _write_csv(loss_path,
                        ["rep", "loss_nonlinear", "loss_linear", "loss_sample"],
                        ((r, a, b, c) for r, (a, b, c) in enumerate(
                            zip(report.loss_nonlinear, report.loss_linear,
                                report.loss_sample))))
             outputs.append(loss_path)
-        if "overlap" in cfg.get("outputs", ()):
-            lam_bins = [float(v) for v in cfg.get("lambda_bins", ())]
-            tau_bins = [float(v) for v in cfg.get("tau_bins", ())]
-            if len(lam_bins) < 2 or len(tau_bins) < 2:
-                raise UsageError(
-                    "'overlap' output needs 'lambda_bins' and 'tau_bins'")
+        if "overlap" in wanted:
             table = simulate_mod.empirical_overlap(config, lam_bins, tau_bins)
-            ov_path = os.path.join(out_dir, f"overlap_bins_N{n_val}.csv")
+            ov_path = os.path.join(out_dir, f"overlap_bins_N{config.N}.csv")
             _write_csv(ov_path,
                        ["lambda_lo", "lambda_hi", "tau_lo", "tau_hi",
                         "mean", "std_error", "count"],
@@ -256,12 +260,11 @@ def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
                         for b in range(len(tau_bins) - 1)
                         if not table.empty[a, b]))
             outputs.append(ov_path)
-        reports.append((n_val, doc))
+        reports.append((config.N, doc))
     path = os.path.join(out_dir, "simulate_report.json")
     _write_json(path, {"reports": [{"N": n, "report": d} for n, d in reports]})
     outputs.append(path)
     if args.do_assert:
-        min_prial = float(cfg.get("assert_nonlinear_min", 90.0))
         for n_val, doc in reports:
             if doc["prial_nonlinear"] < min_prial:
                 raise AssertionError(
@@ -317,7 +320,7 @@ def main(argv=None) -> int:
             python_version=platform.python_version())
         manifest.write(os.path.join(args.out, f"{args.command}.manifest.json"))
         return 0
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except AssertionError as exc:

@@ -29,10 +29,10 @@ class NoConvergence(MPShrinkError):
 
 
 class DomainError(MPShrinkError):
-    """Operation called outside its domain of validity (e.g. gamma >= 1)."""
+    """Operation outside its domain (e.g. gamma <= 0 or nan, Im z <= 0)."""
 
 
-class GammaOne(MPShrinkError):
+class GammaOne(DomainError):
     """The aspect ratio gamma = 1 is excluded from boundary-value formulas."""
 
 

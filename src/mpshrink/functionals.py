@@ -20,7 +20,7 @@ import numpy as np
 from . import spectrum as spectrum_mod
 from .errors import DegenerateDenominator, DomainError
 from .spectrum import PopulationSpectrum, quadrature_nodes
-from .stieltjes import solve_mF
+from .stieltjes import k_factor, solve_mF
 
 MAX_POWER = 12
 
@@ -55,8 +55,11 @@ def indicator_below(tau: float) -> WeightFunction:
     return WeightFunction(lambda t: (t < tau).astype(float), (tau,))
 
 
-def _kernel_weights(z: complex, m: complex, gamma: float) -> complex:
-    return 1.0 - 1.0 / gamma - (z * m) / gamma
+def _m(z: complex, spec: PopulationSpectrum, gamma: float, m) -> complex:
+    """m(z) at Im z > 0, else DomainError: the given m, or solve_mF's."""
+    if np.imag(z) <= 0:
+        raise DomainError(f"Theta requires Im(z) > 0, got z = {z}")
+    return solve_mF(z, spec, gamma) if m is None else m
 
 
 def theta_g(z: complex, g: WeightFunction, spec: PopulationSpectrum,
@@ -68,11 +71,8 @@ def theta_g(z: complex, g: WeightFunction, spec: PopulationSpectrum,
     where that is small against the segment width, as for small Im z at
     large gamma, the panels are inaccurate (g = 1 misses m by 8e-5 relative
     for 0.27 delta(7.12) + 0.73 U[2.14, 5.15] at gamma = 87.5)."""
-    if np.imag(z) <= 0:
-        raise DomainError("theta_g requires Im(z) > 0")
-    if m is None:
-        m = solve_mF(z, spec, gamma)
-    k = _kernel_weights(z, m, gamma)
+    m = _m(z, spec, gamma, m)
+    k = k_factor(z, m, gamma)
     taus, ws = quadrature_nodes(spec, tuple(g.discontinuities))
     vals = np.asarray(g.evaluator(taus), dtype=float)
     return complex(np.sum(ws * vals / (taus * k - z)))
@@ -81,10 +81,7 @@ def theta_g(z: complex, g: WeightFunction, spec: PopulationSpectrum,
 def theta_1(z: complex, spec: PopulationSpectrum, gamma: float, *,
             m: complex | None = None) -> complex:
     """Closed form gamma^2/(gamma - 1 - z*m(z)) - gamma for the weight tau."""
-    if np.imag(z) <= 0:
-        raise DomainError("theta_1 requires Im(z) > 0")
-    if m is None:
-        m = solve_mF(z, spec, gamma)
+    m = _m(z, spec, gamma, m)
     denom = gamma - 1.0 - z * m
     if abs(denom) < 1e-14:
         raise DegenerateDenominator(f"gamma - 1 - z*m = {denom} at z = {z}")
@@ -102,8 +99,7 @@ def theta_k(z: complex, k: int, spec: PopulationSpectrum, gamma: float, *,
         raise ValueError(f"k must be an integer >= 1, got {k}")
     if k > MAX_POWER:
         raise ValueError(f"k capped at {MAX_POWER} (moment growth guard)")
-    if m is None:
-        m = solve_mF(z, spec, gamma)
+    m = _m(z, spec, gamma, m)
     t1 = theta_1(z, spec, gamma, m=m)
     if k == 1:
         return t1
@@ -118,9 +114,6 @@ def theta_inv(z: complex, spec: PopulationSpectrum, gamma: float, *,
               m: complex | None = None) -> complex:
     """Closed form for the weight 1/tau:
     m(z)/z * [1 - 1/gamma - z*m(z)/gamma] - (1/z) * integral of dH(tau)/tau."""
-    if np.imag(z) <= 0:
-        raise DomainError("theta_inv requires Im(z) > 0")
-    if m is None:
-        m = solve_mF(z, spec, gamma)
-    k = _kernel_weights(z, m, gamma)
+    m = _m(z, spec, gamma, m)
+    k = k_factor(z, m, gamma)
     return complex(m / z * k - spectrum_mod.moment(spec, -1) / z)

@@ -22,16 +22,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import spectrum as spectrum_mod
-from .errors import EmptyBin, GammaOne, ZeroBranchUnavailable
+from .errors import EmptyBin, ZeroBranchUnavailable
 from .spectrum import PopulationSpectrum, _stieltjes_h
-from .stieltjes import StieltjesSolution
+from .stieltjes import StieltjesSolution, k_factor
 
 
 def phi(l: float, t, solution: StieltjesSolution,
         spec: PopulationSpectrum):
     """Overlap kernel at sample eigenvalue l and population eigenvalue(s) t."""
-    if solution.gamma == 1:
-        raise GammaOne("phi is undefined at gamma = 1")
     t_arr = np.asarray(t, dtype=float)
     if l < 0:
         out = np.zeros_like(t_arr)
@@ -43,7 +41,7 @@ def phi(l: float, t, solution: StieltjesSolution,
         out = 1.0 / ((1.0 - solution.gamma) * (1.0 + mu0 * t_arr))
         return out if np.ndim(t) else float(out)
     g = solution.gamma
-    k = 1.0 - 1.0 / g - l * solution.m_at(l) / g  # a + i*b
+    k = k_factor(l, solution.m_at(l), g)  # a + i*b
     den = (k.real * t_arr - l) ** 2 + k.imag * k.imag * t_arr ** 2
     # exactly at a support edge b -> 0 while a*t - l can cross zero; the
     # kernel concentrates there and the denominator is floored to keep the
@@ -56,7 +54,7 @@ def _h_integral(ls, m, gamma: float, spec: PopulationSpectrum,
                 upto: float = np.inf):
     """Integral of phi(l, t) over t <= upto against dH, for an array of l > 0
     and the m_breve(l)."""
-    k = 1.0 - 1.0 / gamma - ls * m / gamma
+    k = k_factor(ls, m, gamma)
     s = ls / k
     real = s.imag == 0
     S = _stieltjes_h(spec, s, upto, order=int(real.any()))
@@ -79,8 +77,6 @@ def _h_integral_zero(solution: StieltjesSolution, spec: PopulationSpectrum,
 def phi_h_integral(l: float, solution: StieltjesSolution,
                    spec: PopulationSpectrum) -> float:
     """Integral of phi(l, t) over dH(t); equals 1 on the support of F."""
-    if solution.gamma == 1:
-        raise GammaOne("phi is undefined at gamma = 1")
     if l <= 0:
         return 0.0 if l < 0 else _h_integral_zero(solution, spec)
     return float(_h_integral(np.array([l]), np.array([solution.m_at(l)]),
@@ -92,8 +88,6 @@ def phi_cumulative(lam: float, tau: float, solution: StieltjesSolution,
     """Phi(lambda, tau): cumulative overlap mass, a bivariate c.d.f.: the
     integral of phi(l, t) over t <= tau against dH, taken at the grid points
     up to lambda from the solved m_breve, then against dF by f_integral."""
-    if solution.gamma == 1:
-        raise GammaOne("Phi is undefined at gamma = 1")
     if tau < spec.h1 or lam < 0:
         return 0.0
     n = min(len(solution.grid), np.searchsorted(solution.grid, lam) + 1)

@@ -19,17 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum as spectrum_mod
-from .errors import DegenerateSpan, GammaOne
+from .errors import DegenerateSpan
 from .spectrum import PopulationSpectrum
-from .stieltjes import StieltjesSolution
+from .stieltjes import StieltjesSolution, k_factor
 
 MOMENT_GAP_TOL = 1e-5  # worst gap over random mixtures measured 2.1e-6
 ZERO_EIG_REL_TOL = 1e-10
-
-
-def _check_gamma(solution: StieltjesSolution) -> None:
-    if solution.gamma == 1:
-        raise GammaOne("shrinkage formulas are undefined at gamma = 1")
 
 
 def _correction(lam, solution: StieltjesSolution, at_zero: float, formula):
@@ -50,17 +45,14 @@ def delta(lam, solution: StieltjesSolution):
     """Covariance bias correction delta(lambda); scalar or array lambda,
     delta_zero at lambda = 0 and 0 below."""
     return _correction(lam, solution, delta_zero(solution), lambda lam, m, g:
-                       lam / np.abs(1.0 - 1.0 / g - lam * m / g) ** 2)
+                       lam / np.abs(k_factor(lam, m, g)) ** 2)
 
 
 def delta_zero(solution: StieltjesSolution) -> float:
     """delta(0) = gamma / ((1-gamma) * m_under(0)) for gamma < 1; 0 for
     gamma > 1, where S has no null eigenvalues."""
-    _check_gamma(solution)
-    if solution.gamma > 1:
-        return 0.0
     g = solution.gamma
-    return g / ((1.0 - g) * solution.m_under_zero)
+    return 0.0 if g > 1 else g / ((1.0 - g) * solution.m_under_zero)
 
 
 def psi(lam, solution: StieltjesSolution, spec: PopulationSpectrum):
@@ -72,11 +64,9 @@ def psi(lam, solution: StieltjesSolution, spec: PopulationSpectrum):
 
 def psi_zero(solution: StieltjesSolution, spec: PopulationSpectrum) -> float:
     """psi(0) = m_H(0)/(1-gamma) - m_under(0) for gamma < 1; 0 for gamma > 1."""
-    _check_gamma(solution)
-    if solution.gamma > 1:
-        return 0.0
     g = solution.gamma
-    return spectrum_mod.moment(spec, -1) / (1.0 - g) - solution.m_under_zero
+    return 0.0 if g > 1 else (spectrum_mod.moment(spec, -1) / (1.0 - g)
+                              - solution.m_under_zero)
 
 
 def zero_eigenvalues(eigs) -> np.ndarray:
@@ -87,7 +77,7 @@ def zero_eigenvalues(eigs) -> np.ndarray:
     return np.abs(eigs) <= ZERO_EIG_REL_TOL * top
 
 
-def _zeroed(sample_eigs) -> np.ndarray:
+def zeroed(sample_eigs) -> np.ndarray:
     """Sample eigenvalues with the zero_eigenvalues entries set to 0; raises
     ValueError on a negative one outside that band."""
     eigs = np.asarray(sample_eigs, dtype=float)
@@ -102,7 +92,7 @@ def shrink_spectrum(sample_eigs, solution: StieltjesSolution) -> np.ndarray:
     each), in input order: the zero eigenvalues (zero_eigenvalues) map to
     delta(0).  Raises ValueError on a negative eigenvalue outside the zero
     band."""
-    return delta(_zeroed(sample_eigs), solution)
+    return delta(zeroed(sample_eigs), solution)
 
 
 def shrink_inverse_spectrum(sample_eigs, solution: StieltjesSolution,
@@ -110,7 +100,7 @@ def shrink_inverse_spectrum(sample_eigs, solution: StieltjesSolution,
     """psi of each sample eigenvalue, the eigenvalues of the corrected
     inverse covariance; zero eigenvalues map to psi(0), as in
     shrink_spectrum."""
-    return psi(_zeroed(sample_eigs), solution, spec)
+    return psi(zeroed(sample_eigs), solution, spec)
 
 
 def linear_shrinkage_oracle(sample_eigs, trace_sigma, trace_s_sigma) -> np.ndarray:

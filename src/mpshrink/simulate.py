@@ -193,14 +193,16 @@ def zero_eig_count(eigenvalues: np.ndarray):
 
 
 def empirical_delta(config: SimulationConfig, x_grid) -> np.ndarray:
-    """Average over replications of (1/N) * sum d_i * 1[lambda_i <= x]."""
+    """Average over replications of (1/N) * sum d_i * 1[lambda_i <= x], the
+    zero eigenvalues (shrinkage.zero_eigenvalues) taken as 0."""
     x_grid = np.asarray(x_grid, dtype=float)
 
     def rows(real: Realization) -> tuple[np.ndarray]:
         d_asc = oracle_dtilde(real.eigenvectors, real.population_diag)[:, ::-1]
         csum = np.pad(np.cumsum(d_asc, axis=1), ((0, 0), (1, 0))) / config.N
         # eigenvalues <= x, as searchsorted(side="right") counts them
-        below = np.sum(real.eigenvalues[:, :, None] <= x_grid, axis=1)
+        below = np.sum(shrinkage_mod.zeroed(real.eigenvalues)[:, :, None]
+                       <= x_grid, axis=1)
         return np.take_along_axis(csum, below, axis=1),
 
     values, = _replicate(config, rows)
@@ -221,8 +223,9 @@ def empirical_overlap(config: SimulationConfig, lambda_bins,
                       tau_bins) -> OverlapBinTable:
     """Binned means of N |u_i* v_j|^2 with per-bin standard errors.
 
-    Bins are (lo, hi] intervals.  The standard error is computed across the
-    per-replication bin means, which respects within-replication correlation.
+    Bins are (lo, hi] intervals, zero eigenvalues (as in empirical_delta)
+    taken as 0.  The standard error is computed across the per-replication
+    bin means, which respects within-replication correlation.
     """
     lam_edges = np.asarray(lambda_bins, dtype=float)
     tau_edges = np.asarray(tau_bins, dtype=float)
@@ -234,7 +237,8 @@ def empirical_overlap(config: SimulationConfig, lambda_bins,
 
     def rows(real: Realization) -> tuple[np.ndarray, np.ndarray]:
         overlaps = config.N * np.abs(real.eigenvectors.swapaxes(1, 2)) ** 2
-        li = np.searchsorted(lam_edges, real.eigenvalues, side="left") - 1
+        li = np.searchsorted(lam_edges, shrinkage_mod.zeroed(real.eigenvalues),
+                             side="left") - 1
         li = np.where((li >= 0) & (li < nl), li, nl)
         shape = (len(li), nl + 1, nt + 1)  # replication b owns cells b*size...
         cell = (li[:, :, None] * (nt + 1) + tj

@@ -48,6 +48,21 @@ MAX_DOUBLINGS = 4
 STENCIL = 6
 
 
+def check_gamma(gamma: float) -> float:
+    """gamma, if in the real-axis domain: finite and > 0 (else DomainError)
+    and not 1 (else GammaOne: the density can be unbounded at 0)."""
+    if not 0 < gamma < np.inf:
+        raise DomainError(f"gamma must be finite and > 0, got {gamma}")
+    if gamma == 1:
+        raise GammaOne("gamma = 1 excluded: the density can be unbounded at 0")
+    return gamma
+
+
+def k_factor(z, m, gamma: float):
+    """k = 1 - 1/gamma - z*m/gamma: m = integral of dH(tau) / (tau*k - z)."""
+    return 1.0 - 1.0 / gamma - z * m / gamma
+
+
 def _u_to_m(z, u, spec: PopulationSpectrum, gamma: float):
     """m from u = -1/mu at z, where x(u) = z.
 
@@ -71,8 +86,8 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
     solves the equation in m, H integrated exactly, within
     10 * TOL * max(1, |m|).  Raises NoConvergence otherwise.
     """
-    if gamma <= 0:
-        raise DomainError(f"gamma must be > 0, got {gamma}")
+    if gamma != 1:  # off the real axis gamma = 1 is in the domain
+        check_gamma(gamma)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(z_arr.imag <= 0):
         raise DomainError("solve_mF requires Im(z) > 0")
@@ -124,7 +139,7 @@ def _exact_gap(z, m, spec: PopulationSpectrum, gamma: float):
     as k = -z*mu cancels there: for unif56 at gamma = 0.2 and z = 1e-4 i a
     1-ulp change of m moves it by 1.3e-7, above the 8e-8 (10 TOL |m|) that
     solve_mF accepts."""
-    k = 1.0 - 1.0 / gamma - z * m / gamma
+    k = k_factor(z, m, gamma)
     return np.abs(_stieltjes_h(spec, z / k, order=0)[0] / k - m)
 
 
@@ -142,8 +157,8 @@ def _bisect(f, neg, pos) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _critical_points(spec: PopulationSpectrum, gamma: float):
-    """Real critical points u* = -1/mu* of x, ascending, and the values x(u*).
-    Raises GammaOne at gamma = 1, where the lower edge reaches zero.
+    """Real critical points u* = -1/mu* of x, ascending, and the values x(u*),
+    for a gamma that passes check_gamma.
 
     In u = -1/mu, dx/du = 1 - (1/gamma) int tau^2/(u - tau)^2 dH is strictly
     concave between consecutive pieces of supp H and falls to -inf at them;
@@ -153,9 +168,7 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
     (u*[2i], u*[2i+1]) bound the support intervals [x(u*[2i]), x(u*[2i+1])].
     The first and last are always kept, so every solution has a support.
     """
-    if gamma == 1:
-        raise GammaOne("gamma = 1 excluded: the density can be unbounded at 0")
-
+    check_gamma(gamma)
     lo, hi = np.array(sorted([(t, t) for _, t in spec.atoms]
                              + [(a, b) for _, a, b in spec.segments])).T
     hi = np.maximum.accumulate(hi)
@@ -295,7 +308,8 @@ class StieltjesSolution:
     density is Im[m_breve]/pi (zero at invalid points); support holds the
     closed intervals where the density is positive; m_under_zero is the
     companion transform at 0 (present iff gamma < 1); mass_at_zero is the
-    weight of the atom of F at zero.
+    weight of the atom of F at zero.  gamma must pass check_gamma, and the
+    support is never empty.
     """
 
     gamma: float
@@ -306,6 +320,11 @@ class StieltjesSolution:
     m_under_zero: float | None
     mass_at_zero: float
     valid: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        check_gamma(self.gamma)
+        if not self.support:
+            raise EmptySupport("a solution needs at least one support interval")
 
     @cached_property
     def _pieces(self):
@@ -396,8 +415,6 @@ class StieltjesSolution:
     def clip_to_support(self, lam):
         """Nearest in-support value; flags entries that had to move."""
         lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        if not self.support:
-            raise EmptySupport("solution has no detected support")
         inside = np.zeros(lam_arr.shape, dtype=bool)
         for lo, hi in self.support:
             inside |= (lam_arr >= lo) & (lam_arr <= hi)
@@ -459,9 +476,7 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
 
 
 def support_edges(solution: StieltjesSolution) -> list[tuple[float, float]]:
-    """Support intervals; raises EmptySupport when the solution has none."""
-    if not solution.support:
-        raise EmptySupport("solution has no support intervals")
+    """Support intervals, ascending; never empty."""
     return list(solution.support)
 
 

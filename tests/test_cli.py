@@ -83,13 +83,58 @@ def test_missing_subcommand_is_usage_error(capsys):
     ("density", {"spectrum": D1, "gammas": [2], "grid": 50}, []),
     ("density", {"spectrum": {"segments": [[1.0, 6.0, 5.0]]}, "gammas": [2]},
      []),
-], ids=["entry_law", "N", "reps", "grid", "segment"])
+    ("density", {"spectrum": [1, 2], "gammas": [2]}, []),
+    ("density", {"spectrum": {"atoms": 5}, "gammas": [2]}, []),
+    ("density", {"spectrum": D1, "gammas": 2}, []),
+    ("density", {"spectrum": D1, "gammas": ["a"]}, []),
+    ("density", {"spectrum": D1, "gammas": [0]}, []),
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "sweep_N": 5}, []),
+    ("simulate", {"spectrum": MIX, "N": "x", "p": 30}, []),
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 0}, []),
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "reps": "x"}, []),
+    ("kernel", {"spectrum": D1, "gammas": [2], "t_points": "x"}, []),
+    ("kernel", {"spectrum": D1, "gammas": [2], "l": "x"}, []),
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "delta_points": "x"}, []),
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 30,
+                  "lambda_bins": ["a", 1.0]}, []),
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 30,
+                  "assert_nonlinear_min": "x"}, []),
+    ("density", [D1, [2]], []),
+], ids=["entry_law", "N", "reps", "grid", "segment", "spectrum_list",
+        "spectrum_atoms", "gammas_number", "gammas_text", "gammas_zero",
+        "sweep_N", "N_text", "p_zero", "reps_text", "t_points", "l",
+        "delta_points", "lambda_bins", "assert_min", "top_level_list"])
 def test_config_errors_are_usage_errors(tmp_path, capsys, command, doc, extra):
     cfg = _write_config(tmp_path, "cfg.json", doc)
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)] + extra) == 1
-    assert capsys.readouterr().err.startswith("usage error")
+    assert capsys.readouterr().err.startswith("usage error: ")
     assert not (out / f"{command}.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("density", {"spectrum": D1, "gammas": [2, 1]}),
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "outputs": ["overlap"]}),
+    ("kernel", {"spectrum": D1, "gammas": [2],
+                "cumulative": {"lambdas": [1.0]}}),
+], ids=["gamma_one", "overlap_bins", "cumulative_taus"])
+def test_config_is_read_before_the_first_solve(tmp_path, monkeypatch, command,
+                                               doc):
+    calls = []
+
+    def spy(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise cli.UsageError(f"{name} ran")
+        return record
+
+    monkeypatch.setattr(cli.stieltjes_mod, "solve_density",
+                        spy("solve_density"))
+    monkeypatch.setattr(cli.simulate_mod, "run_prial", spy("run_prial"))
+    cfg = _write_config(tmp_path, "cfg.json", doc)
+    assert cli.main([command, "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("spec", [{"atoms": [[0.9, 1.0]]},

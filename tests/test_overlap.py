@@ -58,15 +58,14 @@ def test_zero_branch_requires_small_gamma(solutions):
 
 
 def test_gamma_one_guard(spec_d1):
-    fake = stieltjes.StieltjesSolution(
-        gamma=1.0, grid=np.array([1.0, 2.0]),
-        m_breve=np.array([0j, 0j]), density=np.array([0.0, 0.0]),
-        support=[], m_under_zero=None, mass_at_zero=0.0,
-        valid=np.array([True, True]))
+    # no gamma = 1 solution exists for phi or Phi to see: the solution
+    # itself refuses gamma = 1 at construction
     with pytest.raises(GammaOne):
-        overlap.phi(1.0, 1.0, fake, spec_d1)
-    with pytest.raises(GammaOne):
-        overlap.phi_cumulative(1.0, 1.0, fake, spec_d1)
+        stieltjes.StieltjesSolution(
+            gamma=1.0, grid=np.array([1.0, 2.0]),
+            m_breve=np.array([0j, 0j]), density=np.array([0.0, 0.0]),
+            support=[(1.0, 2.0)], m_under_zero=None, mass_at_zero=0.0,
+            valid=np.array([True, True]))
 
 
 def test_fig1_profile_uniform_spectrum(solutions):

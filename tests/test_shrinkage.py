@@ -143,15 +143,16 @@ def test_zero_rule_is_per_row(solutions, scale):
 
 
 def test_gamma_one_rejected(spec_d1):
-    fake = stieltjes.StieltjesSolution(
-        gamma=1.0, grid=np.array([1.0, 2.0]),
-        m_breve=np.array([0j, 0j]), density=np.array([0.0, 0.0]),
-        support=[], m_under_zero=None, mass_at_zero=0.0,
-        valid=np.array([True, True]))
+    # delta and shrink_spectrum never see gamma = 1: the solution refuses it
+    # at construction, and solve_density before any solve
     with pytest.raises(GammaOne):
-        shrinkage.delta(1.0, fake)
+        stieltjes.StieltjesSolution(
+            gamma=1.0, grid=np.array([1.0, 2.0]),
+            m_breve=np.array([0j, 0j]), density=np.array([0.0, 0.0]),
+            support=[(1.0, 2.0)], m_under_zero=None, mass_at_zero=0.0,
+            valid=np.array([True, True]))
     with pytest.raises(GammaOne):
-        shrinkage.shrink_spectrum(np.array([1.0]), fake)
+        stieltjes.solve_density(spec_d1, 1.0)
 
 
 def test_monte_carlo_identity_sanity(solutions, spec_d1):

@@ -182,6 +182,24 @@ def test_run_prial_rank_deficient(solutions, spec_d1):
     assert report.prial_nonlinear > 0.0
 
 
+def test_empirical_delta_at_zero_is_the_null_space(spec_unif56):
+    # the null eigenvalues of S at p < N count as 0, whatever their rounding
+    # sign, so at x = 0 empirical_delta holds all N - p of them
+    config = simulate.SimulationConfig(N=100, p=60, spec=spec_unif56, reps=30,
+                                       seed=4)
+    emp, = simulate.empirical_delta(config, [0.0])
+    null = simulate.null_space_dtilde_mean(config)
+    assert emp == pytest.approx((100 - 60) / 100 * null, rel=1e-12)
+
+
+def test_overlap_bins_skip_null_eigenvalues(spec_unif56):
+    # (0, hi] takes the p non-null eigenvalues of each draw and no null one
+    config = simulate.SimulationConfig(N=100, p=60, spec=spec_unif56, reps=30,
+                                       seed=4)
+    table = simulate.empirical_overlap(config, [0.0, 100.0], [0.0, 100.0])
+    assert table.count.sum() == 30 * 60 * 100
+
+
 def test_run_prial_rejects_gamma_one(spec_204040):
     config = simulate.SimulationConfig(N=20, p=20, spec=spec_204040, reps=2)
     with pytest.raises(GammaOne):

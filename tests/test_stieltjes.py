@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import SOLUTION_POINTS, interior_points
 from mpshrink import spectrum, stieltjes
-from mpshrink.errors import DomainError, GammaOne
+from mpshrink.errors import DomainError, EmptySupport, GammaOne
 
 U_HARD = spectrum.uniform(0.01, 10.0)   # segment reaching down to 1e-3 * h2
 MIXTURE = spectrum.validate(atoms=[(0.27, 7.12)], segments=[(0.73, 2.14, 5.15)])
@@ -264,6 +264,25 @@ def test_companion_zero_rejects_gamma_ge_1(spec_d1):
         stieltjes.companion_zero(spec_d1, 1.0)
     with pytest.raises(DomainError):
         stieltjes.companion_zero(spec_d1, 2.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -2.0, np.nan, np.inf])
+def test_gamma_outside_domain_is_domain_error(spec_d1, gamma):
+    with pytest.raises(DomainError):
+        stieltjes.solve_density(spec_d1, gamma)
+    with pytest.raises(DomainError):
+        stieltjes.boundary_values(spec_d1, gamma, np.array([1.0, 2.0]))
+    with pytest.raises(DomainError):
+        stieltjes.solve_mF(1.0 + 1e-3j, spec_d1, gamma)
+
+
+def test_solution_needs_support():
+    with pytest.raises(EmptySupport):
+        stieltjes.StieltjesSolution(
+            gamma=2.0, grid=np.array([1.0, 2.0]),
+            m_breve=np.array([0j, 0j]), density=np.array([0.0, 0.0]),
+            support=[], m_under_zero=None, mass_at_zero=0.0,
+            valid=np.array([True, True]))
 
 
 def test_boundary_values_rejects_gamma_one(spec_d1):
