@@ -219,6 +219,8 @@ def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
         configs = [simulate_mod.SimulationConfig(
             N=n_val, p=round(n_val * ratio), spec=spec, reps=reps, seed=seed,
             entry_law=law) for n_val in _get(cfg, "sweep_N", _list(int), [n])]
+        for config in configs:  # p = round(N * ratio) can equal N
+            stieltjes_mod.check_gamma(config.gamma)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     wanted = _get(cfg, "outputs", _list(str), [])

@@ -12,6 +12,7 @@ sums over the fixed-order Gauss-Legendre nodes of quadrature_nodes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -150,12 +151,12 @@ def _components(spec: PopulationSpectrum):
 
 def _stieltjes_h(spec: PopulationSpectrum, s, upto: float = np.inf,
                  order: int = 2) -> list:
-    """[S(s), S'(s), ...] up to the order-th derivative (order <= 2) of
-    S(s) = integral of dH(t) / (t - s), for an array of s off supp H, real for
-    real s; upto restricts H to t <= upto, atoms at upto included.  Atoms are
-    summed exactly; a segment [lo, hi] of density c adds
-    c * log((hi - s) / (lo - s)) and its derivatives, the principal log being
-    the right branch since the path t - s, t in [lo, hi], misses zero."""
+    """[S(s), S'(s), ...] up to the order-th derivative of S(s) = integral of
+    dH(t) / (t - s), for an array of s off supp H, real for real s; upto
+    restricts H to t <= upto, atoms at upto included.  To the j-th derivative
+    an atom w at t adds j! w / (t - s)^(j+1), a segment [lo, hi] of density c
+    (j-1)! c ((lo - s)^-j - (hi - s)^-j), and c log((hi - s) / (lo - s)) at
+    j = 0, the principal log since the path t - s, t in [lo, hi], misses 0."""
     aw, at, sw, lo, hi = _components(spec)
     c = sw / (hi - lo)
     if upto < spec.h2:
@@ -166,13 +167,13 @@ def _stieltjes_h(spec: PopulationSpectrum, s, upto: float = np.inf,
     wr = aw * r
     out = [np.sum(wr, axis=0)]
     for j in range(1, order + 1):
-        wr = wr * r
-        out.append(np.sum(wr, axis=0) * j)  # j! w / (t - s)**(j + 1)
+        wr = wr * r * j
+        out.append(np.sum(wr, axis=0))
     if len(c):
         out[0] = out[0] + np.sum(c * np.log((hi - s) / (lo - s)), axis=0)
         r_lo, r_hi = 1.0 / (lo - s), 1.0 / (hi - s)
         for j in range(1, order + 1):
-            out[j] = out[j] + np.sum(c * (r_lo ** j - r_hi ** j), axis=0)
+            out[j] += math.factorial(j - 1) * np.sum(c * (r_lo ** j - r_hi ** j), axis=0)
     return out
 
 

@@ -17,12 +17,12 @@ with S(s) = integral of dH(t) / (t - s) in closed form (spectrum._stieltjes_h).
 For Im z > 0 (solve_mF) the damped fixed point mu <- 1/(x(-1/mu) + 1/mu - z)
 maps the upper half plane strictly into itself, so it cannot cross to a
 non-physical root; Newton on x(u) = z finishes it.  On the real axis the
-support edges are x at its real critical points, bisected to the last bit.
-Inside the support the roots with Im u > 0 form the curve Im x(u) = 0 over
-the falling branch of x, one monotone equation in Im u per Re u; Chebyshev
-samples of it, refined where a point misses, seed Newton on x(u) = lambda.
-Off it u is the real root on a rising branch of x.  Every value is verified
-on the equation in m, with H integrated exactly.
+support edges are x at its real critical points.  Inside the support the
+roots with Im u > 0 form the curve Im x(u) = 0 over the falling branch of x,
+one monotone equation in Im u per Re u; Chebyshev samples of it, refined
+where a point misses, seed Newton on x(u) = lambda.  Off it u is the real
+root on a rising branch of x.  One bracketed Newton finder solves every real
+root; every value is verified on the equation in m, H integrated exactly.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
 
 
 def _in_u(u, spec: PopulationSpectrum, gamma: float, order: int = 2):
-    """[x(u), x'(u), ...] up to the order-th derivative (order <= 2) for an
+    """[x(u), x'(u), ...] up to the order-th derivative (order <= 3) for an
     array of u = -1/mu off supp H, real for real u.  Unlike mu, u stays finite
     at the lower edge as gamma -> 1."""
     S = _stieltjes_h(spec, u, order=order)
@@ -129,6 +129,8 @@ def _in_u(u, spec: PopulationSpectrum, gamma: float, order: int = 2):
         out.append((1.0 - 1.0 / gamma) - (2.0 * u * S[0] + u * u * S[1]) / gamma)
     if order > 1:
         out.append(-(2.0 * S[0] + 4.0 * u * S[1] + u * u * S[2]) / gamma)
+    if order > 2:
+        out.append(-(6.0 * S[1] + 6.0 * u * S[2] + u * u * S[3]) / gamma)
     return out
 
 
@@ -143,16 +145,29 @@ def _exact_gap(z, m, spec: PopulationSpectrum, gamma: float):
     return np.abs(_stieltjes_h(spec, z / k, order=0)[0] / k - m)
 
 
-def _bisect(f, neg, pos) -> np.ndarray:
-    """Roots of f between neg (f < 0) and pos (f > 0), vectorized, never evaluated
-    at the ends; stops once every midpoint rounds to an end (or is nan)."""
-    neg, pos = np.array(neg, dtype=float), np.array(pos, dtype=float)
-    while True:
-        mid = 0.5 * (neg + pos)
-        if not np.any((np.minimum(neg, pos) < mid) & (mid < np.maximum(neg, pos))):
-            return mid
-        below = f(mid) < 0
-        neg, pos = np.where(below, mid, neg), np.where(below, pos, mid)
+def _bracketed_newton(f, neg, pos) -> np.ndarray:
+    """Roots of f between neg (f < 0) and pos (f > 0), vectorized; f(x, i)
+    gives (f, f') at x for the points i.  From its midpoint a point takes its
+    Newton step if that lands strictly inside its bracket, else the midpoint,
+    so no end is evaluated; after bisection's step count, only midpoints (at
+    most twice bisection's cost).  A point stops when its Newton step is below
+    one ulp, f is 0 or its bracket no longer splits (a nan bracket at once)."""
+    neg, pos = np.broadcast_arrays(neg, pos)
+    x = 0.5 * (neg + pos)
+    i = np.flatnonzero((np.minimum(neg, pos) < x) & (x < np.maximum(neg, pos)))
+    xa, neg, pos = x[i], neg[i], pos[i]
+    budget = np.log2(np.abs(pos - neg) / np.spacing(np.maximum(np.abs(neg), np.abs(pos))))
+    while len(i):
+        fx, dfx = f(xa, i)
+        neg, pos = np.where(fx < 0, xa, neg), np.where(fx < 0, pos, xa)
+        step = np.divide(fx, dfx, out=np.full(fx.shape, np.inf), where=dfx != 0)
+        lo, hi, new = np.minimum(neg, pos), np.maximum(neg, pos), xa - step
+        new = np.where((budget > 0) & (lo < new) & (new < hi), new, 0.5 * (lo + hi))
+        go = ~(np.abs(step) < np.spacing(np.abs(xa))) & (fx != 0) & (lo < new) \
+            & (new < hi)
+        x[i[~go]] = xa[~go]
+        xa, neg, pos, budget, i = new[go], neg[go], pos[go], budget[go] - 1, i[go]
+    return x
 
 
 @lru_cache(maxsize=128)
@@ -174,14 +189,14 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
     hi = np.maximum.accumulate(hi)
     gap = lo[1:] > hi[:-1]
     p, q = hi[:-1][gap], lo[1:][gap]          # the gaps (p, q) of supp H
-    peak = _bisect(lambda u: _in_u(u, spec, gamma)[2], q, p)
+    peak = _bracketed_newton(lambda u, i: _in_u(u, spec, gamma, order=3)[2:], q, p)
     rising = _in_u(peak, spec, gamma, order=1)[1] > 0
     root = spec.h2 / np.sqrt(gamma)
     neg = [spec.h1 if gamma > 1 else 0.0, spec.h2] + list(p[rising]) \
         + list(q[rising])
     pos = [0.0 if gamma > 1 else -2.0 * root, spec.h2 + 2.0 * root] \
         + 2 * list(peak[rising])
-    crit = np.sort(_bisect(lambda u: _in_u(u, spec, gamma, order=1)[1], neg, pos))
+    crit = np.sort(_bracketed_newton(lambda u, i: _in_u(u, spec, gamma)[1:], neg, pos))
     values = _in_u(crit, spec, gamma, order=0)[0]
     # a gap where x barely rises can come out empty in floating point
     keep = np.concatenate([[True], np.repeat(np.diff(values)[1::2] > 0, 2),
@@ -221,16 +236,17 @@ def _curve(spec: PopulationSpectrum, gamma: float, v: np.ndarray):
     critical pair of x.  Im x = (w/gamma)(gamma - g), where
     g = int t^2 / ((t - v)^2 + w^2) dH falls strictly in w from
     gamma (1 - x'(v)) > gamma at w = 0+ to below M2/w^2: w is the one root
-    of Im x in (0, sqrt(M2/gamma)]."""
-    w = _bisect(lambda w: _in_u(v + 1j * w, spec, gamma, order=0)[0].imag,
-                np.zeros(v.shape), np.sqrt(moment(spec, 2) / gamma))
-    return v + 1j * w
+    of Im x in (0, sqrt(M2/gamma)], where d(Im x)/dw = Re x'(v + iw)."""
+    def f(w, i):
+        x, x1 = _in_u(v[i] + 1j * w, spec, gamma, order=1)
+        return x.imag, x1.real
+    return v + 1j * _bracketed_newton(f, 0.0 * v, np.sqrt(moment(spec, 2) / gamma))
 
 
 def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
               a: float, b: float, u_a: float, u_b: float):
-    """(u, converged) at points inside the support interval (a, b) with
-    edges x(u_a), x(u_b).
+    """(u, converged) at points of the support interval [a, b] with edges
+    x(u_a), x(u_b); where the angle theta below is 0 or pi, u is u_a or u_b.
 
     Newton starts from the curve of physical roots (_curve), along which
     lambda rises from a to b, sampled at PATH_POINTS Chebyshev points of
@@ -244,7 +260,7 @@ def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
     v = u_a + 0.5 * (u_b - u_a) * (1.0 - np.cos(np.linspace(0.0, np.pi,
                                                             PATH_POINTS)))[1:-1]
     t = _angle(lam, a, b)
-    u, ok = np.zeros(lam.shape, dtype=complex), np.zeros(lam.shape, dtype=bool)
+    u, ok = np.where(t == 0, u_a, u_b).astype(complex), (t == 0) | (t == np.pi)
     while len(v):
         path = np.sort(np.concatenate([path, _curve(spec, gamma, v)]))
         path_t = _angle(_in_u(path, spec, gamma, order=0)[0].real, a, b)
@@ -261,14 +277,17 @@ def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
 def _rising_root(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
                  crit: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Real u = -1/mu with x(u) = lam on the rising branch of x that covers
-    lam, for lam off the support."""
+    lam, for lam off the support and its edges."""
     k = np.searchsorted(values[1::2], lam)
     last = len(crit) - 1
     # below the support x(u) < u + m1/gamma, above it x(u) > u
     left = np.minimum(crit[0], lam - moment(spec, 1) / gamma) - spec.h2
     neg = np.where(k == 0, left, crit[np.maximum(2 * k - 1, 0)])
     pos = np.where(2 * k > last, lam, crit[np.minimum(2 * k, last)])
-    return _bisect(lambda u: _in_u(u, spec, gamma, order=0)[0] - lam, neg, pos)
+    def f(u, i):
+        x, x1 = _in_u(u, spec, gamma, order=1)
+        return x - lam[i], x1
+    return _bracketed_newton(f, neg, pos)
 
 
 def _horner(th, left, h, coef):
@@ -455,14 +474,12 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
     u = np.zeros(grid.shape, dtype=complex)
     ok, off = np.ones(grid.shape, dtype=bool), np.ones(grid.shape, dtype=bool)
     for a, b, u_a, u_b in zip(values[::2], values[1::2], crit[::2], crit[1::2]):
-        inside = (grid > a) & (grid < b)
+        inside = (grid >= a) & (grid <= b)
         if inside.any():
             u[inside], ok[inside] = _interior(spec, gamma, grid[inside],
                                               a, b, u_a, u_b)
         off &= ~inside
     u[off] = _rising_root(spec, gamma, grid[off], crit, values)
-    for edge, u_edge in zip(values, crit):
-        u[grid == edge] = u_edge
 
     m_breve = _u_to_m(grid, u, spec, gamma)
     resid = _exact_gap(grid.astype(complex), m_breve, spec, gamma)

@@ -117,7 +117,9 @@ def test_config_errors_are_usage_errors(tmp_path, capsys, command, doc, extra):
     ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "outputs": ["overlap"]}),
     ("kernel", {"spectrum": D1, "gammas": [2],
                 "cumulative": {"lambdas": [1.0]}}),
-], ids=["gamma_one", "overlap_bins", "cumulative_taus"])
+    # p = round(5 * 21/20) = 5: the sweep size has p = N
+    ("simulate", {"spectrum": MIX, "N": 20, "p": 21, "sweep_N": [5]}),
+], ids=["gamma_one", "overlap_bins", "cumulative_taus", "sweep_gamma_one"])
 def test_config_is_read_before_the_first_solve(tmp_path, monkeypatch, command,
                                                doc):
     calls = []

@@ -148,6 +148,19 @@ def test_stieltjes_h_matches_quadrature(name, real_points):
             assert abs(val[i] - ref.real) <= 1e-11 * abs(ref)
 
 
+def test_stieltjes_h_third_derivative():
+    # an atom w at t gives S^(3) = 3! w / (t - s)^4; for a segment S^(3) is
+    # the derivative of S^(2), here by a central difference
+    s = np.array([-1.0, 0.5, 1.9, 2.1, 5.0])
+    got = spectrum._stieltjes_h(spectrum.point_mass(2.0), s, order=3)[3]
+    assert np.max(np.abs(got - 6.0 / (2.0 - s) ** 4) * (2.0 - s) ** 4) <= 1e-14
+    u56, s, h = spectrum.uniform(5.0, 6.0), np.array([-1.0, 0.5, 4.0, 7.0]), 1e-4
+    second = [spectrum._stieltjes_h(u56, s + d, order=2)[2] for d in (h, -h)]
+    got = spectrum._stieltjes_h(u56, s, order=3)[3]
+    assert np.max(np.abs(got - (second[0] - second[1]) / (2 * h)) / np.abs(got)) \
+        <= 1e-6
+
+
 def test_population_eigenvalues_point_mass():
     s = spectrum.point_mass(1.0)
     assert list(spectrum.population_eigenvalues(s, 3)) == [1.0, 1.0, 1.0]

@@ -399,23 +399,139 @@ def test_hard_edge_at_large_gamma_solves(gamma):
 
 
 def _bisect_fixed_steps(f, neg, pos):
-    """The reference: 100 bisection steps, whatever the brackets."""
+    """The reference: 100 bisection steps, whatever the brackets, for an f
+    with the (f, f') signature of _bracketed_newton."""
     neg, pos = np.array(neg, dtype=float), np.array(pos, dtype=float)
     for _ in range(100):
         mid = 0.5 * (neg + pos)
-        below = f(mid) < 0
+        below = f(mid, np.arange(mid.size))[0] < 0
         neg, pos = np.where(below, mid, neg), np.where(below, pos, mid)
     return 0.5 * (neg + pos)
 
 
+def _bisection_steps(f, neg, pos):
+    """Evaluations per point of bisection until its midpoint rounds to an end."""
+    neg, pos = np.array(neg, dtype=float), np.array(pos, dtype=float)
+    steps = np.zeros(neg.shape, dtype=int)
+    while True:
+        mid = 0.5 * (neg + pos)
+        i = np.flatnonzero((np.minimum(neg, pos) < mid) & (mid < np.maximum(neg, pos)))
+        if not len(i):
+            return steps
+        steps[i] += 1
+        below = f(mid[i], i)[0] < 0
+        neg[i], pos[i] = np.where(below, mid[i], neg[i]), np.where(below, pos[i], mid[i])
+
+
+def _solve_counted(f, neg, pos):
+    """_bracketed_newton with every evaluated point recorded; returns the
+    roots, the (x, i) of each call and the evaluations per point."""
+    calls, count = [], np.zeros(np.size(neg), dtype=int)
+
+    def spy(x, i):
+        calls.append((x.copy(), i.copy()))
+        count[i] += 1
+        return f(x, i)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = stieltjes._bracketed_newton(spy, neg, pos)
+    return root, calls, count
+
+
 @pytest.mark.parametrize("case", LIMIT_CASES)
 def test_bisect_stop_matches_fixed_steps(solutions, monkeypatch, case):
+    # where _bracketed_newton stops, critical points and edges match 100
+    # bisection steps to 16 ulps: for unif56 at gamma = 0.5, x' changes sign
+    # 5 or more times within 12 ulps of u* = -2.2747, so any two root finders
+    # agree only to about that
     spec = solutions.specs[case[0]]
     crit, values = stieltjes._critical_points.__wrapped__(spec, case[1])
-    monkeypatch.setattr(stieltjes, "_bisect", _bisect_fixed_steps)
+    monkeypatch.setattr(stieltjes, "_bracketed_newton", _bisect_fixed_steps)
     ref_crit, ref_values = stieltjes._critical_points.__wrapped__(spec, case[1])
-    assert np.array_equal(crit, ref_crit)
-    assert np.array_equal(values, ref_values)
+    assert np.all(np.abs(crit - ref_crit) <= 16 * np.spacing(np.abs(ref_crit)))
+    assert np.all(np.abs(values - ref_values)
+                  <= 16 * np.spacing(np.abs(ref_values)))
+
+
+def test_bracketed_newton_never_evaluates_an_end():
+    # 1/(1 - x) - c has a pole at the end x = 1, which Newton steps from the
+    # left overshoot (from the midpoint at c = 4, onto the pole exactly); the
+    # midpoint is taken instead
+    c = np.array([1.5, 4.0, 10.0, 1e3, 1e8])
+    neg, pos = np.zeros(5), np.ones(5)
+    f = lambda x, i: (1.0 / (1.0 - x) - c[i], 1.0 / (1.0 - x) ** 2)
+    root, calls, count = _solve_counted(f, neg, pos)
+    for x, i in calls:
+        assert np.all((neg[i] < x) & (x < pos[i]))
+    assert np.all(np.abs(root - (1.0 - 1.0 / c)) <= 4 * np.spacing(1.0))
+    assert np.all(count <= 2 * _bisection_steps(f, neg, pos))
+
+
+def test_bracketed_newton_flat_root():
+    # x^3 - c: at c = 0 the root is triple and a Newton step only shrinks x
+    # by a third
+    c = np.array([2.0, 1e-30, 0.0])
+    neg, pos = np.full(3, -1.0), np.full(3, 2.0)
+    f = lambda x, i: (x ** 3 - c[i], 3.0 * x ** 2)
+    root, calls, count = _solve_counted(f, neg, pos)
+    for x, i in calls:
+        assert np.all((neg[i] < x) & (x < pos[i]))
+    exact = np.cbrt(c)
+    assert np.all(np.abs(root[:2] - exact[:2]) <= 2 * np.spacing(exact[:2]))
+    assert abs(root[2]) <= 1e-100
+    assert np.all(count <= 2 * _bisection_steps(f, neg, pos))
+    # f = 0 stops a point, also where f' = 0 leaves no Newton step
+    root, _, count = _solve_counted(lambda x, i: (x ** 3, 3.0 * x ** 2), [-1.0], [1.0])
+    assert root[0] == 0.0 and count[0] == 1
+    # a root of multiplicity 21, which Newton shrinks by 1/21 a step
+    f = lambda x, i: ((x - 1.0) ** 21, 21.0 * (x - 1.0) ** 20)
+    root, _, count = _solve_counted(f, neg, pos)
+    assert np.all(np.abs(root - 1.0) <= 1e-14)
+    assert np.all(count <= 2 * _bisection_steps(f, neg, pos))
+
+
+def test_bracketed_newton_nan_and_empty_brackets():
+    f = lambda x, i: (x - 0.25, np.ones(x.shape))
+    root, calls, _ = _solve_counted(f, [np.nan, 0.0, 0.0], [1.0, np.nan, 1.0])
+    assert np.isnan(root[:2]).all() and root[2] == 0.25
+    assert all(np.array_equal(i, [2]) for _, i in calls)
+    root, calls, _ = _solve_counted(f, np.zeros(0), np.zeros(0))
+    assert root.shape == (0,) and calls == []
+
+
+def test_real_axis_evaluations_over_limit_cases(solutions, monkeypatch):
+    # 2886 evaluations of x when every real root was bisected to the last
+    # bit, 732 with the bracketed Newton finder; testing its step only after
+    # the fall-back to the midpoint took 1364
+    calls, in_u = [], stieltjes._in_u
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return in_u(*args, **kwargs)
+    monkeypatch.setattr(stieltjes, "_in_u", spy)
+    stieltjes._critical_points.cache_clear()
+    for name, gamma in LIMIT_CASES:
+        stieltjes.solve_density(solutions.specs[name], gamma)
+        if gamma < 1:
+            stieltjes.companion_zero(solutions.specs[name], gamma)
+    assert len(calls) <= 1000
+
+
+def test_real_axis_solves_warn_nowhere(solutions, spec_d1):
+    # includes grids whose first point rounds to the lower edge in theta
+    stieltjes._critical_points.cache_clear()
+    a, b = oracles.point_mass_edges(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name, gamma in LIMIT_CASES:
+            stieltjes.solve_density(solutions.specs[name], gamma)
+            if gamma < 1:
+                stieltjes.companion_zero(solutions.specs[name], gamma)
+        for knots in (1, 3):
+            stieltjes.boundary_values(spec_d1, 2.0, a + (b - a)
+                                      * np.linspace(0.0, 1.0, knots + 2))
+        for gamma in (200.0, 1e3):
+            stieltjes.solve_density(U_HARD, gamma)
 
 
 @pytest.mark.parametrize("name", ["d1", "unif56"])
