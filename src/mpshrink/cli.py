@@ -92,12 +92,6 @@ def _count(lo: int):
     return kind
 
 
-def _spectrum(doc) -> spectrum_mod.PopulationSpectrum:
-    # a malformed entry raises TypeError/ValueError; MassNotOne stays numeric
-    return spectrum_mod.validate(atoms=_object(doc).get("atoms", ()),
-                                 segments=doc.get("segments", ()))
-
-
 def _get(cfg: dict, key: str, kind, default=...):
     """cfg[key] converted by kind, or default if key is absent; a missing key
     with no default, or a TypeError or ValueError of kind, is a UsageError."""
@@ -126,7 +120,7 @@ def _tag(gamma: float) -> str:
 def _limits(cfg: dict, gammas=...):
     """The spectrum of cfg and its (gamma, limiting solution) pairs, read at
     the call; each solve runs as its pair is drawn."""
-    spec = _get(cfg, "spectrum", _spectrum)
+    spec = _get(cfg, "spectrum", spectrum_mod.from_json)
     # a gamma outside stieltjes.check_gamma raises DomainError (exit 1)
     gammas = _get(cfg, "gammas", _list(
         lambda g: stieltjes_mod.check_gamma(float(g)), 1), gammas)
@@ -207,7 +201,7 @@ def cmd_shrink(cfg: dict, out_dir: str, args) -> list[str]:
 
 
 def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
-    spec = _get(cfg, "spectrum", _spectrum)
+    spec = _get(cfg, "spectrum", spectrum_mod.from_json)
     reps = args.reps if args.reps is not None else _get(cfg, "reps", int, 100)
     seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
     args.seed = seed  # the manifest records the seed in effect

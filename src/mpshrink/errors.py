@@ -16,16 +16,14 @@ class MassNotOne(MPShrinkError):
 
 
 class NoConvergence(MPShrinkError):
-    """Fixed-point solver failed to reach the requested tolerance.
+    """A solve missed its residual check or the sign checks of its root.
 
-    Carries diagnostics: last residual and iteration count.
+    Carries the residual of the failing point, where one was computed.
     """
 
-    def __init__(self, message: str, residual: float | None = None,
-                 iterations: int | None = None):
+    def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 class DomainError(MPShrinkError):

@@ -111,8 +111,11 @@ def uniform(lo: float, hi: float) -> PopulationSpectrum:
     return validate(segments=[(1.0, lo, hi)])
 
 
-def from_json(text: str) -> PopulationSpectrum:
-    doc = json.loads(text)
+def from_json(doc) -> PopulationSpectrum:
+    """The spectrum of a decoded {"atoms": [[w, tau], ...], "segments":
+    [[w, lo, hi], ...]} object; TypeError if doc is not an object."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected an object, got {doc!r}")
     return validate(atoms=doc.get("atoms", ()), segments=doc.get("segments", ()))
 
 

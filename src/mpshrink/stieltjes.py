@@ -14,15 +14,15 @@ Everything runs in u = -1/mu, where mu is the companion variable,
 
 with S(s) = integral of dH(t) / (t - s) in closed form (spectrum._stieltjes_h).
 
-For Im z > 0 (solve_mF) the damped fixed point mu <- 1/(x(-1/mu) + 1/mu - z)
-maps the upper half plane strictly into itself, so it cannot cross to a
-non-physical root; Newton on x(u) = z finishes it.  On the real axis the
-support edges are x at its real critical points.  Inside the support the
-roots with Im u > 0 form the curve Im x(u) = 0 over the falling branch of x,
-one monotone equation in Im u per Re u; Chebyshev samples of it, refined
-where a point misses, seed Newton on x(u) = lambda.  Off it u is the real
-root on a rising branch of x.  One bracketed Newton finder solves every real
-root; every value is verified on the equation in m, H integrated exactly.
+On the real axis the support edges are x at its real critical points.
+Inside the support the roots with Im u > 0 form the curve Im x(u) = 0 over
+the falling branch of x, one monotone equation in Im u per Re u; Chebyshev
+samples of it, refined where a point misses, seed Newton on x(u) = lambda.
+Off it u is the real root on a rising branch of x.  One bracketed Newton
+finder solves every real root.  For Im z > 0 (solve_mF) Newton on x(u) = z
+starts from the real-axis root at Re z, moved by the root of the quadratic
+Taylor model of x in Im z.  Every value is verified on the equation in m, H
+integrated exactly.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ from .errors import DomainError, EmptySupport, GammaOne, NoConvergence
 from .spectrum import PopulationSpectrum, _stieltjes_h, moment
 
 TOL = 1e-12
-MAX_ITER = 10_000
-DAMPING = 0.5
-_NEWTON_GATE = 1e-5
 NEWTON_STEPS = 50
 PATH_POINTS = 129
 MASS_TOL = 1e-7
@@ -80,43 +77,37 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
     """Solve the self-consistency equation at z (Im z > 0).
 
     Accepts a scalar or an array of z values; returns the matching shape.
-    The damped fixed point mu <- 1/(x(-1/mu) + 1/mu - z) runs from -1/z until
-    its step is below _NEWTON_GATE * max(1, |mu|); Newton on x(u) = z in
-    u = -1/mu then finishes.  The returned m has Im m > 0, Im mu > 0 and
-    solves the equation in m, H integrated exactly, within
-    10 * TOL * max(1, |m|).  Raises NoConvergence otherwise.
+    Newton on x(u) = z starts from u0 + d, where u0 is the physical root at
+    lambda = Re z on the real axis (_real_roots) and d is the root of
+    x'(u0) d + x''(u0) d^2 / 2 = i Im z with Im(u0 + d) > 0 and the smaller
+    |d|: i Im z / x'(u0) inside the support, the square-root step at an edge.
+    The returned m has Im m > 0, Im mu > 0 and solves the equation in m, H
+    integrated exactly, within 10 * TOL * max(1, |m|).  Raises NoConvergence
+    otherwise.  gamma = 1 is in the domain.
     """
     if gamma != 1:  # off the real axis gamma = 1 is in the domain
         check_gamma(gamma)
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
+    z_arr = np.asarray(z, dtype=complex).ravel()
     if np.any(z_arr.imag <= 0):
         raise DomainError("solve_mF requires Im(z) > 0")
-    mu = -1.0 / z_arr
-    iters = np.zeros(z_arr.shape, dtype=int)
-    active = np.arange(z_arr.size)
-    for _ in range(MAX_ITER):
-        if not len(active):
-            break
-        mua = mu[active]
-        u = -1.0 / mua
-        # x(u) + 1/mu = x(u) - u, the integral term of x alone
-        step = 1.0 / (-u * (1.0 + u * _stieltjes_h(spec, u, order=0)[0])
-                      / gamma - z_arr[active]) - mua
-        mu[active] = mua + DAMPING * step
-        iters[active] += 1
-        active = active[np.abs(step) >= _NEWTON_GATE * np.maximum(
-            1.0, np.abs(mua))]
-    u, _ = _newton(spec, gamma, z_arr, -1.0 / mu)
+    u0 = _real_roots(spec, gamma, z_arr.real)[0]
+    _, x1, x2 = _in_u(u0, spec, gamma)
+    root = np.sqrt(x1 * x1 + 2j * z_arr.imag * x2)
+    # the two roots as 2 i Im z / (x' +- root): finite where x'' is 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1, d2 = 2j * z_arr.imag / (x1 + root), 2j * z_arr.imag / (x1 - root)
+    up1, up2 = (u0 + d1).imag > 0, (u0 + d2).imag > 0
+    d = np.where(up1 & ~(up2 & (np.abs(d2) < np.abs(d1))), d1, d2)
+    u, _ = _newton(spec, gamma, z_arr, u0 + d)
     m = _u_to_m(z_arr, u, spec, gamma)
     resid = _exact_gap(z_arr, m, spec, gamma)
     ok = (resid <= 10 * TOL * np.maximum(1.0, np.abs(m))) & (m.imag > 0) \
         & (u.imag > 0)
     if not ok.all():
         i = int(np.argmin(ok))
-        raise NoConvergence(
-            f"no converged solution at z={z_arr[i]}",
-            residual=float(resid[i]), iterations=int(iters[i]))
-    return m if np.ndim(z) else complex(m[0])
+        raise NoConvergence(f"no converged solution at z={z_arr[i]}",
+                            residual=float(resid[i]))
+    return m.reshape(np.shape(z)) if np.ndim(z) else complex(m[0])
 
 
 def _in_u(u, spec: PopulationSpectrum, gamma: float, order: int = 2):
@@ -173,7 +164,8 @@ def _bracketed_newton(f, neg, pos) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _critical_points(spec: PopulationSpectrum, gamma: float):
     """Real critical points u* = -1/mu* of x, ascending, and the values x(u*),
-    for a gamma that passes check_gamma.
+    for a finite gamma > 0.  At gamma = 1, which solve_mF accepts, the lower
+    critical point is u* = 0 and the support starts at x(0) = 0.
 
     In u = -1/mu, dx/du = 1 - (1/gamma) int tau^2/(u - tau)^2 dH is strictly
     concave between consecutive pieces of supp H and falls to -inf at them;
@@ -183,7 +175,6 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
     (u*[2i], u*[2i+1]) bound the support intervals [x(u*[2i]), x(u*[2i+1])].
     The first and last are always kept, so every solution has a support.
     """
-    check_gamma(gamma)
     lo, hi = np.array(sorted([(t, t) for _, t in spec.atoms]
                              + [(a, b) for _, a, b in spec.segments])).T
     hi = np.maximum.accumulate(hi)
@@ -288,6 +279,22 @@ def _rising_root(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
         x, x1 = _in_u(u, spec, gamma, order=1)
         return x - lam[i], x1
     return _bracketed_newton(f, neg, pos)
+
+
+def _real_roots(spec: PopulationSpectrum, gamma: float, lam: np.ndarray):
+    """(u, converged): the physical root u = -1/mu of x(u) = lam for real
+    lam, by _interior on each support interval and _rising_root off it."""
+    crit, values = _critical_points(spec, gamma)
+    u = np.zeros(lam.shape, dtype=complex)
+    ok, off = np.ones(lam.shape, dtype=bool), np.ones(lam.shape, dtype=bool)
+    for a, b, u_a, u_b in zip(values[::2], values[1::2], crit[::2], crit[1::2]):
+        inside = (lam >= a) & (lam <= b)
+        if inside.any():
+            u[inside], ok[inside] = _interior(spec, gamma, lam[inside],
+                                              a, b, u_a, u_b)
+        off &= ~inside
+    u[off] = _rising_root(spec, gamma, lam[off], crit, values)
+    return u, ok
 
 
 def _horner(th, left, h, coef):
@@ -466,28 +473,20 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
     of the Newton solve or of the original equation in m, is marked invalid
     (density 0) instead of aborting.
     """
-    crit, values = _critical_points(spec, gamma)
+    check_gamma(gamma)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or not np.all(np.isfinite(grid)) \
             or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("grid must be a strictly ascending positive finite 1-D array")
-    u = np.zeros(grid.shape, dtype=complex)
-    ok, off = np.ones(grid.shape, dtype=bool), np.ones(grid.shape, dtype=bool)
-    for a, b, u_a, u_b in zip(values[::2], values[1::2], crit[::2], crit[1::2]):
-        inside = (grid >= a) & (grid <= b)
-        if inside.any():
-            u[inside], ok[inside] = _interior(spec, gamma, grid[inside],
-                                              a, b, u_a, u_b)
-        off &= ~inside
-    u[off] = _rising_root(spec, gamma, grid[off], crit, values)
-
+    u, ok = _real_roots(spec, gamma, grid)
     m_breve = _u_to_m(grid, u, spec, gamma)
     resid = _exact_gap(grid.astype(complex), m_breve, spec, gamma)
     valid = ok & (resid <= 10 * TOL * np.maximum(1.0, np.abs(m_breve)))
     return StieltjesSolution(
         gamma=float(gamma), grid=grid, m_breve=m_breve,
         density=np.where(valid, m_breve.imag / np.pi, 0.0),
-        support=[(float(a), float(b)) for a, b in zip(values[::2], values[1::2])],
+        support=[(float(a), float(b))
+                 for a, b in _critical_points(spec, gamma)[1].reshape(-1, 2)],
         m_under_zero=companion_zero(spec, gamma) if gamma < 1 else None,
         mass_at_zero=(1.0 - gamma) if gamma < 1 else 0.0, valid=valid)
 
@@ -508,7 +507,7 @@ def solve_density(spec: PopulationSpectrum, gamma: float,
     than its share of num_points.  Raises NoConvergence if any grid point is
     invalid; warns (RuntimeWarning) if a halving gap is still above MASS_TOL
     after the last doubling."""
-    lows, highs = _critical_points(spec, gamma)[1].reshape(-1, 2).T
+    lows, highs = _critical_points(spec, check_gamma(gamma))[1].reshape(-1, 2).T
     total = float(np.sum(highs - lows))
     fixed = [np.linspace(0.6 * lows[0], lows[0], 24)[:-1],
              np.linspace(highs[-1], 1.05 * highs[-1], 24)[1:]]

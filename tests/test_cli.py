@@ -153,8 +153,7 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     from mpshrink.errors import NoConvergence
 
     def boom(*args, **kwargs):
-        raise NoConvergence("forced failure at z=1+0.0001j", residual=1e-3,
-                            iterations=10000)
+        raise NoConvergence("forced failure at z=1+0.0001j", residual=1e-3)
 
     monkeypatch.setattr(cli.stieltjes_mod, "solve_density", boom)
     cfg = _write_config(tmp_path, "cfg.json", {"spectrum": D1, "gammas": [2]})

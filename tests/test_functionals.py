@@ -10,7 +10,7 @@ from mpshrink.errors import DegenerateDenominator, DomainError
 
 
 def test_flat_weight_reduces_to_m(spec_204040):
-    # same quadrature path: the converged fixed point reproduces itself
+    # same quadrature path: m solves the equation, so theta_g(flat) gives m back
     for z in (1.0 + 1e-3j, 6.0 + 0.1j):
         m = stieltjes.solve_mF(z, spec_204040, 2.0)
         val = fn.theta_g(z, fn.flat(), spec_204040, 2.0, m=m)

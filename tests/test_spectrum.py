@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,7 +210,9 @@ def test_cdf_and_quantile_roundtrip():
 
 def test_json_roundtrip():
     s = spectrum.validate(atoms=[(0.25, 1.5)], segments=[(0.75, 5.0, 6.0)])
-    assert spectrum.from_json(s.to_json()) == s
+    assert spectrum.from_json(json.loads(s.to_json())) == s
+    with pytest.raises(TypeError):
+        spectrum.from_json([[0.25, 1.5]])
 
 
 @st.composite

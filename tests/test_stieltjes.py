@@ -111,6 +111,43 @@ def test_solve_mF_large_gamma_small_z(spec_d1, gamma):
     assert abs(m - oracles.point_mass_m(0.001 + 1e-6j, 1e4)) <= 1e-14
 
 
+@pytest.mark.parametrize("eta", [1e-9, 1e-8])
+def test_solve_mF_near_top_edge_of_mixture(eta):
+    # 4.2e-4 below the top edge 7.99879 at gamma = 87.5: a damped fixed point
+    # from -1/z ended on a root with Im m <= 0 or Im mu <= 0 here and raised
+    # NoConvergence, although the physical root exists
+    z = np.array([7.998369460579098 + 1j * eta])
+    m = stieltjes.solve_mF(z, MIXTURE, 87.5)
+    assert m.imag[0] > 0
+    assert stieltjes._exact_gap(z, m, MIXTURE, 87.5)[0] <= 1e-12 * abs(m[0])
+    ref = stieltjes.boundary_values(MIXTURE, 87.5, z.real).m_breve[0]
+    assert abs(m[0] - ref) <= 1e-6 * abs(m[0])
+
+
+@pytest.mark.parametrize("case", [("d1", 0.5), ("d1", 100.0), ("U", 2.0),
+                                  ("U", 1e3), ("mixture", 87.5)])
+def test_solve_mF_at_support_edges(solutions, case):
+    # at an edge x'(u0) = 0 and Newton starts from the square-root step
+    # sqrt(2i Im z / x''(u0)); a first-order seed i Im z / x'(u0) fails there
+    name, gamma = case
+    spec = {"U": U_HARD, "mixture": MIXTURE}.get(name) or solutions.specs[name]
+    edges = stieltjes._critical_points(spec, gamma)[1]
+    re = (edges[:, None] * np.array([1 - 1e-9, 1.0, 1 + 1e-9])).ravel()
+    z = (re[:, None] + 1j * np.array([1e-12, 1e-9, 1e-6, 1e-3])).ravel()
+    m = stieltjes.solve_mF(z, spec, gamma)
+    assert np.all(m.imag > 0)
+    assert np.all(stieltjes._exact_gap(z, m, spec, gamma)
+                  <= 10 * stieltjes.TOL * np.maximum(1.0, np.abs(m)))
+
+
+def test_solve_mF_at_gamma_one(spec_d1):
+    # off the real axis gamma = 1 is in the domain; the support is [0, 4]
+    z = (np.linspace(-1.0, 6.0, 71)[:, None]
+         + 1j * np.array([1e-6, 1e-3, 1.0])).ravel()
+    m = stieltjes.solve_mF(z, spec_d1, 1.0)
+    assert np.all(np.abs(m - oracles.point_mass_m(z, 1.0)) <= 1e-9 * np.abs(m))
+
+
 def test_solve_rejects_lower_half_plane(spec_d1):
     with pytest.raises(DomainError):
         stieltjes.solve_mF(1.0 - 1e-3j, spec_d1, 2.0)
@@ -232,9 +269,9 @@ def test_companion_zero_point_mass(spec_d1):
 
 @pytest.mark.parametrize("gamma", [0.2, 0.5])
 def test_companion_zero_matches_eta_limit(spec_204040, spec_unif56, gamma):
-    # mu(i*eta) = m_under(i*eta) from the fixed-point solver tends to the
-    # companion value at zero; Re mu is off by O((eta/a)^2), with the lower
-    # edge a of the support far from zero for these gammas
+    # mu(i*eta) = m_under(i*eta) from solve_mF tends to the companion value
+    # at zero; Re mu is off by O((eta/a)^2), with the lower edge a of the
+    # support far from zero for these gammas
     eta = 1e-4
     for spec in (spec_204040, spec_unif56):
         m = stieltjes.solve_mF(1j * eta, spec, gamma)
@@ -288,6 +325,11 @@ def test_solution_needs_support():
 def test_boundary_values_rejects_gamma_one(spec_d1):
     with pytest.raises(GammaOne):
         stieltjes.boundary_values(spec_d1, 1.0, np.array([1.0, 2.0]))
+
+
+def test_solve_density_rejects_gamma_one(spec_d1):
+    with pytest.raises(GammaOne):
+        stieltjes.solve_density(spec_d1, 1.0)
 
 
 def test_boundary_values_rejects_bad_grid(spec_d1):
