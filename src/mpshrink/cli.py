@@ -150,7 +150,7 @@ def cmd_kernel(cfg: dict, out_dir: str, args) -> list[str]:
         tau_vals = _get(cum, "taus", _list(float, 1))
     outputs = []
     for gamma, sol in solutions:
-        l = stieltjes_mod.support_edges(sol)[-1][1] if l_cfg == "sup" else l_cfg
+        l = sol.support[-1][1] if l_cfg == "sup" else l_cfg
         t_grid = np.linspace(spec.h1, spec.h2, n_t)
         vals = overlap_mod.phi(l, t_grid, sol, spec)
         path = os.path.join(out_dir, f"kernel_gamma{_tag(gamma)}.csv")

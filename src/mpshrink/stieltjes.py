@@ -22,7 +22,7 @@ Off it u is the real root on a rising branch of x.  One bracketed Newton
 finder solves every real root.  For Im z > 0 (solve_mF) Newton on x(u) = z
 starts from the real-axis root at Re z, moved by the root of the quadratic
 Taylor model of x in Im z.  Every value is verified on the equation in m, H
-integrated exactly.
+integrated exactly, with k = z/u = -z*mu taken from the root (_residual).
 """
 
 from __future__ import annotations
@@ -60,17 +60,22 @@ def k_factor(z, m, gamma: float):
     return 1.0 - 1.0 / gamma - z * m / gamma
 
 
-def _u_to_m(z, u, spec: PopulationSpectrum, gamma: float):
-    """m from u = -1/mu at z, where x(u) = z.
+def _residual(x, z, u, gamma: float):
+    """gamma |x(u) - z| / (|z| |u|) = |(gamma - 1)/z - gamma/u - u S(u)/z|,
+    the residual of the equation in m with k = z/u = -z*mu taken from the root
+    u: the integral of dH(tau) / (tau*k - z) is u S(u) / z."""
+    return gamma * np.abs(x - z) / (np.abs(z) * np.abs(u))
 
-    For gamma < 1, F has an atom at zero and m = (gamma - 1)/z + gamma*mu
-    keeps its pole apart from the regular mu.  For gamma > 1 the companion
-    law has the atom instead, and the two terms cancel to |m| << gamma/|z|;
-    there m = u * S(u) / z."""
-    if gamma < 1:
-        return (gamma - 1.0) / z - gamma / u
+
+def _at_root(z, u, spec: PopulationSpectrum, gamma: float):
+    """(m, _residual) at a root u = -1/mu of x(u) = z, from one S(u).  For
+    gamma < 1, F has an atom at zero and m = (gamma - 1)/z - gamma/u keeps its
+    pole apart from the regular mu.  For gamma > 1 the two terms cancel to
+    |m| << gamma/|z|, and m = u * S(u) / z."""
+    S = _stieltjes_h(spec, u, order=0)
     # + 0.0 turns the -0.0 imaginary parts of real m to +0.0
-    return u * _stieltjes_h(spec, u, order=0)[0] / z + 0.0
+    m = (gamma - 1.0) / z - gamma / u if gamma < 1 else u * S[0] / z + 0.0
+    return m, _residual(_in_u(u, spec, gamma, order=0, S=S)[0], z, u, gamma)
 
 
 def solve_mF(z, spec: PopulationSpectrum, gamma: float):
@@ -99,8 +104,7 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
     up1, up2 = (u0 + d1).imag > 0, (u0 + d2).imag > 0
     d = np.where(up1 & ~(up2 & (np.abs(d2) < np.abs(d1))), d1, d2)
     u, _ = _newton(spec, gamma, z_arr, u0 + d)
-    m = _u_to_m(z_arr, u, spec, gamma)
-    resid = _exact_gap(z_arr, m, spec, gamma)
+    m, resid = _at_root(z_arr, u, spec, gamma)
     ok = (resid <= 10 * TOL * np.maximum(1.0, np.abs(m))) & (m.imag > 0) \
         & (u.imag > 0)
     if not ok.all():
@@ -110,11 +114,11 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
     return m.reshape(np.shape(z)) if np.ndim(z) else complex(m[0])
 
 
-def _in_u(u, spec: PopulationSpectrum, gamma: float, order: int = 2):
+def _in_u(u, spec: PopulationSpectrum, gamma: float, order: int = 2, S=None):
     """[x(u), x'(u), ...] up to the order-th derivative (order <= 3) for an
-    array of u = -1/mu off supp H, real for real u.  Unlike mu, u stays finite
-    at the lower edge as gamma -> 1."""
-    S = _stieltjes_h(spec, u, order=order)
+    array of u = -1/mu off supp H, real for real u, from S = [S(u), S'(u),
+    ...] if given.  Unlike mu, u stays finite at the lower edge as gamma -> 1."""
+    S = _stieltjes_h(spec, u, order=order) if S is None else S
     out = [u * (1.0 - 1.0 / gamma) - u * u * S[0] / gamma]
     if order > 0:
         out.append((1.0 - 1.0 / gamma) - (2.0 * u * S[0] + u * u * S[1]) / gamma)
@@ -123,17 +127,6 @@ def _in_u(u, spec: PopulationSpectrum, gamma: float, order: int = 2):
     if order > 2:
         out.append(-(6.0 * S[1] + 6.0 * u * S[2] + u * u * S[3]) / gamma)
     return out
-
-
-def _exact_gap(z, m, spec: PopulationSpectrum, gamma: float):
-    """|m - integral of dH(tau) / (tau*k - z)|, k = 1 - 1/gamma - z*m/gamma,
-    the residual of the equation in m with H integrated exactly: the
-    integral is S(z/k) / k.  For gamma < 1 near z = 0 it is ill-conditioned,
-    as k = -z*mu cancels there: for unif56 at gamma = 0.2 and z = 1e-4 i a
-    1-ulp change of m moves it by 1.3e-7, above the 8e-8 (10 TOL |m|) that
-    solve_mF accepts."""
-    k = k_factor(z, m, gamma)
-    return np.abs(_stieltjes_h(spec, z / k, order=0)[0] / k - m)
 
 
 def _bracketed_newton(f, neg, pos) -> np.ndarray:
@@ -198,18 +191,17 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
 def _newton(spec: PopulationSpectrum, gamma: float, z, u):
     """Newton on x(u) = z from seeds u; returns (u, converged).
 
-    A point has converged when gamma*mu*(x - z)/z, the residual of the
-    equation in m, is within TOL * max(1, |m|).  Each evaluation is followed
-    by its step, so a converged point takes one more quadratic step, which
-    brings it to rounding level at no extra cost."""
+    A point has converged when _residual, that of the equation in m, is
+    within TOL * max(1, |m|).  Each evaluation is followed by its step, so a
+    converged point takes one more quadratic step, which brings it to
+    rounding level at no extra cost."""
     u = np.array(u, dtype=complex)
     for _ in range(NEWTON_STEPS + 1):
         x, x1 = _in_u(u, spec, gamma, order=1)
         # |m| only scales the tolerance, so the cancellation of this form at
-        # gamma >> 1 (see _u_to_m) does not matter, and it is cheaper
+        # gamma >> 1 (see _at_root) does not matter, and it is cheaper
         m = (gamma - 1.0) / z - gamma / u
-        done = gamma * np.abs(x - z) <= TOL * np.abs(z) * np.abs(u) \
-            * np.maximum(1.0, np.abs(m))
+        done = _residual(x, z, u, gamma) <= TOL * np.maximum(1.0, np.abs(m))
         u = u - (x - z) / x1
         if done.all():
             break
@@ -399,8 +391,8 @@ class StieltjesSolution:
         return left, right
 
     def m_at(self, lam):
-        """m_breve interpolated from the grid (clamped to the grid range),
-        never across a support edge; Im m_at >= 0 by construction."""
+        """m_breve at valid grid points, else interpolated (clamped to the grid
+        range), never across a support edge; Im m_at >= 0 by construction."""
         pieces, (xs, ys) = self._pieces
         x = np.minimum(self.grid[-1], np.maximum(
             self.grid[0], np.atleast_1d(np.asarray(lam, dtype=float))))
@@ -411,6 +403,9 @@ class StieltjesSolution:
             v = _horner(th, *poly)
             v.imag = np.sin(th) * np.exp(v.imag)
             out[sel] = v
+        j = np.searchsorted(self.grid, x)
+        node = (self.grid[j] == x) & self.valid[j] & (self.m_breve.imag[j] >= 0)
+        out[node] = self.m_breve[j[node]]
         return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
 
     def f_integral(self, lam, values=1.0, at_zero: float = 1.0):
@@ -479,8 +474,7 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
             or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("grid must be a strictly ascending positive finite 1-D array")
     u, ok = _real_roots(spec, gamma, grid)
-    m_breve = _u_to_m(grid, u, spec, gamma)
-    resid = _exact_gap(grid.astype(complex), m_breve, spec, gamma)
+    m_breve, resid = _at_root(grid, u, spec, gamma)
     valid = ok & (resid <= 10 * TOL * np.maximum(1.0, np.abs(m_breve)))
     return StieltjesSolution(
         gamma=float(gamma), grid=grid, m_breve=m_breve,

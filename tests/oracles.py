@@ -5,13 +5,25 @@ H = delta_c, derived from the quadratic self-consistency equation
 
     (c*z/gamma) m^2 - (c*(1 - 1/gamma) - z) m + 1 = 0,
 
-solved directly with the quadratic formula.  None of it calls into the
-package's solvers.
+solved directly with the quadratic formula, plus exact_gap, the residual of
+the self-consistency equation for any H with k formed from m.  None of it
+calls into the package's solvers.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from mpshrink.spectrum import _stieltjes_h
+
+
+def exact_gap(z, m, spec, gamma: float):
+    """|m - integral of dH(tau) / (tau*k - z)|, k = 1 - 1/gamma - z*m/gamma,
+    with H integrated exactly: the integral is S(z/k) / k.  k is formed from
+    m alone, not from the solver's root; for gamma < 1 near z = 0 it cancels
+    to -z*mu, and this residual grows like ulp / |z| there."""
+    k = 1.0 - 1.0 / gamma - z * m / gamma
+    return np.abs(_stieltjes_h(spec, z / k, order=0)[0] / k - m)
 
 
 def point_mass_m(z, gamma: float, c: float = 1.0):

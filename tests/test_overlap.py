@@ -9,22 +9,8 @@ from conftest import interior_points
 
 MIXTURE = spectrum.validate(atoms=[(0.27, 7.12)], segments=[(0.73, 2.14, 5.15)])
 
-# phi_h_integral at the support edges, in order, as 64 Gauss-Legendre nodes
-# per segment gave it on the SOLUTION_POINTS solutions; these spectra are
-# smooth enough for the nodes to be accurate at the edges
-EDGE_INTEGRALS = {
-    ("d1", 0.5): [1.0000000000035216, 1.0000000000000011],
-    ("d1", 2.0): [1.0000000000049909, 1.0000000000000082],
-    ("d1", 10.0): [0.99999999999995104, 0.99999999999999611],
-    ("204040", 0.5): [1.0000000000281879, 1.0000000000000002],
-    ("204040", 2.0): [1.0000000003134466, 1.0000000000000018],
-    ("204040", 10.0): [1.0000000001096505, 0.99999999999732925,
-                       1.0000000000067448, 0.99999999999989775,
-                       1.0000000000000289, 1.0000000000000167],
-    ("unif56", 0.5): [1.00000000000358, 0.99999999999999811],
-    ("unif56", 2.0): [1.0000000000051479, 0.99999999999998823],
-    ("unif56", 10.0): [0.99999999999997635, 0.99999999999995426],
-}
+EDGE_CASES = [(name, gamma) for name in ("d1", "204040", "unif56")
+              for gamma in (0.5, 2.0, 10.0)]
 
 
 def test_point_mass_kernel_is_one(solutions):
@@ -113,14 +99,26 @@ def test_cumulative_is_F_for_segment_near_zero():
     assert np.max(np.abs(np.array(phis) - sol.cdf(lams))) <= 1e-12
 
 
-@pytest.mark.parametrize("name,gamma", list(EDGE_INTEGRALS))
+@pytest.mark.parametrize("name,gamma", EDGE_CASES)
 def test_kernel_integral_at_support_edges(solutions, name, gamma):
-    # at a support edge Im m_at vanishes, exactly so at the lower edge, and
-    # the integral takes its limit as Im s -> 0
+    # the support edges are grid nodes, where m_at is the node's m_breve;
+    # Im m_breve vanishes there, exactly so at the lower edge, and the
+    # integral takes its limit as Im s -> 0
     sol = solutions(name, gamma)
     got = [overlap.phi_h_integral(e, sol, solutions.specs[name])
            for e in np.ravel(sol.support)]
-    assert np.max(np.abs(np.array(got) - EDGE_INTEGRALS[name, gamma])) <= 1e-12
+    assert np.max(np.abs(np.array(got) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [2.0, 10.0])
+def test_kernel_integral_at_edges_of_segment_near_zero(gamma):
+    # U[0.01, 10]: continuing the nearest knots' polynomials to the lower
+    # edge read m_breve 1.4% (gamma = 2) and 7.9% (gamma = 10) off, and
+    # phi_h_integral there 0.84 and -3.8
+    spec = spectrum.uniform(0.01, 10.0)
+    sol = stieltjes.solve_density(spec, gamma)
+    got = [overlap.phi_h_integral(e, sol, spec) for e in np.ravel(sol.support)]
+    assert np.max(np.abs(np.array(got) - 1.0)) <= 1e-10
 
 
 def test_phi_nonnegative_on_grid(solutions):
