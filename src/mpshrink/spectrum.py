@@ -193,15 +193,14 @@ def moment(spec: PopulationSpectrum, k: int) -> float:
         sw * hi ** k * np.expm1((k + 1) * r) / ((k + 1) * np.expm1(r))))
 
 
-def cdf(spec: PopulationSpectrum, x: float) -> float:
-    """H(x) with the right-continuous convention (atoms at x included)."""
-    val = 0.0
-    for w, t in spec.atoms:
-        if t <= x:
-            val += w
-    for w, a, b in spec.segments:
-        val += w * min(max((x - a) / (b - a), 0.0), 1.0)
-    return val
+def cdf(spec: PopulationSpectrum, x):
+    """H(x) with the right-continuous convention (atoms at x included); x may
+    be an array."""
+    w, t, sw, lo, hi = (col[:, 0] for col in _components(spec))
+    x = np.asarray(x, dtype=float)[..., None]
+    h = np.sum(w * (t <= x), axis=-1) \
+        + np.sum(sw * np.clip((x - lo) / (hi - lo), 0.0, 1.0), axis=-1)
+    return h if h.ndim else float(h)
 
 
 def quantile(spec: PopulationSpectrum, q):
@@ -211,12 +210,11 @@ def quantile(spec: PopulationSpectrum, q):
     q = np.asarray(q, dtype=float)
     if np.any((q <= 0.0) | (q >= 1.0)):
         raise ValueError(f"quantile needs q in (0,1), got {q}")
-    w, t, sw, lo, hi = (col.T for col in _components(spec))
-    pts = np.unique(np.concatenate([t, lo, hi], axis=1))[:, None]
-    seg = np.sum(sw * np.clip((pts - lo) / (hi - lo), 0.0, 1.0), axis=1)
-    xs = np.repeat(pts, 2)
-    hs = np.column_stack([np.sum(w * (t < pts), axis=1) + seg,
-                          np.sum(w * (t <= pts), axis=1) + seg]).ravel()
+    w, t, _, lo, hi = (col[:, 0] for col in _components(spec))
+    pts = np.unique(np.concatenate([t, lo, hi]))
+    xs, right = np.repeat(pts, 2), cdf(spec, pts)
+    hs = np.column_stack([right - np.sum(w * (t == pts[:, None]), axis=1),
+                          right]).ravel()
     # the first vertex with H >= q, or the last one where the weights sum
     # to just under 1
     k = np.minimum(np.searchsorted(hs, q), len(hs) - 1)

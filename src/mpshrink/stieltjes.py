@@ -226,27 +226,36 @@ def _curve(spec: PopulationSpectrum, gamma: float, v: np.ndarray):
     return v + 1j * _bracketed_newton(f, 0.0 * v, np.sqrt(moment(spec, 2) / gamma))
 
 
+@lru_cache(maxsize=128)
+def _curve_samples(spec: PopulationSpectrum, gamma: float, a: float, b: float,
+                   u_a: float, u_b: float):
+    """The curve (_curve) of the critical pair (u_a, u_b) of the support
+    interval [a, b] at PATH_POINTS Chebyshev points of (u_a, u_b), its ends
+    included, ascending, and the Chebyshev angles of x along it; read-only."""
+    v = u_a + 0.5 * (u_b - u_a) * (1.0 - np.cos(np.linspace(0.0, np.pi,
+                                                            PATH_POINTS)))[1:-1]
+    path = np.sort(np.concatenate([[u_a, u_b], _curve(spec, gamma, v)]))
+    path_t = _angle(_in_u(path, spec, gamma, order=0)[0].real, a, b)
+    path.flags.writeable = path_t.flags.writeable = False
+    return path, path_t
+
+
 def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
               a: float, b: float, u_a: float, u_b: float):
     """(u, converged) at points of the support interval [a, b] with edges
     x(u_a), x(u_b); where the angle theta below is 0 or pi, u is u_a or u_b.
 
-    Newton starts from the curve of physical roots (_curve), along which
-    lambda rises from a to b, sampled at PATH_POINTS Chebyshev points of
-    (u_a, u_b) and interpolated in the Chebyshev angle theta of lambda, in
-    which u is smooth up to both edges.  Its root counts only within
-    Im(seed)/2 of the seed, a disk in the upper half plane, where the
+    Newton starts from the curve of physical roots (_curve_samples), along
+    which lambda rises from a to b, interpolated in the Chebyshev angle theta
+    of lambda, in which u is smooth up to both edges.  Its root counts only
+    within Im(seed)/2 of the seed, a disk in the upper half plane, where the
     physical root is the only one.  Points that miss are solved again once
-    the v-midpoints of the sample pairs around their theta join the samples,
-    until all pass or no such pair splits in floating point."""
-    path = np.array([u_a, u_b], dtype=complex)
-    v = u_a + 0.5 * (u_b - u_a) * (1.0 - np.cos(np.linspace(0.0, np.pi,
-                                                            PATH_POINTS)))[1:-1]
+    the v-midpoints of the sample pairs around their theta join a copy of
+    the samples, until all pass or no such pair splits in floating point."""
+    path, path_t = _curve_samples(spec, gamma, a, b, u_a, u_b)
     t = _angle(lam, a, b)
     u, ok = np.where(t == 0, u_a, u_b).astype(complex), (t == 0) | (t == np.pi)
-    while len(v):
-        path = np.sort(np.concatenate([path, _curve(spec, gamma, v)]))
-        path_t = _angle(_in_u(path, spec, gamma, order=0)[0].real, a, b)
+    while True:
         todo = np.flatnonzero(~ok)
         seed = np.interp(t[todo], path_t, path)
         u[todo], done = _newton(spec, gamma, lam[todo], seed)
@@ -254,7 +263,10 @@ def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
         k = np.unique(np.clip(np.searchsorted(path_t, t[~ok]), 1, len(path) - 1))
         v = 0.5 * (path.real[k - 1] + path.real[k])
         v = v[(path.real[k - 1] < v) & (v < path.real[k])]
-    return u, ok
+        if not len(v):
+            return u, ok
+        path = np.sort(np.concatenate([path, _curve(spec, gamma, v)]))
+        path_t = _angle(_in_u(path, spec, gamma, order=0)[0].real, a, b)
 
 
 def _rising_root(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
@@ -289,34 +301,28 @@ def _real_roots(spec: PopulationSpectrum, gamma: float, lam: np.ndarray):
     return u, ok
 
 
-def _horner(th, left, h, coef):
-    """Local polynomials of StieltjesSolution._pieces at angles th, by
-    Horner's rule; coef[i] holds the t**i coefficient of each knot interval,
-    and th outside the knots takes the polynomial of the nearest interval."""
-    j = np.searchsorted(left[1:], th, side="right")
-    t = (th - left[j]) / h[j]
-    v = coef[-1, j]
-    for c in coef[-2::-1]:
-        v *= t
-        v += c[j]
-    return v
-
-
-def _monomial(t, v):
-    """Coefficients (row i: t**i) of the polynomials through the points
-    (t[j], v[j]) of each row j, by Newton's divided differences, vectorized
-    over the rows and expanded to the monomial basis of _horner."""
-    dd = np.array(v, dtype=complex)
-    k = dd.shape[1]
+def _stencils(th, v):
+    """Newton form of the polynomial through the STENCIL nearest knots (all
+    if fewer) of each interval between ascending knots th with values v:
+    (cuts, nodes, dd): the inner knots and, one column per interval, all but
+    the last knot of its stencil and its divided differences by order."""
+    n, k = len(th), min(STENCIL, len(th))
+    first = np.clip(np.arange(max(n - 1, 1)) - (k - 1) // 2, 0, n - k)
+    near = first + np.arange(k)[:, None]
+    nodes, dd = th[near], v[near]
     for i in range(1, k):
-        dd[:, i:] = (dd[:, i:] - dd[:, i - 1:-1]) / (t[:, i:] - t[:, :-i])
-    coef = np.zeros((k, len(dd)), dtype=complex)
-    coef[0] = dd[:, -1]
-    for i in range(k - 2, -1, -1):
-        # multiply by (t - t_i) and add the i-th divided difference
-        coef[1:] = coef[:-1] - t[:, i] * coef[1:]
-        coef[0] = dd[:, i] - t[:, i] * coef[0]
-    return coef
+        dd[i:] = (dd[i:] - dd[i - 1:-1]) / (nodes[i:] - nodes[:-i])
+    return th[1:-1], nodes[:-1], dd
+
+
+def _newton_form(th, cuts, nodes, dd):
+    """The polynomials of _stencils at th; th outside the knots takes the
+    polynomial of the nearest interval."""
+    j = cuts.searchsorted(th, side="right")
+    v = dd[-1, j]
+    for node, c in zip(nodes[::-1], dd[-2::-1]):
+        v = v * (th - node[j]) + c[j]
+    return v
 
 
 @dataclass
@@ -346,34 +352,25 @@ class StieltjesSolution:
 
     @cached_property
     def _pieces(self):
-        """Interpolation data of m_at from the valid grid points.  Per support
-        interval, its knots 0 < theta < pi in the Chebyshev angle (m_breve is
-        smooth in theta up to both edges) carry v = Re m_breve + i log(Im
-        m_breve / sin theta); each knot interval gets the polynomial of v
-        through the STENCIL nearest knots (all of them if fewer), in t =
-        (theta - left knot) / knot spacing.  Off the support, the real values
-        plus the polynomials' edge values."""
-        pieces, knots, off = [], [], self.valid.copy()
-        for a, b in self.support:
-            inside = (self.grid >= a) & (self.grid <= b)
-            off &= ~inside
-            inside &= self.valid
-            th, m = _angle(self.grid[inside], a, b), self.m_breve[inside]
-            pos = (th > 0) & (th < np.pi) & (m.imag > 0)
-            if pos.any():
-                th, m = th[pos], m[pos]
-                n, k = len(th), min(STENCIL, len(th))
-                left, h = (th[:-1], np.diff(th)) if n > 1 else (th, np.ones(1))
-                first = np.clip(np.arange(len(left)) - (k - 1) // 2, 0, n - k)
-                near = first[:, None] + np.arange(k)
-                t = (th[near] - left[:, None]) / h[:, None]
-                v = m.real + 1j * np.log(m.imag / np.sin(th))
-                coef = _monomial(t, v[near])
-                pieces.append((a, b, left, h, coef))
-                edge = _horner(np.array([0.0, np.pi]), left, h, coef).real
-                knots += [(a, edge[0]), (b, edge[1])]
-        knots = sorted(knots + list(zip(self.grid[off], self.m_breve[off].real)))
-        return pieces, np.array(knots).reshape(-1, 2).T
+        """The support edges clipped to the grid range, which split it into
+        pieces (tails, support intervals, gaps), and per piece the ends of
+        its Chebyshev angle theta and the _stencils of its valid grid points
+        (None if none): of v = Re m_breve + i log(Im m_breve / sin theta) at
+        0 < theta < pi in the support, of the real m_breve off it, both
+        smooth in theta up to both ends of the piece."""
+        ends = np.clip(np.ravel(self.support), self.grid[0], self.grid[-1])
+        bounds = np.concatenate([[self.grid[0]], ends, [self.grid[-1]]])
+        pieces = []
+        for q, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            a, b = self.support[q // 2] if q % 2 else (lo, hi)
+            # a tail or gap that the grid range cuts to a point has no knots
+            sel = self.valid & (self.grid >= lo) & (self.grid <= hi) & (b > a)
+            th, m = _angle(self.grid[sel], a, b), self.m_breve[sel]
+            keep = (q % 2 == 0) | ((th > 0) & (th < np.pi) & (m.imag > 0))
+            th, m = th[keep], m[keep]
+            v = m.real + 1j * np.log(m.imag / np.sin(th)) if q % 2 else m.real
+            pieces.append((a, b, _stencils(th, v)) if len(th) else None)
+        return ends, pieces
 
     @cached_property
     def _angle_weights(self):
@@ -391,21 +388,27 @@ class StieltjesSolution:
         return left, right
 
     def m_at(self, lam):
-        """m_breve at valid grid points, else interpolated (clamped to the grid
-        range), never across a support edge; Im m_at >= 0 by construction."""
-        pieces, (xs, ys) = self._pieces
+        """m_breve at valid grid points, else the polynomial of the piece of
+        the grid range holding lambda, clamped to the range (_pieces): Im >= 0
+        in the support, 0 off it.  DomainError in a piece without knots."""
+        ends, pieces = self._pieces
         x = np.minimum(self.grid[-1], np.maximum(
-            self.grid[0], np.atleast_1d(np.asarray(lam, dtype=float))))
-        out = np.interp(x, xs, ys).astype(complex)
-        for a, b, *poly in pieces:
-            sel = (x >= a) & (x <= b)
-            th = _angle(x[sel], a, b)
-            v = _horner(th, *poly)
-            v.imag = np.sin(th) * np.exp(v.imag)
-            out[sel] = v
-        j = np.searchsorted(self.grid, x)
-        node = (self.grid[j] == x) & self.valid[j] & (self.m_breve.imag[j] >= 0)
-        out[node] = self.m_breve[j[node]]
+            self.grid[0], np.asarray(lam, dtype=float).ravel()))
+        k = np.searchsorted(self.grid, x)
+        node = (self.grid[k] == x) & self.valid[k] & (self.m_breve.imag[k] >= 0)
+        out = self.m_breve[k]
+        # the piece of each point; valid nodes go to one past the last piece
+        k = np.where(node, len(pieces), np.searchsorted(ends, x))
+        for q in np.flatnonzero(np.bincount(k)[:len(pieces)]):
+            i = k == q
+            if pieces[q] is None:
+                raise DomainError(f"no valid grid point near lambda={x[i][0]}")
+            a, b, stencil = pieces[q]
+            th = _angle(x[i], a, b)
+            v = _newton_form(th, *stencil)
+            if q % 2:
+                v.imag = np.sin(th) * np.exp(v.imag)
+            out[i] = v
         return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
 
     def f_integral(self, lam, values=1.0, at_zero: float = 1.0):
@@ -436,11 +439,9 @@ class StieltjesSolution:
     def clip_to_support(self, lam):
         """Nearest in-support value; flags entries that had to move."""
         lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        inside = np.zeros(lam_arr.shape, dtype=bool)
-        for lo, hi in self.support:
-            inside |= (lam_arr >= lo) & (lam_arr <= hi)
         edges = np.ravel(self.support)
         nearest = edges[np.argmin(np.abs(edges[:, None] - lam_arr), axis=0)]
+        inside = (np.searchsorted(edges, lam_arr) % 2 == 1) | (nearest == lam_arr)
         out = np.where(inside, lam_arr, nearest)
         return (out, ~inside) if np.ndim(lam) else (float(out[0]),
                                                     bool(~inside[0]))

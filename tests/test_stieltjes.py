@@ -220,14 +220,83 @@ def test_m_at_matches_boundary_values(solutions, name, gamma):
     assert np.array_equal(sol.m_at(edges), sol.m_breve[i])
 
 
-def test_monomial_recovers_polynomials():
-    # divided differences on 6 unevenly spaced points per row give back the
-    # coefficients of a degree-5 polynomial, row by row
+def test_stencils_reproduce_polynomials():
+    # each knot interval's Newton form through its 6 nearest of 10 unevenly
+    # spaced knots gives back a degree-5 polynomial between the knots
     rng = np.random.default_rng(5)
-    coef = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-    t = np.sort(rng.uniform(-2.0, 3.0, (4, 6)), axis=1)
-    v = sum(coef[i][:, None] * t ** i for i in range(6))
-    assert np.max(np.abs(stieltjes._monomial(t, v) - coef)) <= 1e-10
+    coef = rng.normal(size=6) + 1j * rng.normal(size=6)
+    th = np.sort(rng.uniform(-2.0, 3.0, 10))
+    def poly(t):
+        return sum(c * t ** i for i, c in enumerate(coef))
+    stencils = stieltjes._stencils(th, poly(th))
+    t = np.linspace(th[0], th[-1], 1001)
+    assert np.max(np.abs(stieltjes._newton_form(t, *stencils) - poly(t))) <= 1e-10
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 10.0, 100.0])
+@pytest.mark.parametrize("name", ["d1", "204040", "unif56"])
+def test_m_at_off_support_matches_boundary_values(solutions, name, gamma):
+    # off the support m_breve is real and smooth in the Chebyshev angle of
+    # its tail or gap up to both ends; interpolating it linearly between the
+    # sparse nodes there missed by 8.5e-3 to 0.60
+    sol = solutions(name, gamma)
+    lam = np.linspace(sol.grid[0], sol.grid[-1], 20001)
+    inside = np.zeros(lam.shape, dtype=bool)
+    for a, b in sol.support:
+        inside |= (lam >= a) & (lam <= b)
+    exact = stieltjes.boundary_values(solutions.specs[name], gamma, lam[~inside])
+    assert exact.valid.all()
+    m = sol.m_at(lam[~inside])
+    assert np.all(m.imag == 0.0)
+    assert np.all(np.abs(m - exact.m_breve)
+                  <= 5e-3 * np.maximum(1.0, np.abs(exact.m_breve)))
+
+
+@pytest.mark.parametrize("grid, tol", [
+    ([0.5, 1.0, 2.0], 0.1), (np.linspace(0.5, 2.0, 31), 1e-6),
+    (np.linspace(0.5, 4.0, 40), 5e-4), (np.linspace(0.02, 2.0, 100), 5e-2)])
+def test_m_at_on_grids_that_start_or_end_inside_the_support(spec_d1, grid, tol):
+    # the grid range cuts the support of d1 at gamma = 2, [0.086, 2.914]; a
+    # tail cut to one point holds no knot, and lambda outside the grid range
+    # is clamped to its end nodes
+    sol = stieltjes.boundary_values(spec_d1, 2.0, grid)
+    lam = np.linspace(sol.grid[0], sol.grid[-1], 2001)
+    exact = stieltjes.boundary_values(spec_d1, 2.0, lam).m_breve
+    err = np.abs(sol.m_at(lam) - exact) / np.maximum(1.0, np.abs(exact))
+    assert err.max() <= tol
+    assert np.array_equal(sol.m_at(lam.reshape(3, -1)),
+                          sol.m_at(lam).reshape(3, -1))
+    assert sol.m_at(0.01) == sol.m_breve[0] and sol.m_at(9.0) == sol.m_breve[-1]
+
+
+def test_m_at_raises_in_a_piece_without_knots(spec_d1):
+    # no grid point in the support: there is nothing to interpolate from
+    sol = stieltjes.boundary_values(spec_d1, 2.0, np.array([0.05, 5.0]))
+    assert sol.m_at(5.0) == sol.m_breve[-1]
+    with pytest.raises(DomainError):
+        sol.m_at(np.array([0.07, 1.0]))
+
+
+def test_curve_samples_are_computed_once_per_interval(monkeypatch):
+    # a second solve on the same (spectrum, gamma) samples the curve only at
+    # the refinement midpoints of its own misses; one ulp below the top edge
+    # of the mixture at gamma = 0.2 the solve refines 37 times
+    (a, b), = stieltjes.boundary_values(MIXTURE, 0.2, [1.0]).support
+    grid = np.array([0.5 * (a + b), np.nextafter(b, 0.0)])
+    calls = []
+    curve = stieltjes._curve
+    def spy(spec, gamma, v):
+        calls[-1].append(v.copy())
+        return curve(spec, gamma, v)
+    monkeypatch.setattr(stieltjes, "_curve", spy)
+    stieltjes._curve_samples.cache_clear()
+    for _ in range(2):
+        calls.append([])
+        assert stieltjes.boundary_values(MIXTURE, 0.2, grid).valid.all()
+    first, second = calls
+    assert len(first[0]) == stieltjes.PATH_POINTS - 2 and len(first) > 1
+    assert len(second) == len(first) - 1
+    assert all(np.array_equal(v, w) for v, w in zip(second, first[1:]))
 
 
 @pytest.mark.parametrize("knots", [1, 3])
