@@ -1,13 +1,13 @@
 """Generalized resolvent functionals: weighted traces of (S - zI)^{-1}.
 
 For a bounded weight g on [h1, h2] with finitely many discontinuities, the
-limiting functional is
+limiting functional is, with k = 1 - 1/gamma - z*m(z)/gamma and s = z/k,
 
-    Theta_g(z) = integral of g(tau) / (tau*[1 - 1/gamma - z*m(z)/gamma] - z) dH(tau),
+    Theta_g(z) = integral of g(tau) / (tau*k - z) dH(tau),
 
-which reduces to m(z) for g == 1.  The power weights g = tau^k admit a
-recursion and the cases k = 1 and k = -1 have closed forms; both are exposed
-and must agree with the direct quadrature.
+which reduces to m(z) for g == 1.  For tau^j, 1/tau and 1[tau < c] it is
+algebra on m, the moments of H and S(s) = k*m, exact to rounding; theta_k is
+a moment recursion for tau^j.  Other weights are summed on Gauss-Legendre nodes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import spectrum as spectrum_mod
 from .errors import DegenerateDenominator, DomainError
-from .spectrum import PopulationSpectrum, quadrature_nodes
+from .spectrum import PopulationSpectrum, _stieltjes_h, quadrature_nodes
 from .stieltjes import k_factor, solve_mF
 
 MAX_POWER = 12
@@ -36,6 +36,8 @@ class WeightFunction:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     discontinuities: tuple[float, ...] = ()
+    # Theta_g as closed(z, spec, gamma, m=m), None for the quadrature
+    closed: Callable[..., complex] | None = None
 
 
 def flat() -> WeightFunction:
@@ -43,16 +45,31 @@ def flat() -> WeightFunction:
 
 
 def power(k: int) -> WeightFunction:
-    return WeightFunction(lambda t: t ** float(k))
+    """g = tau^k; for 1 <= k <= MAX_POWER Theta_g is, in Horner form, (S(s)
+    s^k + the sum over i < k of moment_i s^(k-1-i)) / kappa, kappa = k_factor."""
+    def closed(z, spec, gamma, m):
+        kappa = _denominator(z, m, gamma) / gamma
+        val, s = kappa * m, z / kappa
+        for i in range(k):
+            val = val * s + spectrum_mod.moment(spec, i)
+        return complex(val / kappa)
+    return WeightFunction(lambda t: t ** float(k),
+                          closed=closed if 1 <= k <= MAX_POWER else None)
 
 
 def reciprocal() -> WeightFunction:
-    return WeightFunction(lambda t: 1.0 / t)
+    return WeightFunction(lambda t: 1.0 / t, closed=theta_inv)
 
 
 def indicator_below(tau: float) -> WeightFunction:
-    """g = 1 on (-inf, tau), 0 elsewhere (open at tau)."""
-    return WeightFunction(lambda t: (t < tau).astype(float), (tau,))
+    """g = 1 on (-inf, tau), 0 elsewhere (open at tau); Theta_g is S of H
+    restricted to t <= tau, less an atom at tau, over k."""
+    def closed(z, spec, gamma, m):
+        k = _denominator(z, m, gamma) / gamma
+        s = z / k
+        atom = sum(w for w, t in spec.atoms if t == tau) / (tau - s)
+        return complex((_stieltjes_h(spec, np.array([s]), tau, 0)[0][0] - atom) / k)
+    return WeightFunction(lambda t: (t < tau).astype(float), (tau,), closed)
 
 
 def _m(z: complex, spec: PopulationSpectrum, gamma: float, m) -> complex:
@@ -62,16 +79,27 @@ def _m(z: complex, spec: PopulationSpectrum, gamma: float, m) -> complex:
     return solve_mF(z, spec, gamma) if m is None else m
 
 
+def _denominator(z: complex, m: complex, gamma: float) -> complex:
+    """gamma - 1 - z*m = gamma*k, or DegenerateDenominator below 1e-14."""
+    denom = gamma - 1.0 - z * m
+    if abs(denom) < 1e-14:
+        raise DegenerateDenominator(f"gamma - 1 - z*m = {denom} at z = {z}")
+    return denom
+
+
 def theta_g(z: complex, g: WeightFunction, spec: PopulationSpectrum,
             gamma: float, *, m: complex | None = None) -> complex:
-    """Weighted functional at z (Im z > 0) by direct quadrature.
-
-    g is general, so segments of H are integrated by Gauss-Legendre panels.
-    The integrand has its pole at tau = z/k, |Im(z/k)| off the real axis;
-    where that is small against the segment width, as for small Im z at
-    large gamma, the panels are inaccurate (g = 1 misses m by 8e-5 relative
-    for 0.27 delta(7.12) + 0.73 U[2.14, 5.15] at gamma = 87.5)."""
+    """Weighted functional at z (Im z > 0); m, if given, must be this
+    spectrum's m(z).  power(j) for 1 <= j <= MAX_POWER, reciprocal() and
+    indicator_below(c) are exact, by their closed forms.  Any other weight,
+    flat() included, is summed on Gauss-Legendre panels, which are
+    inaccurate where the pole tau = z/k lies close to a segment against its
+    width, as for small Im z at large gamma: at gamma = 87.5, Im z = 1e-2
+    and 1e-6, g = 1 misses m by up to 5.9e-4 and 1.8e-3 relative for 0.27
+    delta(7.12) + 0.73 U[2.14, 5.15], and by up to 1.9 and 11 for U[0.01, 10]."""
     m = _m(z, spec, gamma, m)
+    if g.closed is not None:
+        return g.closed(z, spec, gamma, m=m)
     k = k_factor(z, m, gamma)
     taus, ws = quadrature_nodes(spec, tuple(g.discontinuities))
     vals = np.asarray(g.evaluator(taus), dtype=float)
@@ -82,10 +110,7 @@ def theta_1(z: complex, spec: PopulationSpectrum, gamma: float, *,
             m: complex | None = None) -> complex:
     """Closed form gamma^2/(gamma - 1 - z*m(z)) - gamma for the weight tau."""
     m = _m(z, spec, gamma, m)
-    denom = gamma - 1.0 - z * m
-    if abs(denom) < 1e-14:
-        raise DegenerateDenominator(f"gamma - 1 - z*m = {denom} at z = {z}")
-    return gamma * gamma / denom - gamma
+    return gamma * gamma / _denominator(z, m, gamma) - gamma
 
 
 def theta_k(z: complex, k: int, spec: PopulationSpectrum, gamma: float, *,

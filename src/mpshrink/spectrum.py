@@ -5,8 +5,9 @@ population covariance matrix.  It is represented exactly as a finite mixture
 of point masses and uniform densities.  Every integral against H of a rational
 function of tau is algebra on one closed form, S(s) = integral of dH(t)/(t - s)
 (_stieltjes_h) or, for the moments, its own closed form.  There is no
-general integral against H: only functionals.theta_g, for a general weight,
-sums over the fixed-order Gauss-Legendre nodes of quadrature_nodes.
+general integral against H: only functionals.theta_g, for flat() and a
+weight without a closed form, sums over the Gauss-Legendre nodes of
+quadrature_nodes.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ import numpy as np
 from .errors import MassNotOne, NonPositiveSupport
 
 MASS_TOL = 1e-12
-GAUSS_ORDER = 64
-
-# Fixed-order nodes/weights on [-1, 1]; order pinned for bit-reproducibility.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+GAUSS_ORDER = 64  # pinned for bit-reproducibility
 
 
 @dataclass(frozen=True)
@@ -126,8 +124,10 @@ def quadrature_nodes(spec: PopulationSpectrum,
     """Return (locations, weights) so that integral f dH ~= sum w_i f(x_i).
 
     Atoms contribute exactly; each segment contributes GAUSS_ORDER
-    Gauss-Legendre nodes per panel, panels split at the given points.
+    Gauss-Legendre nodes per panel, panels split at the given points; built
+    here so that importing the package does not import numpy.polynomial.
     """
+    gl_x, gl_w = np.polynomial.legendre.leggauss(GAUSS_ORDER)
     locs: list[float] = []
     wts: list[float] = []
     for w, t in spec.atoms:
@@ -139,8 +139,8 @@ def quadrature_nodes(spec: PopulationSpectrum,
         for a, b in zip(cuts[:-1], cuts[1:]):
             half = 0.5 * (b - a)
             mid = 0.5 * (b + a)
-            locs.extend(mid + half * _GL_X)
-            wts.extend(dens * half * _GL_W)
+            locs.extend(mid + half * gl_x)
+            wts.extend(dens * half * gl_w)
     return np.asarray(locs, dtype=float), np.asarray(wts, dtype=float)
 
 

@@ -171,7 +171,7 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
     lo, hi = np.array(sorted([(t, t) for _, t in spec.atoms]
                              + [(a, b) for _, a, b in spec.segments])).T
     hi = np.maximum.accumulate(hi)
-    gap = lo[1:] > hi[:-1]
+    gap = lo[1:] > np.nextafter(hi[:-1], np.inf)  # with a float to probe
     p, q = hi[:-1][gap], lo[1:][gap]          # the gaps (p, q) of supp H
     peak = _bracketed_newton(lambda u, i: _in_u(u, spec, gamma, order=3)[2:], q, p)
     rising = _in_u(peak, spec, gamma, order=1)[1] > 0

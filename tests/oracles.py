@@ -6,8 +6,9 @@ H = delta_c, derived from the quadratic self-consistency equation
     (c*z/gamma) m^2 - (c*(1 - 1/gamma) - z) m + 1 = 0,
 
 solved directly with the quadratic formula, plus exact_gap, the residual of
-the self-consistency equation for any H with k formed from m.  None of it
-calls into the package's solvers.
+the self-consistency equation for any H with k formed from m, and
+theta_by_quad, a weighted functional integrated by scipy.  None of it calls
+into the package's solvers.
 """
 
 from __future__ import annotations
@@ -24,6 +25,29 @@ def exact_gap(z, m, spec, gamma: float):
     to -z*mu, and this residual grows like ulp / |z| there."""
     k = 1.0 - 1.0 / gamma - z * m / gamma
     return np.abs(_stieltjes_h(spec, z / k, order=0)[0] / k - m)
+
+
+def theta_by_quad(z: complex, m: complex, g, spec, gamma: float,
+                  breaks=()) -> complex:
+    """Theta_g(z) = integral of g(t) / (t*k - z) dH(t), k = 1 - 1/gamma -
+    z*m/gamma formed from m, for a scalar weight g: atoms summed, segments
+    integrated by scipy's adaptive quadrature, real and imaginary parts
+    apart, with breaks at the given points and at Re(z/k), where the
+    integrand peaks for small Im(z/k)."""
+    from scipy.integrate import quad
+
+    k = 1.0 - 1.0 / gamma - z * m / gamma
+
+    def f(t):
+        return g(t) / (t * k - z)
+
+    val = sum(w * f(t) for w, t in spec.atoms)
+    for w, lo, hi in spec.segments:
+        near = [p for p in ((z / k).real, *breaks) if lo < p < hi] or None
+        parts = [quad(lambda t: part(f(t)), lo, hi, epsabs=0.0, epsrel=1e-13,
+                      limit=200, points=near)[0] for part in (np.real, np.imag)]
+        val += w / (hi - lo) * complex(*parts)
+    return complex(val)
 
 
 def point_mass_m(z, gamma: float, c: float = 1.0):

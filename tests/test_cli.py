@@ -381,3 +381,15 @@ def test_runtime_imports_numpy_only():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert run.stdout.strip() == "[]"
+
+
+def test_runtime_does_not_import_numpy_polynomial():
+    # the Gauss-Legendre nodes are built on first use, and no CLI command
+    # uses them: importing numpy.polynomial would only slow each start-up
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import mpshrink.cli, sys; print([m for m in sys.modules "
+            "if m.split('.')[:2] == ['numpy', 'polynomial']])")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.stdout.strip() == "[]"

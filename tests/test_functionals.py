@@ -156,3 +156,68 @@ def test_rejects_lower_half_plane(spec_d1):
                  lambda: fn.theta_inv(1 - 1j, spec_d1, 2.0)):
         with pytest.raises(DomainError):
             call()
+
+
+U001_10 = spectrum.uniform(0.01, 10.0)
+MIXTURE = spectrum.validate(atoms=[(0.27, 7.12)], segments=[(0.73, 2.14, 5.15)])
+
+
+# quad warns where the cancellation across a peak keeps it from proving its
+# 1e-13; its results are still within 6e-15 of the closed forms here
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("gamma", [2.0, 10.0, 87.5])
+@pytest.mark.parametrize("spec", [U001_10, MIXTURE], ids=["u001_10", "mixture"])
+def test_closed_forms_match_quadrature(spec, gamma):
+    # 6 points across each support interval, near the real axis, where
+    # Gauss-Legendre panels miss by up to 0.96 relative on U[0.01, 10]
+    support = stieltjes.solve_density(spec, gamma, num_points=200).support
+    re = np.concatenate([lo + (hi - lo) * (np.arange(6) + 0.5) / 6
+                         for lo, hi in support])
+    weights = [(fn.power(j), lambda t, j=j: t ** j, ()) for j in (1, 2, 3)] + [
+        (fn.reciprocal(), lambda t: 1.0 / t, ()),
+        (fn.indicator_below(4.0), lambda t: float(t < 4.0), (4.0,))]
+    for im in (1e-2, 1e-6):
+        zs = re + 1j * im
+        for z, m in zip(zs, stieltjes.solve_mF(zs, spec, gamma)):
+            for g, scalar, breaks in weights:
+                ref = oracles.theta_by_quad(complex(z), m, scalar, spec, gamma,
+                                            breaks)
+                got = fn.theta_g(complex(z), g, spec, gamma, m=m)
+                assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_indicator_leaves_out_the_atom_at_its_cut(spec_204040):
+    # 1[tau < 3] keeps only the atom 0.2 delta(1): 0.2 / (1*k - z)
+    zs = np.linspace(0.05, 25.0, 40) + 1j * np.array([[1e-2], [1e-6]])
+    for z, m in zip(zs.ravel(), stieltjes.solve_mF(zs.ravel(), spec_204040, 2.0)):
+        ref = 0.2 / (stieltjes.k_factor(z, m, 2.0) - z)
+        got = fn.theta_g(z, fn.indicator_below(3.0), spec_204040, 2.0, m=m)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_power_closed_form_matches_recursion(spec_204040, spec_unif56):
+    zs = np.linspace(0.3, 18.0, 20) + 1j * np.logspace(-3, 0, 20)
+    for spec in (spec_204040, spec_unif56):
+        for z, m in zip(zs, stieltjes.solve_mF(zs, spec, 2.0)):
+            for j in range(1, 7):
+                rec = fn.theta_k(z, j, spec, 2.0, m=m)
+                closed = fn.theta_g(z, fn.power(j), spec, 2.0, m=m)
+                assert abs(closed - rec) <= 1e-11 * abs(rec)
+
+
+def test_closed_forms_degenerate_denominator(spec_d1):
+    # theta_1's input: gamma - 1 - z*m = 0 makes k = 0
+    z = 1.0 + 1e-3j
+    for g in (fn.power(1), fn.power(3), fn.power(fn.MAX_POWER),
+              fn.indicator_below(2.0)):
+        with pytest.raises(DegenerateDenominator):
+            fn.theta_g(z, g, spec_d1, 2.0, m=(2.0 - 1.0) / z)
+
+
+def test_power_beyond_max_power_stays_on_quadrature(spec_204040):
+    z, gamma = 2.0 + 1e-2j, 2.0
+    m = stieltjes.solve_mF(z, spec_204040, gamma)
+    k = stieltjes.k_factor(z, m, gamma)
+    taus, ws = spectrum.quadrature_nodes(spec_204040)
+    gl = complex(np.sum(ws * taus ** 13.0 / (taus * k - z)))
+    assert fn.theta_g(z, fn.power(fn.MAX_POWER + 1), spec_204040, gamma, m=m) == gl

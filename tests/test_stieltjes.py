@@ -679,3 +679,12 @@ def test_solve_density_warns_at_doubling_cap(solutions, name):
             warnings.simplefilter("error", RuntimeWarning)
             sol = stieltjes.solve_density(spec, gamma)
         assert abs(sol.total_mass() - 1.0) <= stieltjes.MASS_TOL
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+def test_atoms_one_ulp_apart_leave_no_gap(gamma):
+    # no float lies between the atoms, so the gap's midpoint would be an atom
+    spec = spectrum.validate(atoms=[(0.5, np.nextafter(10.0, 0.0)), (0.5, 10.0)])
+    sol = stieltjes.solve_density(spec, gamma, num_points=1500)
+    assert len(sol.support) == 1 and sol.valid.all()
+    assert sol.total_mass() == pytest.approx(1.0, abs=1e-12)
