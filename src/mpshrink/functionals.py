@@ -6,8 +6,8 @@ limiting functional is, with k = 1 - 1/gamma - z*m(z)/gamma and s = z/k,
     Theta_g(z) = integral of g(tau) / (tau*k - z) dH(tau),
 
 which reduces to m(z) for g == 1.  For tau^j, 1/tau and 1[tau < c] it is
-algebra on m, the moments of H and S(s) = k*m, exact to rounding; theta_k is
-a moment recursion for tau^j.  Other weights are summed on Gauss-Legendre nodes.
+algebra on m, the moments of H and S(s) = k*m, exact to rounding: theta_k,
+theta_inv and S of H cut at c.  Other weights are summed on Gauss-Legendre nodes.
 """
 
 from __future__ import annotations
@@ -45,14 +45,9 @@ def flat() -> WeightFunction:
 
 
 def power(k: int) -> WeightFunction:
-    """g = tau^k; for 1 <= k <= MAX_POWER Theta_g is, in Horner form, (S(s)
-    s^k + the sum over i < k of moment_i s^(k-1-i)) / kappa, kappa = k_factor."""
+    """g = tau^k; for 1 <= k <= MAX_POWER Theta_g is theta_k."""
     def closed(z, spec, gamma, m):
-        kappa = _denominator(z, m, gamma) / gamma
-        val, s = kappa * m, z / kappa
-        for i in range(k):
-            val = val * s + spectrum_mod.moment(spec, i)
-        return complex(val / kappa)
+        return theta_k(z, k, spec, gamma, m=m)
     return WeightFunction(lambda t: t ** float(k),
                           closed=closed if 1 <= k <= MAX_POWER else None)
 
@@ -63,12 +58,11 @@ def reciprocal() -> WeightFunction:
 
 def indicator_below(tau: float) -> WeightFunction:
     """g = 1 on (-inf, tau), 0 elsewhere (open at tau); Theta_g is S of H
-    restricted to t <= tau, less an atom at tau, over k."""
+    restricted to t < tau, over k."""
     def closed(z, spec, gamma, m):
         k = _denominator(z, m, gamma) / gamma
-        s = z / k
-        atom = sum(w for w, t in spec.atoms if t == tau) / (tau - s)
-        return complex((_stieltjes_h(spec, np.array([s]), tau, 0)[0][0] - atom) / k)
+        below = np.nextafter(tau, -np.inf)
+        return complex(_stieltjes_h(spec, np.array([z / k]), below, 0)[0][0] / k)
     return WeightFunction(lambda t: (t < tau).astype(float), (tau,), closed)
 
 
@@ -115,24 +109,26 @@ def theta_1(z: complex, spec: PopulationSpectrum, gamma: float, *,
 
 def theta_k(z: complex, k: int, spec: PopulationSpectrum, gamma: float, *,
             m: complex | None = None) -> complex:
-    """Power-weight functional via the moment recursion.
+    """Power-weight functional via the moment recursion, in Horner form:
+    with kappa = k_factor, s = z/kappa and S(s) = kappa*m(z),
 
-    Theta_(q+1) = [z*Theta_(q) + moment_q(H)] * [1 + Theta_1/gamma], seeded
-    with Theta_0 = m(z) and the closed form for Theta_1.
+        Theta_k = (S(s) s^k + sum over i < k of moment_i(H) s^(k-1-i)) / kappa,
+
+    the same as Theta_(q+1) = [z*Theta_(q) + moment_q(H)] * [1 + Theta_1/gamma]
+    from Theta_0 = m(z), since 1 + Theta_1/gamma = 1/kappa.  k == 1 is theta_1.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k}")
     if k > MAX_POWER:
         raise ValueError(f"k capped at {MAX_POWER} (moment growth guard)")
     m = _m(z, spec, gamma, m)
-    t1 = theta_1(z, spec, gamma, m=m)
     if k == 1:
-        return t1
-    factor = 1.0 + t1 / gamma
-    val = t1
-    for q in range(1, k):
-        val = (z * val + spectrum_mod.moment(spec, q)) * factor
-    return complex(val)
+        return theta_1(z, spec, gamma, m=m)
+    kappa = _denominator(z, m, gamma) / gamma
+    val, s = kappa * m, z / kappa
+    for i in range(k):
+        val = val * s + spectrum_mod.moment(spec, i)
+    return complex(val / kappa)
 
 
 def theta_inv(z: complex, spec: PopulationSpectrum, gamma: float, *,

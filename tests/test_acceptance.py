@@ -107,8 +107,10 @@ def test_criterion_06_recursion_consistency(solutions):
         for z in zs:
             m = stieltjes.solve_mF(complex(z), spec, 2.0)
             for k in (1, 2, 3):
+                # tau^k as a user weight stays on Gauss-Legendre panels
+                tau_k = fn.WeightFunction(lambda t, k=k: t ** float(k))
                 gap = abs(fn.theta_k(complex(z), k, spec, 2.0, m=m)
-                          - fn.theta_g(complex(z), fn.power(k), spec, 2.0, m=m))
+                          - fn.theta_g(complex(z), tau_k, spec, 2.0, m=m))
                 worst = max(worst, gap)
     _report(6, worst <= 1e-8,
             f"max |theta_k - quadrature| = {worst:.2e} over 20-z grid, "

@@ -9,6 +9,11 @@ from mpshrink import spectrum, stieltjes
 from mpshrink.errors import DegenerateDenominator, DomainError
 
 
+def _on_quadrature(j):
+    # tau^j as a user weight: no closed form, so theta_g sums its GL panels
+    return fn.WeightFunction(lambda t: t ** float(j))
+
+
 def test_flat_weight_reduces_to_m(spec_204040):
     # same quadrature path: m solves the equation, so theta_g(flat) gives m back
     for z in (1.0 + 1e-3j, 6.0 + 0.1j):
@@ -20,7 +25,7 @@ def test_flat_weight_reduces_to_m(spec_204040):
 def test_theta_1_closed_form_vs_quadrature(spec_d1):
     z = 1.0 + 1e-3j
     closed = fn.theta_1(z, spec_d1, 2.0)
-    quad = fn.theta_g(z, fn.power(1), spec_d1, 2.0)
+    quad = fn.theta_g(z, _on_quadrature(1), spec_d1, 2.0)
     assert abs(closed - quad) <= 1e-9
     # independent algebra for the point mass
     assert abs(closed - oracles.point_mass_theta_g(z, 1.0, 2.0)) <= 1e-9
@@ -29,7 +34,7 @@ def test_theta_1_closed_form_vs_quadrature(spec_d1):
 def test_theta_1_mixture(spec_204040):
     z = 1.0 + 1e-3j
     closed = fn.theta_1(z, spec_204040, 2.0)
-    quad = fn.theta_g(z, fn.power(1), spec_204040, 2.0)
+    quad = fn.theta_g(z, _on_quadrature(1), spec_204040, 2.0)
     assert abs(closed - quad) <= 1e-9
 
 
@@ -64,14 +69,14 @@ def test_theta_k_base_case(spec_204040):
 def test_theta_k_vs_quadrature_point_mass(spec_d1):
     z = 1.0 + 1e-2j
     rec = fn.theta_k(z, 2, spec_d1, 2.0)
-    quad = fn.theta_g(z, fn.power(2), spec_d1, 2.0)
+    quad = fn.theta_g(z, _on_quadrature(2), spec_d1, 2.0)
     assert abs(rec - quad) <= 1e-8
 
 
 def test_theta_k_vs_quadrature_mixture(spec_204040):
     z = 2.0 + 1e-2j
     rec = fn.theta_k(z, 3, spec_204040, 2.0)
-    quad = fn.theta_g(z, fn.power(3), spec_204040, 2.0)
+    quad = fn.theta_g(z, _on_quadrature(3), spec_204040, 2.0)
     assert abs(rec - quad) <= 1e-8
 
 
@@ -82,7 +87,7 @@ def test_theta_k_grid_consistency(spec_204040, spec_unif56):
             m = stieltjes.solve_mF(z, spec, 2.0)
             for k in (1, 2, 3):
                 rec = fn.theta_k(z, k, spec, 2.0, m=m)
-                quad = fn.theta_g(z, fn.power(k), spec, 2.0, m=m)
+                quad = fn.theta_g(z, _on_quadrature(k), spec, 2.0, m=m)
                 assert abs(rec - quad) <= 1e-8
 
 
@@ -105,7 +110,7 @@ def test_theta_inv_closed_form_vs_quadrature():
     spec = spectrum.point_mass(2.0)
     z = 1.0 + 1e-2j
     closed = fn.theta_inv(z, spec, 2.0)
-    quad = fn.theta_g(z, fn.reciprocal(), spec, 2.0)
+    quad = fn.theta_g(z, fn.WeightFunction(lambda t: 1.0 / t), spec, 2.0)
     assert abs(closed - quad) <= 1e-9
     assert abs(closed - oracles.point_mass_theta_g(z, 0.5, 2.0, c=2.0)) <= 1e-9
 
@@ -196,13 +201,16 @@ def test_indicator_leaves_out_the_atom_at_its_cut(spec_204040):
 
 
 def test_power_closed_form_matches_recursion(spec_204040, spec_unif56):
+    # the moment recursion Theta_(q+1) = [z*Theta_q + moment_q] (1 + Theta_1/gamma)
     zs = np.linspace(0.3, 18.0, 20) + 1j * np.logspace(-3, 0, 20)
     for spec in (spec_204040, spec_unif56):
         for z, m in zip(zs, stieltjes.solve_mF(zs, spec, 2.0)):
+            rec = fn.theta_1(z, spec, 2.0, m=m)
+            factor = 1.0 + rec / 2.0
             for j in range(1, 7):
-                rec = fn.theta_k(z, j, spec, 2.0, m=m)
                 closed = fn.theta_g(z, fn.power(j), spec, 2.0, m=m)
                 assert abs(closed - rec) <= 1e-11 * abs(rec)
+                rec = (z * rec + spectrum.moment(spec, j)) * factor
 
 
 def test_closed_forms_degenerate_denominator(spec_d1):
