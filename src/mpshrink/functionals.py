@@ -5,14 +5,15 @@ limiting functional is, with k = 1 - 1/gamma - z*m(z)/gamma and s = z/k,
 
     Theta_g(z) = integral of g(tau) / (tau*k - z) dH(tau),
 
-which reduces to m(z) for g == 1.  For tau^j, 1/tau and 1[tau < c] it is
-algebra on m, the moments of H and S(s) = k*m, exact to rounding: theta_k,
-theta_inv and S of H cut at c.  Other weights are summed on Gauss-Legendre nodes.
+which reduces to m(z) for g == 1; for tau^j, 1/tau and 1[tau < c] it is exact
+algebra on m, the moments of H and S(s) = k*m, else a Gauss-Legendre sum.  Each
+Theta checks z and m and makes them Python complex once, and returns complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -36,7 +37,7 @@ class WeightFunction:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     discontinuities: tuple[float, ...] = ()
-    # Theta_g as closed(z, spec, gamma, m=m), None for the quadrature
+    # Theta_g as closed(z, m, gamma, spec) on checked z and m, None for GL
     closed: Callable[..., complex] | None = None
 
 
@@ -46,31 +47,35 @@ def flat() -> WeightFunction:
 
 def power(k: int) -> WeightFunction:
     """g = tau^k; for 1 <= k <= MAX_POWER Theta_g is theta_k."""
-    def closed(z, spec, gamma, m):
-        return theta_k(z, k, spec, gamma, m=m)
-    return WeightFunction(lambda t: t ** float(k),
-                          closed=closed if 1 <= k <= MAX_POWER else None)
+    closed = partial(_theta_k, k=k) if 1 <= k <= MAX_POWER else None
+    return WeightFunction(lambda t: t ** float(k), closed=closed)
 
 
 def reciprocal() -> WeightFunction:
-    return WeightFunction(lambda t: 1.0 / t, closed=theta_inv)
+    return WeightFunction(lambda t: 1.0 / t, closed=_theta_inv)
 
 
 def indicator_below(tau: float) -> WeightFunction:
     """g = 1 on (-inf, tau), 0 elsewhere (open at tau); Theta_g is S of H
     restricted to t < tau, over k."""
-    def closed(z, spec, gamma, m):
+    def closed(z, m, gamma, spec):
         k = _denominator(z, m, gamma) / gamma
         below = np.nextafter(tau, -np.inf)
         return complex(_stieltjes_h(spec, np.array([z / k]), below, 0)[0][0] / k)
     return WeightFunction(lambda t: (t < tau).astype(float), (tau,), closed)
 
 
-def _m(z: complex, spec: PopulationSpectrum, gamma: float, m) -> complex:
-    """m(z) at Im z > 0, else DomainError: the given m, or solve_mF's."""
-    if np.imag(z) <= 0:
+def _checked(z, m, spec: PopulationSpectrum, gamma: float):
+    """Python-scalar (z, m, gamma), m solve_mF's if None; DomainError if Im z <= 0."""
+    if (z := complex(z)).imag <= 0:
         raise DomainError(f"Theta requires Im(z) > 0, got z = {z}")
-    return solve_mF(z, spec, gamma) if m is None else m
+    return z, complex(solve_mF(z, spec, gamma) if m is None else m), float(gamma)
+
+
+@lru_cache(maxsize=128)
+def _moments(spec: PopulationSpectrum) -> tuple[float, ...]:
+    """(M_0, ..., M_(MAX_POWER - 1), M_(-1)) of H, so that index i is M_i."""
+    return tuple(spectrum_mod.moment(spec, i) for i in (*range(MAX_POWER), -1))
 
 
 def _denominator(z: complex, m: complex, gamma: float) -> complex:
@@ -84,27 +89,26 @@ def _denominator(z: complex, m: complex, gamma: float) -> complex:
 def theta_g(z: complex, g: WeightFunction, spec: PopulationSpectrum,
             gamma: float, *, m: complex | None = None) -> complex:
     """Weighted functional at z (Im z > 0); m, if given, must be this
-    spectrum's m(z).  power(j) for 1 <= j <= MAX_POWER, reciprocal() and
-    indicator_below(c) are exact, by their closed forms.  Any other weight,
-    flat() included, is summed on Gauss-Legendre panels, which are
-    inaccurate where the pole tau = z/k lies close to a segment against its
-    width, as for small Im z at large gamma: at gamma = 87.5, Im z = 1e-2
-    and 1e-6, g = 1 misses m by up to 5.9e-4 and 1.8e-3 relative for 0.27
-    delta(7.12) + 0.73 U[2.14, 5.15], and by up to 1.9 and 11 for U[0.01, 10]."""
-    m = _m(z, spec, gamma, m)
+    spectrum's m(z).  Both are checked and made Python complex once; the result
+    is complex.  Exact for power(j), 1 <= j <= MAX_POWER, reciprocal() and
+    indicator_below(c).  Any other weight, flat() included, is summed on
+    Gauss-Legendre panels, inaccurate where the pole tau = z/k is close to a
+    segment against its width, as at small Im z and large gamma: at gamma =
+    87.5, Im z = 1e-2 and 1e-6, g = 1 misses m by up to 5.9e-4 and 1.8e-3
+    relative for 0.27 delta(7.12) + 0.73 U[2.14, 5.15], 1.9 and 11 for U[0.01, 10]."""
+    z, m, gamma = _checked(z, m, spec, gamma)
     if g.closed is not None:
-        return g.closed(z, spec, gamma, m=m)
+        return g.closed(z, m, gamma, spec)
     k = k_factor(z, m, gamma)
     taus, ws = quadrature_nodes(spec, tuple(g.discontinuities))
     vals = np.asarray(g.evaluator(taus), dtype=float)
-    return complex(np.sum(ws * vals / (taus * k - z)))
+    return complex((ws * vals / (taus * k - z)).sum())
 
 
 def theta_1(z: complex, spec: PopulationSpectrum, gamma: float, *,
             m: complex | None = None) -> complex:
     """Closed form gamma^2/(gamma - 1 - z*m(z)) - gamma for the weight tau."""
-    m = _m(z, spec, gamma, m)
-    return gamma * gamma / _denominator(z, m, gamma) - gamma
+    return _theta_k(*_checked(z, m, spec, gamma), spec, 1)
 
 
 def theta_k(z: complex, k: int, spec: PopulationSpectrum, gamma: float, *,
@@ -121,20 +125,26 @@ def theta_k(z: complex, k: int, spec: PopulationSpectrum, gamma: float, *,
         raise ValueError(f"k must be an integer >= 1, got {k}")
     if k > MAX_POWER:
         raise ValueError(f"k capped at {MAX_POWER} (moment growth guard)")
-    m = _m(z, spec, gamma, m)
+    return _theta_k(*_checked(z, m, spec, gamma), spec, k)
+
+
+def _theta_k(z, m, gamma, spec, k):
+    denom = _denominator(z, m, gamma)
     if k == 1:
-        return theta_1(z, spec, gamma, m=m)
-    kappa = _denominator(z, m, gamma) / gamma
+        return gamma * gamma / denom - gamma
+    kappa = denom / gamma
     val, s = kappa * m, z / kappa
-    for i in range(k):
-        val = val * s + spectrum_mod.moment(spec, i)
-    return complex(val / kappa)
+    for moment in _moments(spec)[:k]:
+        val = val * s + moment
+    return val / kappa
 
 
 def theta_inv(z: complex, spec: PopulationSpectrum, gamma: float, *,
               m: complex | None = None) -> complex:
     """Closed form for the weight 1/tau:
     m(z)/z * [1 - 1/gamma - z*m(z)/gamma] - (1/z) * integral of dH(tau)/tau."""
-    m = _m(z, spec, gamma, m)
-    k = k_factor(z, m, gamma)
-    return complex(m / z * k - spectrum_mod.moment(spec, -1) / z)
+    return _theta_inv(*_checked(z, m, spec, gamma), spec)
+
+
+def _theta_inv(z, m, gamma, spec):
+    return m / z * k_factor(z, m, gamma) - _moments(spec)[-1] / z

@@ -229,3 +229,68 @@ def test_power_beyond_max_power_stays_on_quadrature(spec_204040):
     taus, ws = spectrum.quadrature_nodes(spec_204040)
     gl = complex(np.sum(ws * taus ** 13.0 / (taus * k - z)))
     assert fn.theta_g(z, fn.power(fn.MAX_POWER + 1), spec_204040, gamma, m=m) == gl
+
+
+def _every_theta():
+    """(label, call(z, spec, gamma, m)) for each public Theta and each
+    built-in weight, GL ones included."""
+    weights = {"flat": fn.flat(), "reciprocal": fn.reciprocal(),
+               "indicator_below": fn.indicator_below(4.0)}
+    weights.update({f"power({j})": fn.power(j) for j in range(1, fn.MAX_POWER + 2)})
+    calls = [(name, lambda z, s, g, m, w=w: fn.theta_g(z, w, s, g, m=m))
+             for name, w in weights.items()]
+    calls += [(f"theta_k({k})", lambda z, s, g, m, k=k: fn.theta_k(z, k, s, g, m=m))
+              for k in range(1, fn.MAX_POWER + 1)]
+    return calls + [("theta_1", lambda z, s, g, m: fn.theta_1(z, s, g, m=m)),
+                    ("theta_inv", lambda z, s, g, m: fn.theta_inv(z, s, g, m=m))]
+
+
+def _numpy_points(spec):
+    """np.complex128 z and m, as solve_mF hands m out of an array."""
+    zs = np.array([0.5 + 1e-3j, 3.0 + 1e-2j, 11.0 + 1.0j])
+    return zip(zs, stieltjes.solve_mF(zs, spec, 2.0))
+
+
+def test_every_theta_returns_complex(spec_204040):
+    for z, m in _numpy_points(spec_204040):
+        assert isinstance(z, np.complex128) and isinstance(m, np.complex128)
+        for label, call in _every_theta():
+            assert type(call(z, spec_204040, 2.0, m)) is complex, label
+            assert type(call(z, spec_204040, np.float64(2.0), None)) is complex, label
+
+
+def test_numpy_scalars_give_the_python_complex_value(spec_204040):
+    for z, m in _numpy_points(spec_204040):
+        for label, call in _every_theta():
+            ref = call(complex(z), spec_204040, 2.0, complex(m))
+            assert call(z, spec_204040, 2.0, m) == ref, label
+
+
+def test_domain_checked_for_numpy_scalars(spec_d1, spec_unif56):
+    for z in (np.complex128(2.0 + 0j), np.float64(2.0), 2.0 - 1e-3j):
+        for m in (None, 0.5 + 0.5j):
+            for label, call in _every_theta():
+                with pytest.raises(DomainError):
+                    call(z, spec_d1, 2.0, m)
+    # discontinuities as a list: the quadrature still splits its panels there
+    step = fn.indicator_below(5.5).evaluator
+    listed = fn.theta_g(5.5 + 0.5j, fn.WeightFunction(step, [5.5]), spec_unif56, 2.0)
+    assert listed == fn.theta_g(5.5 + 0.5j, fn.WeightFunction(step, (5.5,)),
+                                spec_unif56, 2.0)
+
+
+def test_moments_read_once_per_spectrum(monkeypatch):
+    # a spectrum no other test builds, so its moment table is not cached yet
+    spec = spectrum.validate(atoms=[(0.35, 1.75)], segments=[(0.65, 2.25, 4.125)])
+    zs = np.linspace(0.5, 9.0, 8) + 0.05j
+    ms = stieltjes.solve_mF(zs, spec, 2.0)
+    calls = []
+    real_moment = spectrum.moment
+    monkeypatch.setattr(spectrum, "moment",
+                        lambda s, k: calls.append(k) or real_moment(s, k))
+    for z, m in zip(zs, ms):  # 8 z x 25 calls: 200 calls
+        for k in range(1, fn.MAX_POWER + 1):
+            fn.theta_k(z, k, spec, 2.0, m=m)
+            fn.theta_g(z, fn.power(k), spec, 2.0, m=m)
+        fn.theta_inv(z, spec, 2.0, m=m)
+    assert len(calls) <= fn.MAX_POWER + 1
