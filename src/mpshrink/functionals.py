@@ -99,10 +99,15 @@ def theta_g(z: complex, g: WeightFunction, spec: PopulationSpectrum,
     z, m, gamma = _checked(z, m, spec, gamma)
     if g.closed is not None:
         return g.closed(z, m, gamma, spec)
-    k = k_factor(z, m, gamma)
-    taus, ws = quadrature_nodes(spec, tuple(g.discontinuities))
-    vals = np.asarray(g.evaluator(taus), dtype=float)
-    return complex((ws * vals / (taus * k - z)).sum())
+    taus, wg = _weighted_nodes(spec, g.evaluator, tuple(g.discontinuities))
+    return complex((wg / (taus * k_factor(z, m, gamma) - z)).sum())
+
+
+@lru_cache(maxsize=128)
+def _weighted_nodes(spec: PopulationSpectrum, g: Callable, breaks: tuple):
+    """quadrature_nodes(spec, breaks) with the weights times g(nodes)."""
+    taus, ws = quadrature_nodes(spec, breaks)
+    return taus, ws * np.asarray(g(taus), dtype=float)
 
 
 def theta_1(z: complex, spec: PopulationSpectrum, gamma: float, *,

@@ -33,12 +33,22 @@ class PopulationSpectrum:
     atoms: tuple of (weight, location) point masses, sorted by location.
     segments: tuple of (weight, lo, hi) uniform pieces, density weight/(hi-lo).
     h1, h2: infimum and supremum of the support (h1 > 0).
+    columns: (n, 1) atom weights, locations, segment weights, lo, hi, densities.
     """
 
     atoms: tuple[tuple[float, float], ...]
     segments: tuple[tuple[float, float, float], ...]
     h1: float
     h2: float
+
+    def __post_init__(self):
+        aw, at = np.reshape(np.array(self.atoms, float), (-1, 2)).T[:, :, None]
+        sw, lo, hi = np.reshape(np.array(self.segments, float), (-1, 3)).T[:, :, None]
+        self.__dict__.update(columns=(aw, at, sw, lo, hi, sw / (hi - lo)),
+                             _hash=hash((self.atoms, self.segments, self.h1, self.h2)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def to_json(self) -> str:
         return json.dumps({
@@ -144,14 +154,6 @@ def quadrature_nodes(spec: PopulationSpectrum,
     return np.asarray(locs, dtype=float), np.asarray(wts, dtype=float)
 
 
-@lru_cache(maxsize=128)
-def _components(spec: PopulationSpectrum):
-    """Atom (weight, location) and segment (weight, lo, hi) columns."""
-    atoms = np.reshape(spec.atoms, (-1, 2)).astype(float)
-    segs = np.reshape(spec.segments, (-1, 3)).astype(float)
-    return atoms[:, :1], atoms[:, 1:], segs[:, :1], segs[:, 1:2], segs[:, 2:]
-
-
 def _stieltjes_h(spec: PopulationSpectrum, s, upto: float = np.inf,
                  order: int = 2) -> list:
     """[S(s), S'(s), ...] up to the order-th derivative of S(s) = integral of
@@ -160,23 +162,21 @@ def _stieltjes_h(spec: PopulationSpectrum, s, upto: float = np.inf,
     an atom w at t adds j! w / (t - s)^(j+1), a segment [lo, hi] of density c
     (j-1)! c ((lo - s)^-j - (hi - s)^-j), and c log((hi - s) / (lo - s)) at
     j = 0, the principal log since the path t - s, t in [lo, hi], misses 0."""
-    aw, at, sw, lo, hi = _components(spec)
-    c = sw / (hi - lo)
+    aw, at, _, lo, hi, c = spec.columns
     if upto < spec.h2:
         a, g = at[:, 0] <= upto, lo[:, 0] < upto
         aw, at, c, lo, hi = aw[a], at[a], c[g], lo[g], np.minimum(hi[g], upto)
-    s = np.asarray(s)[None, :]
     r = 1.0 / (at - s)
     wr = aw * r
-    out = [np.sum(wr, axis=0)]
+    out = [wr.sum(0)]
     for j in range(1, order + 1):
         wr = wr * r * j
-        out.append(np.sum(wr, axis=0))
+        out.append(wr.sum(0))
     if len(c):
-        out[0] = out[0] + np.sum(c * np.log((hi - s) / (lo - s)), axis=0)
+        out[0] = out[0] + (c * np.log((hi - s) / (lo - s))).sum(0)
         r_lo, r_hi = 1.0 / (lo - s), 1.0 / (hi - s)
         for j in range(1, order + 1):
-            out[j] += math.factorial(j - 1) * np.sum(c * (r_lo ** j - r_hi ** j), axis=0)
+            out[j] += math.factorial(j - 1) * (c * (r_lo ** j - r_hi ** j)).sum(0)
     return out
 
 
@@ -187,7 +187,7 @@ def moment(spec: PopulationSpectrum, k: int) -> float:
     - lo^(k+1)) / ((k + 1)(hi - lo)), in expm1/log1p form: no cancellation."""
     if k == -1:
         return float(_stieltjes_h(spec, np.zeros(1), order=0)[0][0])
-    aw, at, sw, lo, hi = _components(spec)
+    aw, at, sw, lo, hi, _ = spec.columns
     r = np.log1p((lo - hi) / hi)  # log(lo / hi)
     return float(np.sum(aw * at ** k) + np.sum(
         sw * hi ** k * np.expm1((k + 1) * r) / ((k + 1) * np.expm1(r))))
@@ -196,7 +196,7 @@ def moment(spec: PopulationSpectrum, k: int) -> float:
 def cdf(spec: PopulationSpectrum, x):
     """H(x) with the right-continuous convention (atoms at x included); x may
     be an array."""
-    w, t, sw, lo, hi = (col[:, 0] for col in _components(spec))
+    w, t, sw, lo, hi, _ = (col[:, 0] for col in spec.columns)
     x = np.asarray(x, dtype=float)[..., None]
     h = np.sum(w * (t <= x), axis=-1) \
         + np.sum(sw * np.clip((x - lo) / (hi - lo), 0.0, 1.0), axis=-1)
@@ -210,7 +210,7 @@ def quantile(spec: PopulationSpectrum, q):
     q = np.asarray(q, dtype=float)
     if np.any((q <= 0.0) | (q >= 1.0)):
         raise ValueError(f"quantile needs q in (0,1), got {q}")
-    w, t, _, lo, hi = (col[:, 0] for col in _components(spec))
+    w, t, _, lo, hi, _ = (col[:, 0] for col in spec.columns)
     pts = np.unique(np.concatenate([t, lo, hi]))
     xs, right = np.repeat(pts, 2), cdf(spec, pts)
     hs = np.column_stack([right - np.sum(w * (t == pts[:, None]), axis=1),

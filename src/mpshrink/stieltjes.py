@@ -19,10 +19,10 @@ Inside the support the roots with Im u > 0 form the curve Im x(u) = 0 over
 the falling branch of x, one monotone equation in Im u per Re u; Chebyshev
 samples of it, refined where a point misses, seed Newton on x(u) = lambda.
 Off it u is the real root on a rising branch of x.  One bracketed Newton
-finder solves every real root.  For Im z > 0 (solve_mF) Newton on x(u) = z
-starts from the real-axis root at Re z, moved by the root of the quadratic
-Taylor model of x in Im z.  Every value is verified on the equation in m, H
-integrated exactly, with k = z/u = -z*mu taken from the root (_residual).
+finder, started from Taylor models, solves every real root.  For Im z > 0
+(solve_mF) Newton on x(u) = z starts from the real-axis root at Re z, moved
+by the root of the quadratic Taylor model of x in Im z.  Each value is checked
+on the equation in m, H exact, with k = z/u = -z*mu from the root (_residual).
 """
 
 from __future__ import annotations
@@ -129,16 +129,17 @@ def _in_u(u, spec: PopulationSpectrum, gamma: float, order: int = 2, S=None):
     return out
 
 
-def _bracketed_newton(f, neg, pos) -> np.ndarray:
-    """Roots of f between neg (f < 0) and pos (f > 0), vectorized; f(x, i)
-    gives (f, f') at x for the points i.  From its midpoint a point takes its
-    Newton step if that lands strictly inside its bracket, else the midpoint,
-    so no end is evaluated; after bisection's step count, only midpoints (at
-    most twice bisection's cost).  A point stops when its Newton step is below
-    one ulp, f is 0 or its bracket no longer splits (a nan bracket at once)."""
+def _bracketed_newton(f, neg, pos, start=np.nan) -> np.ndarray:
+    """Roots of f between neg (f < 0) and pos (f > 0); f(x, i) gives (f, f') at
+    x for the points i.  From start if strictly inside its bracket, else from its
+    midpoint, a point takes its Newton step if that lands strictly inside, else
+    the midpoint, so no end is evaluated; after bisection's step count, only
+    midpoints (at most twice bisection's cost).  It stops when its Newton step is
+    below one ulp, f is 0 or its bracket (a nan one at once) no longer splits."""
     neg, pos = np.broadcast_arrays(neg, pos)
-    x = 0.5 * (neg + pos)
-    i = np.flatnonzero((np.minimum(neg, pos) < x) & (x < np.maximum(neg, pos)))
+    lo, hi = np.minimum(neg, pos), np.maximum(neg, pos)
+    x = np.where((lo < start) & (start < hi), start, 0.5 * (neg + pos))
+    i = np.flatnonzero((lo < x) & (x < hi))
     xa, neg, pos = x[i], neg[i], pos[i]
     budget = np.log2(np.abs(pos - neg) / np.spacing(np.maximum(np.abs(neg), np.abs(pos))))
     while len(i):
@@ -176,11 +177,11 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
     peak = _bracketed_newton(lambda u, i: _in_u(u, spec, gamma, order=3)[2:], q, p)
     rising = _in_u(peak, spec, gamma, order=1)[1] > 0
     root = spec.h2 / np.sqrt(gamma)
-    neg = [spec.h1 if gamma > 1 else 0.0, spec.h2] + list(p[rising]) \
-        + list(q[rising])
-    pos = [0.0 if gamma > 1 else -2.0 * root, spec.h2 + 2.0 * root] \
-        + 2 * list(peak[rising])
-    crit = np.sort(_bracketed_newton(lambda u, i: _in_u(u, spec, gamma)[1:], neg, pos))
+    neg = [spec.h1 if gamma > 1 else 0.0, spec.h2, *p[rising], *q[rising]]
+    pos = [0.0 if gamma > 1 else -2.0 * root, spec.h2 + 2.0 * root] + 2 * [*peak[rising]]
+    # the outer two start from those of one atom at h1 and at h2
+    x0 = [spec.h1 - spec.h1 / np.sqrt(gamma), spec.h2 + root] + [np.nan] * (len(neg) - 2)
+    crit = np.sort(_bracketed_newton(lambda u, i: _in_u(u, spec, gamma)[1:], neg, pos, x0))
     values = _in_u(crit, spec, gamma, order=0)[0]
     # a gap where x barely rises can come out empty in floating point
     keep = np.concatenate([[True], np.repeat(np.diff(values)[1::2] > 0, 2),
@@ -219,11 +220,15 @@ def _curve(spec: PopulationSpectrum, gamma: float, v: np.ndarray):
     critical pair of x.  Im x = (w/gamma)(gamma - g), where
     g = int t^2 / ((t - v)^2 + w^2) dH falls strictly in w from
     gamma (1 - x'(v)) > gamma at w = 0+ to below M2/w^2: w is the one root
-    of Im x in (0, sqrt(M2/gamma)], where d(Im x)/dw = Re x'(v + iw)."""
+    of Im x in (0, sqrt(M2/gamma)], where d(Im x)/dw = Re x'(v + iw), from
+    w0^2 = 6 x'(v)/x'''(v), Newton's first step in w^2 on Im x/w (else from the
+    midpoint: v in supp H).  |Im x| <= TOL |x| is 0: samples only seed Newton."""
     def f(w, i):
         x, x1 = _in_u(v[i] + 1j * w, spec, gamma, order=1)
-        return x.imag, x1.real
-    return v + 1j * _bracketed_newton(f, 0.0 * v, np.sqrt(moment(spec, 2) / gamma))
+        return np.where(np.abs(x.imag) <= TOL * np.abs(x), 0.0, x.imag), x1.real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w0 = np.sqrt(6.0 * np.divide(*_in_u(v, spec, gamma, order=3)[1::2]))
+    return v + 1j * _bracketed_newton(f, 0.0 * v, np.sqrt(moment(spec, 2) / gamma), w0)
 
 
 @lru_cache(maxsize=128)
@@ -258,8 +263,11 @@ def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
     while True:
         todo = np.flatnonzero(~ok)
         seed = np.interp(t[todo], path_t, path)
-        u[todo], done = _newton(spec, gamma, lam[todo], seed)
-        ok[todo] = done & (np.abs(u[todo] - seed) <= 0.5 * seed.imag)
+        u[todo], ok[todo] = _newton(spec, gamma, lam[todo], seed)
+        # next to an edge Newton's last step is noise; a seed solving x = lam stands
+        far = np.flatnonzero(ok[todo] & (np.abs(u[todo] - seed) > 0.5 * seed.imag))
+        m, resid = _at_root(lam[todo[far]], seed[far], spec, gamma)
+        u[todo[far]], ok[todo[far]] = seed[far], resid <= TOL * np.maximum(1.0, np.abs(m))
         k = np.unique(np.clip(np.searchsorted(path_t, t[~ok]), 1, len(path) - 1))
         v = 0.5 * (path.real[k - 1] + path.real[k])
         v = v[(path.real[k - 1] < v) & (v < path.real[k])]
@@ -272,17 +280,24 @@ def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
 def _rising_root(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
                  crit: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Real u = -1/mu with x(u) = lam on the rising branch of x that covers
-    lam, for lam off the support and its edges."""
+    lam, for lam off the support and its edges; from the quadratic model of x
+    at the critical point below the branch (above the lowest) and a cubic step."""
     k = np.searchsorted(values[1::2], lam)
     last = len(crit) - 1
     # below the support x(u) < u + m1/gamma, above it x(u) > u
     left = np.minimum(crit[0], lam - moment(spec, 1) / gamma) - spec.h2
-    neg = np.where(k == 0, left, crit[np.maximum(2 * k - 1, 0)])
+    j = np.maximum(2 * k - 1, 0)
+    neg = np.where(k == 0, left, crit[j])
     pos = np.where(2 * k > last, lam, crit[np.minimum(2 * k, last)])
+    _, _, x2, x3 = (a[j] for a in _in_u(crit, spec, gamma, order=3))
+    with np.errstate(invalid="ignore"):
+        d = (2 * (j % 2) - 1) * np.sqrt(2.0 * (lam - values[j]) / x2)
+        d -= (x2 * d * d / 2 + x3 * d ** 3 / 6 - (lam - values[j])) \
+            / (x2 * d + x3 * d * d / 2)
     def f(u, i):
         x, x1 = _in_u(u, spec, gamma, order=1)
         return x - lam[i], x1
-    return _bracketed_newton(f, neg, pos)
+    return _bracketed_newton(f, neg, pos, crit[j] + d)
 
 
 def _real_roots(spec: PopulationSpectrum, gamma: float, lam: np.ndarray):

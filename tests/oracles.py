@@ -6,12 +6,15 @@ H = delta_c, derived from the quadratic self-consistency equation
     (c*z/gamma) m^2 - (c*(1 - 1/gamma) - z) m + 1 = 0,
 
 solved directly with the quadratic formula, plus exact_gap, the residual of
-the self-consistency equation for any H with k formed from m, and
-theta_by_quad, a weighted functional integrated by scipy.  None of it calls
-into the package's solvers.
+the self-consistency equation for any H with k formed from m,
+stieltjes_h_reference, the closed form of S(s) written out on the
+spectrum's tuples, and theta_by_quad, a weighted functional integrated by
+scipy.  None of it calls into the package's solvers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -25,6 +28,33 @@ def exact_gap(z, m, spec, gamma: float):
     to -z*mu, and this residual grows like ulp / |z| there."""
     k = 1.0 - 1.0 / gamma - z * m / gamma
     return np.abs(_stieltjes_h(spec, z / k, order=0)[0] / k - m)
+
+
+def stieltjes_h_reference(spec, s, upto: float = np.inf, order: int = 2) -> list:
+    """[S(s), S'(s), ...] of H restricted to t <= upto, with the atom and
+    segment columns built from the spectrum's tuples on every call and
+    reduced by np.sum: the formula of spectrum._stieltjes_h before the
+    spectrum built its columns once."""
+    atoms = np.reshape(spec.atoms, (-1, 2)).astype(float)
+    segs = np.reshape(spec.segments, (-1, 3)).astype(float)
+    aw, at, sw, lo, hi = atoms[:, :1], atoms[:, 1:], segs[:, :1], segs[:, 1:2], segs[:, 2:]
+    c = sw / (hi - lo)
+    if upto < spec.h2:
+        a, g = at[:, 0] <= upto, lo[:, 0] < upto
+        aw, at, c, lo, hi = aw[a], at[a], c[g], lo[g], np.minimum(hi[g], upto)
+    s = np.asarray(s)[None, :]
+    r = 1.0 / (at - s)
+    wr = aw * r
+    out = [np.sum(wr, axis=0)]
+    for j in range(1, order + 1):
+        wr = wr * r * j
+        out.append(np.sum(wr, axis=0))
+    if len(c):
+        out[0] = out[0] + np.sum(c * np.log((hi - s) / (lo - s)), axis=0)
+        r_lo, r_hi = 1.0 / (lo - s), 1.0 / (hi - s)
+        for j in range(1, order + 1):
+            out[j] += math.factorial(j - 1) * np.sum(c * (r_lo ** j - r_hi ** j), axis=0)
+    return out
 
 
 def theta_by_quad(z: complex, m: complex, g, spec, gamma: float,

@@ -294,3 +294,21 @@ def test_moments_read_once_per_spectrum(monkeypatch):
             fn.theta_g(z, fn.power(k), spec, 2.0, m=m)
         fn.theta_inv(z, spec, 2.0, m=m)
     assert len(calls) <= fn.MAX_POWER + 1
+
+
+def test_quadrature_weights_built_once_per_weight(monkeypatch, spec_unif56):
+    # the nodes, and the weights times g, are read once per (spectrum, weight);
+    # every value is the Gauss-Legendre sum written out on the nodes
+    g = fn.WeightFunction(lambda t: np.exp(-t), (5.5,))
+    zs = np.linspace(4.0, 7.0, 6) + 0.1j
+    ms = stieltjes.solve_mF(zs, spec_unif56, 2.0)
+    calls = []
+    nodes = fn.quadrature_nodes
+    monkeypatch.setattr(fn, "quadrature_nodes",
+                        lambda *args: calls.append(args) or nodes(*args))
+    got = [fn.theta_g(z, g, spec_unif56, 2.0, m=m) for z, m in zip(zs, ms)]
+    assert calls == [(spec_unif56, (5.5,))]
+    taus, ws = nodes(spec_unif56, (5.5,))
+    for z, m, value in zip(zs, ms, got):
+        k = stieltjes.k_factor(complex(z), complex(m), 2.0)
+        assert value == complex((ws * np.exp(-taus) / (taus * k - z)).sum())

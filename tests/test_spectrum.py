@@ -1,16 +1,22 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mpshrink import spectrum
 from mpshrink.errors import MassNotOne, NonPositiveSupport
 
 MIXTURE = spectrum.validate(atoms=[(0.27, 7.12)], segments=[(0.73, 2.14, 5.15)])
+# 400 atoms at the quantiles of U[0.01, 10]
+H_400 = spectrum.validate(atoms=[
+    (1 / 400, t) for t in spectrum.population_eigenvalues(
+        spectrum.uniform(0.01, 10.0), 400)])
 
 
 def test_validate_three_atoms():
@@ -231,3 +237,51 @@ def spectra(draw):
 @given(spectra())
 def test_total_mass_is_one(s):
     assert spectrum.moment(s, 0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [H_400, spectrum.uniform(5.0, 6.0), MIXTURE])
+@pytest.mark.parametrize("n", [1, 127, 3000])
+def test_stieltjes_h_columns_match_the_reference(spec, n):
+    # the columns built once give the same bits as the formula on the tuples
+    rng = np.random.default_rng(n)
+    s = rng.uniform(-2.0, 12.0, n) + 1j * rng.uniform(0.0, 1.0, n)
+    for points in (s, s.real[(s.real < spec.h1) | (s.real > spec.h2)]):
+        for upto in (np.inf, 5.5, 7.12):
+            for order in (0, 2):
+                got = spectrum._stieltjes_h(spec, points, upto, order)
+                ref = oracles.stieltjes_h_reference(spec, points, upto, order)
+                assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+class _CountedTuple(tuple):
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+def test_hash_is_computed_once_per_spectrum():
+    atoms = _CountedTuple(((0.5, 1.0), (0.5, 2.0)))
+    spec = spectrum.PopulationSpectrum(atoms=atoms, segments=(), h1=1.0, h2=2.0)
+    for k in (1, 2, 2, 3):
+        hash(spec), spectrum.moment(spec, k)
+    assert _CountedTuple.hashes == 1
+
+
+def test_equal_spectra_compare_and_hash_equal():
+    a = spectrum.validate(atoms=[(0.3, 2.0)], segments=[(0.7, 1.0, 4.0)])
+    b = spectrum.validate(segments=[(0.7, 1.0, 4.0)], atoms=[(0.3, 2.0)])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != spectrum.validate(atoms=[(0.3, 2.5)], segments=[(0.7, 1.0, 4.0)])
+    assert spectrum.moment(a, 7) == spectrum.moment(b, 7)
+
+
+def test_pickle_round_trip_keeps_the_columns():
+    for spec in (MIXTURE, H_400):
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec)
+        assert all(np.array_equal(c, d) for c, d in zip(back.columns, spec.columns))
+        s = np.array([0.5 + 0.5j, 11.0])
+        assert all(np.array_equal(g, r) for g, r in zip(
+            spectrum._stieltjes_h(back, s), spectrum._stieltjes_h(spec, s)))
