@@ -18,6 +18,9 @@ On the real axis the support edges are x at its real critical points.
 Inside the support the roots with Im u > 0 form the curve Im x(u) = 0 over
 the falling branch of x, one monotone equation in Im u per Re u; Chebyshev
 samples of it, refined where a point misses, seed Newton on x(u) = lambda.
+Where it passes close to a singular point of u(lambda) (a near split of the
+support, the end of a segment of H), the density changes over a tiny
+length, and solve_density cuts its grid there.
 Off it u is the real root on a rising branch of x.  One bracketed Newton
 finder, started from Taylor models, solves every real root.  For Im z > 0
 (solve_mF) Newton on x(u) = z starts from the real-axis root at Re z, moved
@@ -28,7 +31,7 @@ on the equation in m, H exact, with k = z/u = -z*mu from the root (_residual).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -245,6 +248,33 @@ def _curve_samples(spec: PopulationSpectrum, gamma: float, a: float, b: float,
     return path, path_t
 
 
+def _near_splits(spec: PopulationSpectrum, gamma: float) -> np.ndarray:
+    """lambda = x(u) where the curve u = v + iw of a support interval (_curve)
+    passes close to a singular point of u(lambda), so that the density changes
+    over a length that shrinks with w there: at the local minima of w (near
+    splits of the support), where Im x'(u) falls through 0 as
+    dw/dv = -Im x'/Re x', bracketed by the curve samples; and over the ends
+    of the segments of H but the lowest and highest point of supp H in the
+    interval's critical pair, next to which the curve meets the real axis."""
+    crit, values = _critical_points(spec, gamma)
+    ends = np.ravel([(lo, hi) for _, lo, hi in spec.segments])
+    points = np.concatenate([ends, [t for _, t in spec.atoms]])
+    neg, pos, at = [], [], []
+    for a, b, u_a, u_b in zip(values[::2], values[1::2], crit[::2], crit[1::2]):
+        u = _curve_samples(spec, gamma, a, b, u_a, u_b)[0][1:-1]
+        s = _in_u(u, spec, gamma, order=1)[1].imag
+        k = np.flatnonzero((s[:-1] > 0) & (s[1:] <= 0))
+        neg.append(u.real[k + 1])
+        pos.append(u.real[k])
+        inner = points[(u_a < points) & (points < u_b), None]
+        at.append(ends[(inner < ends).any(0) & (ends < inner).any(0)])
+    def f(v, i):
+        _, x1, x2 = _in_u(_curve(spec, gamma, v), spec, gamma)
+        return x1.imag, (x2 * (1.0 - 1j * x1.imag / x1.real)).imag
+    at.append(_bracketed_newton(f, np.concatenate(neg), np.concatenate(pos)))
+    return _in_u(_curve(spec, gamma, np.concatenate(at)), spec, gamma, order=0)[0].real
+
+
 def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
               a: float, b: float, u_a: float, u_b: float):
     """(u, converged) at points of the support interval [a, b] with edges
@@ -347,8 +377,9 @@ class StieltjesSolution:
     density is Im[m_breve]/pi (zero at invalid points); support holds the
     closed intervals where the density is positive; m_under_zero is the
     companion transform at 0 (present iff gamma < 1); mass_at_zero is the
-    weight of the atom of F at zero.  gamma must pass check_gamma, and the
-    support is never empty.
+    weight of the atom of F at zero; cuts are grid nodes inside the support
+    where the trapezoid rule of f_integral restarts (solve_density).  gamma
+    must pass check_gamma, and the support is never empty.
     """
 
     gamma: float
@@ -359,6 +390,7 @@ class StieltjesSolution:
     m_under_zero: float | None
     mass_at_zero: float
     valid: np.ndarray = field(repr=False)
+    cuts: tuple[float, ...] = ()
 
     def __post_init__(self):
         check_gamma(self.gamma)
@@ -390,16 +422,24 @@ class StieltjesSolution:
     @cached_property
     def _angle_weights(self):
         """Left and right weights of each grid step in the trapezoid rule in
-        the Chebyshev angle theta of each support interval [a, b], where
-        dlambda/dtheta = sqrt((lambda - a)(b - lambda)), lambda clipped to
-        [a, b]: zero off the support and at its edges."""
+        the Chebyshev angle theta of each piece [a, b] of the support between
+        its edges and cuts, where dlambda/dtheta = sqrt((lambda - a)(b - lambda)),
+        lambda clipped to [a, b]: zero off the support and at its edges.  The
+        density does not vanish at a cut, so there each piece adds its
+        Euler-Maclaurin end term, a weight h^2 (b - a)/24 for its step h."""
         lo, hi = self.grid[:-1], self.grid[1:]
         left, right = np.zeros(lo.shape), np.zeros(lo.shape)
-        for a, b in self.support:
+        ends = np.sort(np.concatenate([np.ravel(self.support), self.cuts, self.cuts]))
+        for a, b in ends.reshape(-1, 2):
             cl, ch = np.clip(lo, a, b), np.clip(hi, a, b)
             half = 0.5 * (_angle(ch, a, b) - _angle(cl, a, b))
             left += half * np.sqrt((cl - a) * (b - cl))
             right += half * np.sqrt((ch - a) * (b - ch))
+        for c in self.cuts:
+            i, k = np.searchsorted(ends, c), np.searchsorted(self.grid, c)
+            a, b = ends[i - 1], ends[i + 2]
+            right[k - 1] += (np.pi - _angle(lo[k - 1], a, c)) ** 2 * (c - a) / 24
+            left[k] += _angle(hi[k], c, b) ** 2 * (b - c) / 24
         return left, right
 
     def m_at(self, lam):
@@ -510,13 +550,14 @@ def solve_density(spec: PopulationSpectrum, gamma: float,
                   num_points: int = 3000) -> StieltjesSolution:
     """Boundary values on a grid built from the exact support edges: a
     Chebyshev grid on each support interval with both edges as nodes, plus
-    sparse tails off the support.  An interval's node count doubles, at most
-    MAX_DOUBLINGS times, until the trapezoid rule in theta for its mass moves
-    by at most MASS_TOL when every other node is dropped; a narrow feature of
-    the density (a near split of the support at large gamma) needs more nodes
-    than its share of num_points.  Raises NoConvergence if any grid point is
-    invalid; warns (RuntimeWarning) if a halving gap is still above MASS_TOL
-    after the last doubling."""
+    sparse tails off the support.  While, at most MAX_DOUBLINGS times, the
+    trapezoid rule in theta for the mass of a piece of the grid moves by more
+    than MASS_TOL when every other node is dropped, the piece is cut at the
+    _near_splits inside it, where the density can change over a length far
+    below the node spacing, into pieces with a Chebyshev grid each (dense at
+    the cut), or else its node count doubles.  Raises NoConvergence if any
+    grid point is invalid; warns (RuntimeWarning) if a halving gap is still
+    above MASS_TOL after the last refinement."""
     lows, highs = _critical_points(spec, check_gamma(gamma))[1].reshape(-1, 2).T
     total = float(np.sum(highs - lows))
     fixed = [np.linspace(0.6 * lows[0], lows[0], 24)[:-1],
@@ -524,15 +565,16 @@ def solve_density(spec: PopulationSpectrum, gamma: float,
     for b, a in zip(highs[:-1], lows[1:]):
         fixed.append(np.linspace(b, a, 24)[1:-1])
     # odd node counts, so that every other node is again a Chebyshev grid
-    counts = [2 * max(150, int(num_points * (b - a) / total) // 2) + 1
+    pieces = [(a, b, 2 * max(150, int(num_points * (b - a) / total) // 2) + 1)
               for a, b in zip(lows, highs)]
+    cuts, near = [], None
     for _ in range(MAX_DOUBLINGS + 1):
         nodes = [a + 0.5 * (b - a) * (1.0 - np.cos(np.linspace(0.0, np.pi, n)))
-                 for a, b, n in zip(lows, highs, counts)]
-        for x, b in zip(nodes, highs):
+                 for a, b, n in pieces]
+        for x, (_, b, _) in zip(nodes, pieces):
             x[-1] = b
-        solution = boundary_values(spec, gamma,
-                                   np.unique(np.concatenate(fixed + nodes)))
+        solution = replace(boundary_values(spec, gamma, np.unique(np.concatenate(
+            fixed + nodes))), cuts=tuple(sorted(cuts)))
         if not solution.valid.all():
             i = int(np.argmin(solution.valid))
             raise NoConvergence(f"boundary value at lambda={solution.grid[i]} "
@@ -540,19 +582,28 @@ def solve_density(spec: PopulationSpectrum, gamma: float,
         gaps = [_halving_gap(solution, x) for x in nodes]
         if max(gaps) <= MASS_TOL:
             return solution
-        counts = [2 * n - 1 if g > MASS_TOL else n for n, g in zip(counts, gaps)]
+        near = _near_splits(spec, gamma) if near is None else near
+        refined = []
+        for (a, b, n), g in zip(pieces, gaps):
+            cut = sorted(near[(a < near) & (near < b)]) if g > MASS_TOL else []
+            cuts += map(float, cut)
+            n = n if g <= MASS_TOL or cut else 2 * n - 1
+            refined += [(c, d, n) for c, d in zip([a, *cut], [*cut, b])]
+        pieces = refined
     i = int(np.argmax(gaps))
-    warnings.warn(f"support interval [{lows[i]}, {highs[i]}]: halving gap "
-                  f"{gaps[i]:.3e} after {MAX_DOUBLINGS} doublings, total mass "
+    warnings.warn(f"support piece [{nodes[i][0]}, {nodes[i][-1]}]: halving gap "
+                  f"{gaps[i]:.3e} after {MAX_DOUBLINGS} refinements, total mass "
                   f"gap {abs(solution.total_mass() - 1.0):.3e}", RuntimeWarning)
     return solution
 
 
 def _halving_gap(solution: StieltjesSolution, nodes: np.ndarray) -> float:
     """Change of the trapezoid rule in theta for the mass on the Chebyshev
-    nodes of one support interval when every other node is dropped."""
-    n = len(nodes)
+    nodes of one support piece when every other node is dropped, each with
+    its end terms (StieltjesSolution._angle_weights) at a cut."""
+    n, h = len(nodes), np.pi / (len(nodes) - 1)
     a, b = nodes[0], nodes[-1]
-    w = solution.density[np.searchsorted(solution.grid, nodes)] \
-        * np.sin(np.linspace(0.0, np.pi, n))
-    return 0.5 * (b - a) * np.pi / (n - 1) * abs(np.sum(w[1::2]) - np.sum(w[::2]))
+    f = solution.density[np.searchsorted(solution.grid, nodes)]
+    w = f * np.sin(np.linspace(0.0, np.pi, n))
+    return 0.5 * (b - a) * h * abs(np.sum(w[1::2]) - np.sum(w[::2])
+                                   - h * (f[0] + f[-1]) / 4)

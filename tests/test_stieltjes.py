@@ -722,6 +722,50 @@ def test_solve_density_warns_at_doubling_cap(solutions, name):
         assert abs(sol.total_mass() - 1.0) <= stieltjes.MASS_TOL
 
 
+@pytest.mark.parametrize("atoms, segments, gamma", [
+    ([(0.6086956521739131, 9.65625)],
+     [(0.043478260869565216, 6.703125, 8.875),
+      (0.34782608695652173, 9.625, 12.625)], 146.0),
+    ([(0.0986, 2.0), (0.4507, 6.046875), (0.4507, 8.703125)], [], 27.5),
+    ([(0.6415094339622642, 1.0), (0.22012578616352202, 5.7734375)],
+     [(0.1383647798742138, 4.35546875, 5.46875)], 177.0),
+    ([(0.9697, 1.0)], [(0.0303, 0.5, 3.5)], 155.0),
+    ([(0.47058823529411764, 4.0)], [(0.05882352941176472, 0.25, 3.25),
+                                    (0.47058823529411764, 0.5, 1.5)], 81.0),
+])
+def test_near_split_cuts_the_grid(atoms, segments, gamma):
+    # the curve of physical roots passes close to a branch point (a sharp
+    # minimum of Im u, in a gap of supp H or over a thin segment) or to the
+    # end of a segment, so the density changes over ~1e-4 there; doubling
+    # the grid of the whole support interval left halving gaps of 3.7e-7,
+    # 3.1e-6, 1.9e-7, 1.1e-7 and 1.7e-7 after 4 doublings
+    spec = spectrum.validate(atoms=atoms, segments=segments)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = stieltjes.solve_density(spec, gamma, num_points=1500)
+    assert sol.cuts and set(sol.cuts) <= set(stieltjes._near_splits(spec, gamma))
+    assert set(sol.cuts) <= set(sol.grid) and len(sol.grid) < 15000
+    # with the end terms at the cuts the pieces converge exponentially again
+    assert abs(sol.total_mass() - 1.0) <= 1e-9
+
+
+def test_f_integral_takes_end_terms_at_cuts():
+    # density t^(1/2) (1 - t)^(1/2) (1 + t), t = lambda - 1, on [1, 2]: mass
+    # 3 pi/16; Chebyshev grids on [1, 1.4] and [1.4, 2], cut at 1.4, where
+    # the density does not vanish: without its end terms the rule is 4.3e-6 off
+    theta = np.linspace(0.0, np.pi, 257)
+    grid = np.unique(np.concatenate([1.0 + 0.2 * (1.0 - np.cos(theta)),
+                                     1.4 + 0.3 * (1.0 - np.cos(theta))]))
+    grid = np.concatenate([[0.5], grid, [2.5]])
+    t = np.clip(grid - 1.0, 0.0, 1.0)
+    density = np.sqrt(t * (1.0 - t)) * (1.0 + t)
+    sol = stieltjes.StieltjesSolution(
+        gamma=2.0, grid=grid, m_breve=1j * np.pi * density, density=density,
+        support=[(1.0, 2.0)], m_under_zero=None, mass_at_zero=0.0,
+        valid=np.ones(grid.shape, dtype=bool), cuts=(1.4,))
+    assert abs(sol.total_mass() - 3.0 * np.pi / 16.0) <= 1e-9
+
+
 @pytest.mark.parametrize("gamma", [0.5, 2.0])
 def test_atoms_one_ulp_apart_leave_no_gap(gamma):
     # no float lies between the atoms, so the gap's midpoint would be an atom
