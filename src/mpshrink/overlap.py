@@ -91,10 +91,10 @@ def phi_cumulative(lam: float, tau: float, solution: StieltjesSolution,
     if tau < spec.h1 or lam < 0:
         return 0.0
     n = min(len(solution.grid), np.searchsorted(solution.grid, lam) + 1)
-    # grid points of zero density carry no weight in f_integral
-    inner = np.zeros(n)
-    pos = solution.density[:n] > 0
-    inner[pos] = _h_integral(solution.grid[:n][pos], solution.m_breve[:n][pos],
+    # f_integral to lambda weighs f only at the first n points of positive density
+    pos = (solution.density > 0) & (np.arange(len(solution.grid)) < n)
+    inner = np.zeros(len(solution.grid))
+    inner[pos] = _h_integral(solution.grid[pos], solution.m_breve[pos],
                              solution.gamma, spec, tau)
     at_zero = _h_integral_zero(solution, spec, tau) if solution.gamma < 1 \
         else 0.0

@@ -64,8 +64,8 @@ def validate(atoms: Sequence[Sequence[float]] = (),
     Zero-weight entries are dropped, components are sorted by location and
     h1/h2 are recomputed from content.
 
-    Raises NonPositiveSupport if any mass sits at tau <= 0, MassNotOne if the
-    weights do not sum to 1 within 1e-12.
+    Raises NonPositiveSupport if any mass sits at tau <= 0, MassNotOne if a
+    weight is negative, none is positive or they do not sum to 1 within 1e-12.
     """
     clean_atoms = []
     for w, t in atoms:
@@ -90,11 +90,11 @@ def validate(atoms: Sequence[Sequence[float]] = (),
             raise ValueError(f"segment [{lo},{hi}] needs hi > lo")
         clean_segments.append((w, lo, hi))
 
+    if not clean_atoms and not clean_segments:
+        raise MassNotOne("empty spectrum")
     total = sum(w for w, _ in clean_atoms) + sum(w for w, _, _ in clean_segments)
     if abs(total - 1.0) > MASS_TOL:
         raise MassNotOne(f"weights sum to {total!r}, expected 1 within {MASS_TOL}")
-    if not clean_atoms and not clean_segments:
-        raise MassNotOne("empty spectrum")
 
     # merge duplicate atoms, then sort everything by location
     merged: dict[float, float] = {}

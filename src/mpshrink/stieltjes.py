@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, EmptySupport, GammaOne, NoConvergence
-from .spectrum import PopulationSpectrum, _stieltjes_h, moment
+from .spectrum import PopulationSpectrum, _stieltjes_h, cdf, moment
 
 TOL = 1e-12
 NEWTON_STEPS = 50
@@ -374,21 +374,18 @@ def _newton_form(th, cuts, nodes, dd):
 class StieltjesSolution:
     """Boundary values of the limiting law on a lambda grid.
 
-    density is Im[m_breve]/pi (zero at invalid points); support holds the
-    closed intervals where the density is positive; m_under_zero is the
-    companion transform at 0 (present iff gamma < 1); mass_at_zero is the
-    weight of the atom of F at zero; cuts are grid nodes inside the support
-    where the trapezoid rule of f_integral restarts (solve_density).  gamma
-    must pass check_gamma, and the support is never empty.
+    support holds the closed intervals where the density is positive;
+    m_under_zero is the companion transform at 0 (present iff gamma < 1);
+    cuts are grid nodes inside the support where the trapezoid rule of
+    f_integral restarts (solve_density); density and mass_at_zero follow
+    from the fields.  gamma must pass check_gamma; the support is not empty.
     """
 
     gamma: float
     grid: np.ndarray
     m_breve: np.ndarray
-    density: np.ndarray
     support: list[tuple[float, float]]
     m_under_zero: float | None
-    mass_at_zero: float
     valid: np.ndarray = field(repr=False)
     cuts: tuple[float, ...] = ()
 
@@ -396,6 +393,16 @@ class StieltjesSolution:
         check_gamma(self.gamma)
         if not self.support:
             raise EmptySupport("a solution needs at least one support interval")
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        """F' = Im[m_breve]/pi at the grid points, zero at invalid ones."""
+        return np.where(self.valid, self.m_breve.imag / np.pi, 0.0)
+
+    @property
+    def mass_at_zero(self) -> float:
+        """Weight of the atom of F at zero: 1 - gamma for gamma < 1, else 0."""
+        return max(0.0, 1.0 - self.gamma)
 
     @cached_property
     def _pieces(self):
@@ -467,19 +474,17 @@ class StieltjesSolution:
         return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
 
     def f_integral(self, lam, values=1.0, at_zero: float = 1.0):
-        """Integral of f against dF over [0, lam], from values = f at the first
-        grid points (up to one at or above lam; default f = 1) and at_zero =
-        f(0) for the atom at zero.  The trapezoid rule in the Chebyshev angle
-        theta, cumulated along the grid and linear in lambda in between: dF is
-        sin(theta) times a smooth even periodic function of theta, so on the
-        Chebyshev nodes of solve_density the rule converges exponentially."""
-        n = np.size(values) if np.ndim(values) else len(self.grid)
+        """Integral of f against dF over [0, lam], from values = f at every
+        grid point or one scalar (default f = 1) and at_zero = f(0) for the
+        atom at zero.  The trapezoid rule in theta (_angle_weights), cumulated
+        along the grid and linear in lambda in between: dF is sin(theta) times
+        a smooth even periodic function of theta, so on the Chebyshev nodes of
+        solve_density the rule converges exponentially."""
         left, right = self._angle_weights
-        fd = self.density[:n] * values
-        cum = np.concatenate([[0.0], np.cumsum(left[:n - 1] * fd[:-1]
-                                               + right[:n - 1] * fd[1:])])
+        fd = self.density * values
+        cum = np.concatenate([[0.0], np.cumsum(left * fd[:-1] + right * fd[1:])])
         lam_arr = np.asarray(lam, dtype=float)
-        out = np.interp(lam_arr, self.grid[:n], cum) \
+        out = np.interp(lam_arr, self.grid, cum) \
             + self.mass_at_zero * at_zero * (lam_arr >= 0)
         return out if np.ndim(lam) else float(out)
 
@@ -533,12 +538,10 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
     m_breve, resid = _at_root(grid, u, spec, gamma)
     valid = ok & (resid <= 10 * TOL * np.maximum(1.0, np.abs(m_breve)))
     return StieltjesSolution(
-        gamma=float(gamma), grid=grid, m_breve=m_breve,
-        density=np.where(valid, m_breve.imag / np.pi, 0.0),
+        gamma=float(gamma), grid=grid, m_breve=m_breve, valid=valid,
         support=[(float(a), float(b))
                  for a, b in _critical_points(spec, gamma)[1].reshape(-1, 2)],
-        m_under_zero=companion_zero(spec, gamma) if gamma < 1 else None,
-        mass_at_zero=(1.0 - gamma) if gamma < 1 else 0.0, valid=valid)
+        m_under_zero=companion_zero(spec, gamma) if gamma < 1 else None)
 
 
 def support_edges(solution: StieltjesSolution) -> list[tuple[float, float]]:
@@ -550,15 +553,22 @@ def solve_density(spec: PopulationSpectrum, gamma: float,
                   num_points: int = 3000) -> StieltjesSolution:
     """Boundary values on a grid built from the exact support edges: a
     Chebyshev grid on each support interval with both edges as nodes, plus
-    sparse tails off the support.  While, at most MAX_DOUBLINGS times, the
-    trapezoid rule in theta for the mass of a piece of the grid moves by more
-    than MASS_TOL when every other node is dropped, the piece is cut at the
-    _near_splits inside it, where the density can change over a length far
-    below the node spacing, into pieces with a Chebyshev grid each (dense at
-    the cut), or else its node count doubles.  Raises NoConvergence if any
-    grid point is invalid; warns (RuntimeWarning) if a halving gap is still
-    above MASS_TOL after the last refinement."""
-    lows, highs = _critical_points(spec, check_gamma(gamma))[1].reshape(-1, 2).T
+    sparse tails off the support.  A piece of the grid misses when
+    f_integral's mass on it moves by more than MASS_TOL on a copy of the
+    solution without every other node of each piece; once none does, a
+    support interval misses when f_integral's mass on it is more than
+    MASS_TOL from its exact value, H's mass between the interval's critical
+    points of x less the atom at zero on the lowest (exact separation).  At
+    most MAX_DOUBLINGS times, a piece that misses, or lies in an interval
+    that does, is cut at the _near_splits inside it, where the density can
+    change over a length far below the node spacing, into pieces with a
+    Chebyshev grid each (dense at the cut), or else its node count doubles.
+    Raises NoConvergence if any grid point is invalid; warns
+    (RuntimeWarning) if a piece still misses after the last refinement."""
+    crit, values = _critical_points(spec, check_gamma(gamma))
+    lows, highs = values.reshape(-1, 2).T
+    exact = np.diff(cdf(spec, crit).reshape(-1, 2)).ravel()
+    exact[0] -= max(0.0, 1.0 - gamma)
     total = float(np.sum(highs - lows))
     fixed = [np.linspace(0.6 * lows[0], lows[0], 24)[:-1],
              np.linspace(highs[-1], 1.05 * highs[-1], 24)[1:]]
@@ -579,9 +589,19 @@ def solve_density(spec: PopulationSpectrum, gamma: float,
             i = int(np.argmin(solution.valid))
             raise NoConvergence(f"boundary value at lambda={solution.grid[i]} "
                                 f"missed its residual")
-        gaps = [_halving_gap(solution, x) for x in nodes]
-        if max(gaps) <= MASS_TOL:
-            return solution
+        keep = np.ones(len(solution.grid), dtype=bool)
+        keep[solution.grid.searchsorted(np.concatenate([x[1:-1:2] for x in nodes]))] = False
+        coarse = replace(solution, grid=solution.grid[keep],
+                         m_breve=solution.m_breve[keep], valid=solution.valid[keep])
+        ends = np.array(pieces)[:, :2]
+        gaps = np.abs(np.diff(solution.f_integral(ends) - coarse.f_integral(ends)).ravel())
+        what = "halving gap"
+        if gaps.max() <= MASS_TOL:
+            mass = np.diff(solution.f_integral(values).reshape(-1, 2)).ravel()
+            gaps = np.abs(mass - exact)[lows.searchsorted(ends[:, 0], side="right") - 1]
+            what = "interval mass gap"
+            if gaps.max() <= MASS_TOL:
+                return solution
         near = _near_splits(spec, gamma) if near is None else near
         refined = []
         for (a, b, n), g in zip(pieces, gaps):
@@ -591,19 +611,7 @@ def solve_density(spec: PopulationSpectrum, gamma: float,
             refined += [(c, d, n) for c, d in zip([a, *cut], [*cut, b])]
         pieces = refined
     i = int(np.argmax(gaps))
-    warnings.warn(f"support piece [{nodes[i][0]}, {nodes[i][-1]}]: halving gap "
+    warnings.warn(f"support piece [{nodes[i][0]}, {nodes[i][-1]}]: {what} "
                   f"{gaps[i]:.3e} after {MAX_DOUBLINGS} refinements, total mass "
                   f"gap {abs(solution.total_mass() - 1.0):.3e}", RuntimeWarning)
     return solution
-
-
-def _halving_gap(solution: StieltjesSolution, nodes: np.ndarray) -> float:
-    """Change of the trapezoid rule in theta for the mass on the Chebyshev
-    nodes of one support piece when every other node is dropped, each with
-    its end terms (StieltjesSolution._angle_weights) at a cut."""
-    n, h = len(nodes), np.pi / (len(nodes) - 1)
-    a, b = nodes[0], nodes[-1]
-    f = solution.density[np.searchsorted(solution.grid, nodes)]
-    w = f * np.sin(np.linspace(0.0, np.pi, n))
-    return 0.5 * (b - a) * h * abs(np.sum(w[1::2]) - np.sum(w[::2])
-                                   - h * (f[0] + f[-1]) / 4)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mpshrink import cli, shrinkage, simulate
+from mpshrink import cli, shrinkage, simulate, spectrum
 
 
 def _write_config(tmp_path, name, doc):
@@ -256,6 +256,35 @@ def test_simulate_assert_failure_exit_code(tmp_path):
     assert cli.main(["simulate", "--config", cfg, "--out", str(out),
                      "--assert"]) == 3
 
+
+def test_simulate_assert_nonlinear_not_above_linear(tmp_path, capsys):
+    # for Sigma = I linear shrinkage is exact (PRIAL 100), so the nonlinear
+    # estimator cannot beat it, whatever the minimum PRIAL
+    cfg = _write_config(tmp_path, "cfg.json",
+                        {"spectrum": D1, "N": 15, "p": 30, "reps": 8,
+                         "seed": 5, "assert_nonlinear_min": 0.0})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out),
+                     "--assert"]) == 3
+    assert "not above linear baseline" in capsys.readouterr().err
+    assert not (out / "simulate.manifest.json").exists()
+
+
+def test_simulate_empirical_delta_output(tmp_path):
+    cfg = _write_config(tmp_path, "cfg.json",
+                        {"spectrum": MIX, "N": 15, "p": 30, "reps": 8,
+                         "seed": 5, "outputs": ["delta"], "delta_points": 11})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "simulate_report.json").read_text())
+    delta = doc["reports"][0]["report"]["empirical_delta"]
+    x, value = np.array(delta["x"]), np.array(delta["value"])
+    assert len(x) == len(value) == 11 and x[0] == 0.0
+    assert np.all(np.diff(value) >= 0.0) and value[0] == 0.0
+    # the d_i sum to Tr Sigma; x stops at 1.05 times the limiting top edge,
+    # above which a few of the N = 15 sample eigenvalues can fall
+    trace = np.mean(spectrum.population_eigenvalues(spectrum.from_json(MIX), 15))
+    assert 0.95 * trace <= value[-1] <= trace * (1.0 + 1e-12)
 
 def test_kernel_explicit_l_value(tmp_path):
     cfg = _write_config(tmp_path, "cfg.json",

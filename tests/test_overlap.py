@@ -48,10 +48,8 @@ def test_gamma_one_guard(spec_d1):
     # itself refuses gamma = 1 at construction
     with pytest.raises(GammaOne):
         stieltjes.StieltjesSolution(
-            gamma=1.0, grid=np.array([1.0, 2.0]),
-            m_breve=np.array([0j, 0j]), density=np.array([0.0, 0.0]),
-            support=[(1.0, 2.0)], m_under_zero=None, mass_at_zero=0.0,
-            valid=np.array([True, True]))
+            gamma=1.0, grid=np.array([1.0, 2.0]), m_breve=np.array([0j, 0j]),
+            support=[(1.0, 2.0)], m_under_zero=None, valid=np.array([True, True]))
 
 
 def test_fig1_profile_uniform_spectrum(solutions):
@@ -233,3 +231,13 @@ def test_point_mass_reduction_scaled():
     lo, hi = sol.support[0]
     for l in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 9):
         assert overlap.phi(l, 2.0, sol, spec) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_phi_h_integral_below_and_at_zero(solutions):
+    spec = solutions.specs["d1"]
+    assert overlap.phi_h_integral(-1.0, solutions("d1", 2.0), spec) == 0.0
+    with pytest.raises(ZeroBranchUnavailable):
+        overlap.phi_h_integral(0.0, solutions("d1", 2.0), spec)
+    # for gamma < 1 the eigenvectors of the zero atom carry the whole of H
+    assert overlap.phi_h_integral(0.0, solutions("d1", 0.5), spec) \
+        == pytest.approx(1.0, abs=1e-12)

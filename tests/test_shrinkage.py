@@ -147,10 +147,8 @@ def test_gamma_one_rejected(spec_d1):
     # at construction, and solve_density before any solve
     with pytest.raises(GammaOne):
         stieltjes.StieltjesSolution(
-            gamma=1.0, grid=np.array([1.0, 2.0]),
-            m_breve=np.array([0j, 0j]), density=np.array([0.0, 0.0]),
-            support=[(1.0, 2.0)], m_under_zero=None, mass_at_zero=0.0,
-            valid=np.array([True, True]))
+            gamma=1.0, grid=np.array([1.0, 2.0]), m_breve=np.array([0j, 0j]),
+            support=[(1.0, 2.0)], m_under_zero=None, valid=np.array([True, True]))
     with pytest.raises(GammaOne):
         stieltjes.solve_density(spec_d1, 1.0)
 

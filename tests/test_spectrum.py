@@ -285,3 +285,34 @@ def test_pickle_round_trip_keeps_the_columns():
         s = np.array([0.5 + 0.5j, 11.0])
         assert all(np.array_equal(g, r) for g, r in zip(
             spectrum._stieltjes_h(back, s), spectrum._stieltjes_h(spec, s)))
+
+
+def test_validate_drops_zero_weights():
+    # a zero weight is dropped before its location is checked
+    s = spectrum.validate(atoms=[(0.0, -1.0), (1.0, 3.0)],
+                          segments=[(0.0, 5.0, 6.0)])
+    assert s.atoms == ((1.0, 3.0),) and s.segments == ()
+    assert s.h1 == s.h2 == 3.0
+
+
+@pytest.mark.parametrize("atoms, segments, match", [
+    ([(-0.5, 1.0), (1.5, 2.0)], [], "negative atom weight"),
+    ([(1.5, 2.0)], [(-0.5, 1.0, 2.0)], "negative segment weight"),
+    ([], [], "empty spectrum"),
+    ([(0.0, 1.0)], [(0.0, 2.0, 3.0)], "empty spectrum"),
+])
+def test_validate_rejects_negative_weights_and_empty_spectra(atoms, segments,
+                                                             match):
+    with pytest.raises(MassNotOne, match=match):
+        spectrum.validate(atoms=atoms, segments=segments)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, -0.5, np.array([0.5, 1.5])])
+def test_quantile_rejects_q_outside_the_open_unit_interval(q):
+    with pytest.raises(ValueError, match="q in"):
+        spectrum.quantile(MIXTURE, q)
+
+
+def test_population_eigenvalues_needs_a_positive_size():
+    with pytest.raises(ValueError, match="N >= 1"):
+        spectrum.population_eigenvalues(MIXTURE, 0)

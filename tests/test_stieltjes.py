@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import SOLUTION_POINTS, interior_points
 from mpshrink import spectrum, stieltjes
-from mpshrink.errors import DomainError, EmptySupport, GammaOne
+from mpshrink.errors import DomainError, EmptySupport, GammaOne, NoConvergence
 
 U_HARD = spectrum.uniform(0.01, 10.0)   # segment reaching down to 1e-3 * h2
 MIXTURE = spectrum.validate(atoms=[(0.27, 7.12)], segments=[(0.73, 2.14, 5.15)])
@@ -329,11 +330,19 @@ def test_m_at_reproduces_few_knots(spec_d1, knots):
 
 
 def test_total_mass(solutions):
+    # and F's mass on each support interval: H's between the interval's
+    # critical points, less the atom at zero on the lowest (exact separation)
     for name in ("d1", "204040", "unif56"):
-        for gamma in (0.5, 2.0, 10.0):
+        spec = solutions.specs[name]
+        for gamma in (0.5, 2.0, 10.0, 100.0):
             sol = solutions(name, gamma)
             assert sol.total_mass() == pytest.approx(1.0, abs=1e-12)
             assert sol.mass_at_zero == (1 - gamma if gamma < 1 else 0.0)
+            crit, values = stieltjes._critical_points(spec, gamma)
+            exact = np.diff(spectrum.cdf(spec, crit).reshape(-1, 2)).ravel()
+            exact[0] -= sol.mass_at_zero
+            got = np.diff(sol.cdf(values).reshape(-1, 2)).ravel()
+            assert np.max(np.abs(got - exact)) <= 1e-12
 
 
 def test_support_edges_point_mass(solutions):
@@ -423,10 +432,8 @@ def test_gamma_outside_domain_is_domain_error(spec_d1, gamma):
 def test_solution_needs_support():
     with pytest.raises(EmptySupport):
         stieltjes.StieltjesSolution(
-            gamma=2.0, grid=np.array([1.0, 2.0]),
-            m_breve=np.array([0j, 0j]), density=np.array([0.0, 0.0]),
-            support=[], m_under_zero=None, mass_at_zero=0.0,
-            valid=np.array([True, True]))
+            gamma=2.0, grid=np.array([1.0, 2.0]), m_breve=np.array([0j, 0j]),
+            support=[], m_under_zero=None, valid=np.array([True, True]))
 
 
 def test_boundary_values_rejects_gamma_one(spec_d1):
@@ -749,6 +756,51 @@ def test_near_split_cuts_the_grid(atoms, segments, gamma):
     assert abs(sol.total_mass() - 1.0) <= 1e-9
 
 
+def test_interval_mass_check_catches_a_passing_halving_gap():
+    # on the first 1547-node grid every halving gap is below MASS_TOL (3.4e-8
+    # at most) while the mass is 1 + 1.19e-5: the one support interval
+    # misses its exact mass and is cut at its two near splits
+    spec = spectrum.validate(
+        atoms=[(0.40782329984729754, 0.45249332838548273),
+               (0.05892383706420279, 1.1)],
+        segments=[(0.5332528630884996, 6.458681010021606, 8.508260824162713)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = stieltjes.solve_density(spec, 1.1, num_points=1500)
+    assert len(sol.support) == 1 and len(sol.cuts) == 2 and len(sol.grid) > 1547
+    assert abs(sol.total_mass() - 1.0) <= 1e-9
+
+
+def test_density_and_mass_at_zero_follow_the_fields(solutions):
+    sol = solutions("d1", 0.5)
+    half = dataclasses.replace(sol, grid=sol.grid[::2], m_breve=sol.m_breve[::2],
+                               valid=sol.valid[::2])
+    assert np.array_equal(half.density, sol.density[::2])
+    assert half.mass_at_zero == sol.mass_at_zero == 0.5
+    assert dataclasses.replace(sol, gamma=2.0).mass_at_zero == 0.0
+
+
+def test_solve_mF_raises_with_its_residual(spec_d1, monkeypatch):
+    # a Newton solve that leaves its seed unsolved
+    monkeypatch.setattr(stieltjes, "_newton",
+                        lambda spec, gamma, z, u: (1.5 * u, np.zeros(u.shape, bool)))
+    with pytest.raises(NoConvergence) as info:
+        stieltjes.solve_mF(np.array([2.0 + 0.1j, 3.0 + 0.1j]), spec_d1, 2.0)
+    assert isinstance(info.value.residual, float)
+    assert info.value.residual > 10 * stieltjes.TOL
+
+
+def test_solve_density_raises_on_an_invalid_point(spec_d1, monkeypatch):
+    real_roots = stieltjes._real_roots
+
+    def one_missed(spec, gamma, lam):
+        u, ok = real_roots(spec, gamma, lam)
+        ok[len(ok) // 2] = False
+        return u, ok
+    monkeypatch.setattr(stieltjes, "_real_roots", one_missed)
+    with pytest.raises(NoConvergence, match="missed its residual"):
+        stieltjes.solve_density(spec_d1, 2.0, num_points=300)
+
 def test_f_integral_takes_end_terms_at_cuts():
     # density t^(1/2) (1 - t)^(1/2) (1 + t), t = lambda - 1, on [1, 2]: mass
     # 3 pi/16; Chebyshev grids on [1, 1.4] and [1.4, 2], cut at 1.4, where
@@ -760,9 +812,8 @@ def test_f_integral_takes_end_terms_at_cuts():
     t = np.clip(grid - 1.0, 0.0, 1.0)
     density = np.sqrt(t * (1.0 - t)) * (1.0 + t)
     sol = stieltjes.StieltjesSolution(
-        gamma=2.0, grid=grid, m_breve=1j * np.pi * density, density=density,
-        support=[(1.0, 2.0)], m_under_zero=None, mass_at_zero=0.0,
-        valid=np.ones(grid.shape, dtype=bool), cuts=(1.4,))
+        gamma=2.0, grid=grid, m_breve=1j * np.pi * density, support=[(1.0, 2.0)],
+        m_under_zero=None, valid=np.ones(grid.shape, dtype=bool), cuts=(1.4,))
     assert abs(sol.total_mass() - 3.0 * np.pi / 16.0) <= 1e-9
 
 
