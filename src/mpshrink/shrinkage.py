@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum as spectrum_mod
-from .errors import DegenerateSpan
+from .errors import DegenerateSpan, DomainError
 from .spectrum import PopulationSpectrum
-from .stieltjes import StieltjesSolution, k_factor
+from .stieltjes import StieltjesSolution, _in_blocks, k_factor
 
 MOMENT_GAP_TOL = 1e-5  # worst gap over random mixtures measured 2.1e-6
 ZERO_EIG_REL_TOL = 1e-10
@@ -30,20 +30,23 @@ ZERO_EIG_REL_TOL = 1e-10
 def _correction(lam, solution: StieltjesSolution, at_zero: float, formula):
     """formula(lambda, m_breve, gamma) for lambda > 0, m_breve read at the
     nearest point of Supp(F) (finite-N eigenvalues fluctuate outside it);
-    at_zero, the value at lambda = 0 (0 when gamma > 1); 0 for lambda < 0."""
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    out = np.zeros(lam_arr.shape)
-    pos = lam_arr > 0
-    if pos.any():
-        looked, _ = solution.clip_to_support(lam_arr[pos])
-        out[pos] = formula(lam_arr[pos], solution.m_at(looked), solution.gamma)
-    out[lam_arr == 0] = at_zero
-    return out if np.ndim(lam) else float(out[0])
+    at_zero at lambda = 0 (0 when gamma > 1); 0 below; DomainError if not finite."""
+    def block(x):
+        if not np.isfinite(x).all():
+            raise DomainError("bias correction of a non-finite eigenvalue")
+        out = np.zeros(x.shape)
+        pos = x > 0
+        if pos.any():
+            looked, _ = solution.clip_to_support(x[pos])
+            out[pos] = formula(x[pos], solution.m_at(looked), solution.gamma)
+        out[x == 0] = at_zero
+        return out
+    return _in_blocks(block, lam, float)
 
 
 def delta(lam, solution: StieltjesSolution):
-    """Covariance bias correction delta(lambda); scalar or array lambda,
-    delta_zero at lambda = 0 and 0 below."""
+    """Covariance bias correction delta(lambda) in blocks (_correction);
+    scalar or array lambda, delta_zero at 0, 0 below, DomainError if not finite."""
     return _correction(lam, solution, delta_zero(solution), lambda lam, m, g:
                        lam / np.abs(k_factor(lam, m, g)) ** 2)
 
@@ -56,8 +59,8 @@ def delta_zero(solution: StieltjesSolution) -> float:
 
 
 def psi(lam, solution: StieltjesSolution, spec: PopulationSpectrum):
-    """Inverse-covariance bias correction psi(lambda); psi_zero at
-    lambda = 0 and 0 below."""
+    """Inverse-covariance bias correction psi(lambda) in blocks, as delta;
+    psi_zero at lambda = 0, 0 below, DomainError if not finite."""
     return _correction(lam, solution, psi_zero(solution, spec), lambda lam, m, g:
                        (1.0 - 1.0 / g - 2.0 / g * lam * m.real) / lam)
 
@@ -79,8 +82,10 @@ def zero_eigenvalues(eigs) -> np.ndarray:
 
 def zeroed(sample_eigs) -> np.ndarray:
     """Sample eigenvalues with the zero_eigenvalues entries set to 0; raises
-    ValueError on a negative one outside that band."""
+    ValueError on a negative one outside that band, DomainError on inf or NaN."""
     eigs = np.asarray(sample_eigs, dtype=float)
+    if not np.isfinite(eigs).all():
+        raise DomainError("sample eigenvalues must be finite")
     zero = zero_eigenvalues(eigs)
     if np.any((eigs < 0) & ~zero):
         raise ValueError("sample eigenvalues must be >= 0")
@@ -90,8 +95,8 @@ def zeroed(sample_eigs) -> np.ndarray:
 def shrink_spectrum(sample_eigs, solution: StieltjesSolution) -> np.ndarray:
     """delta of each sample eigenvalue, a spectrum or a stack of them (one row
     each), in input order: the zero eigenvalues (zero_eigenvalues) map to
-    delta(0).  Raises ValueError on a negative eigenvalue outside the zero
-    band."""
+    delta(0).  Raises as zeroed.  Working set: the output, zeroed's copy of
+    the input and one block of delta."""
     return delta(zeroed(sample_eigs), solution)
 
 

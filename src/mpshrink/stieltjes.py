@@ -46,6 +46,7 @@ PATH_POINTS = 129
 MASS_TOL = 1e-7
 MAX_DOUBLINGS = 4
 STENCIL = 6
+BLOCK = 2 ** 13  # a dense lambda lookup's working set: its output and one block
 
 
 def check_gamma(gamma: float) -> float:
@@ -360,6 +361,19 @@ def _stencils(th, v):
     return th[1:-1], nodes[:-1], dd
 
 
+def _in_blocks(f, lam, dtype):
+    """f of the flattened lam, BLOCK points at a time, into one output of
+    lam's shape (a dtype scalar if 0-d); one block returns f's own result."""
+    x = np.asarray(lam, dtype=float).ravel()
+    if x.size <= BLOCK:
+        out = f(x)
+    else:
+        out = np.empty(x.size, dtype)
+        for s in range(0, x.size, BLOCK):
+            out[s:s + BLOCK] = f(x[s:s + BLOCK])
+    return out.reshape(np.shape(lam)) if np.ndim(lam) else dtype(out[0])
+
+
 def _newton_form(th, cuts, nodes, dd):
     """The polynomials of _stencils at th; th outside the knots takes the
     polynomial of the nearest interval."""
@@ -451,11 +465,16 @@ class StieltjesSolution:
 
     def m_at(self, lam):
         """m_breve at valid grid points, else the polynomial of the piece of
-        the grid range holding lambda, clamped to the range (_pieces): Im >= 0
-        in the support, 0 off it.  DomainError in a piece without knots."""
+        the grid range holding lambda, clamped to it (_pieces): Im >= 0 in the
+        support, 0 off it; in blocks; DomainError at NaN or in a knotless piece."""
+        return _in_blocks(self._m_block, lam, complex)
+
+    def _m_block(self, x):
+        """m_at of a flat block x."""
+        if np.isnan(x).any():
+            raise DomainError("m_at of NaN")
         ends, pieces = self._pieces
-        x = np.minimum(self.grid[-1], np.maximum(
-            self.grid[0], np.asarray(lam, dtype=float).ravel()))
+        x = np.minimum(self.grid[-1], np.maximum(self.grid[0], x))
         k = np.searchsorted(self.grid, x)
         node = (self.grid[k] == x) & self.valid[k] & (self.m_breve.imag[k] >= 0)
         out = self.m_breve[k]
@@ -471,7 +490,7 @@ class StieltjesSolution:
             if q % 2:
                 v.imag = np.sin(th) * np.exp(v.imag)
             out[i] = v
-        return out.reshape(np.shape(lam)) if np.ndim(lam) else complex(out[0])
+        return out
 
     def f_integral(self, lam, values=1.0, at_zero: float = 1.0):
         """Integral of f against dF over [0, lam], from values = f at every
@@ -483,10 +502,8 @@ class StieltjesSolution:
         left, right = self._angle_weights
         fd = self.density * values
         cum = np.concatenate([[0.0], np.cumsum(left * fd[:-1] + right * fd[1:])])
-        lam_arr = np.asarray(lam, dtype=float)
-        out = np.interp(lam_arr, self.grid, cum) \
-            + self.mass_at_zero * at_zero * (lam_arr >= 0)
-        return out if np.ndim(lam) else float(out)
+        return _in_blocks(lambda x: np.interp(x, self.grid, cum)
+                          + self.mass_at_zero * at_zero * (x >= 0), lam, float)
 
     def cdf(self, lam):
         """F(lambda), the atom at zero included (see f_integral)."""
@@ -497,11 +514,14 @@ class StieltjesSolution:
         return self.f_integral(self.grid[-1])
 
     def clip_to_support(self, lam):
-        """Nearest in-support value; flags entries that had to move."""
+        """Nearest in-support value (an edge is inside; the lower edge at a
+        tie) and a flag where it moved; (float, bool) for a scalar lam."""
         lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
         edges = np.ravel(self.support)
-        nearest = edges[np.argmin(np.abs(edges[:, None] - lam_arr), axis=0)]
-        inside = (np.searchsorted(edges, lam_arr) % 2 == 1) | (nearest == lam_arr)
+        i = np.searchsorted(edges, lam_arr)
+        lo, hi = edges[np.maximum(i - 1, 0)], edges[np.minimum(i, len(edges) - 1)]
+        nearest = np.where(hi - lam_arr < lam_arr - lo, hi, lo)
+        inside = (i % 2 == 1) | (nearest == lam_arr)
         out = np.where(inside, lam_arr, nearest)
         return (out, ~inside) if np.ndim(lam) else (float(out[0]),
                                                     bool(~inside[0]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpshrink import overlap, spectrum, stieltjes
-from mpshrink.errors import EmptyBin, GammaOne, ZeroBranchUnavailable
+from mpshrink.errors import DomainError, EmptyBin, GammaOne, ZeroBranchUnavailable
 from conftest import interior_points
 
 MIXTURE = spectrum.validate(atoms=[(0.27, 7.12)], segments=[(0.73, 2.14, 5.15)])
@@ -231,6 +231,14 @@ def test_point_mass_reduction_scaled():
     lo, hi = sol.support[0]
     for l in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 9):
         assert overlap.phi(l, 2.0, sol, spec) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_phi_at_nan_raises(solutions):
+    sol, spec = solutions("204040", 2.0), solutions.specs["204040"]
+    with pytest.raises(DomainError):
+        overlap.phi(np.nan, 3.0, sol, spec)
+    with pytest.raises(DomainError):
+        overlap.phi_h_integral(np.nan, sol, spec)
 
 
 def test_phi_h_integral_below_and_at_zero(solutions):

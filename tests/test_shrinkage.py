@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mpshrink import shrinkage, simulate, spectrum, stieltjes
-from mpshrink.errors import DegenerateSpan, GammaOne
-from conftest import interior_points
+from mpshrink.errors import DegenerateSpan, DomainError, GammaOne
+from conftest import SOLUTION_POINTS, interior_points
 
 
 def test_delta_identity_on_point_mass(solutions):
@@ -140,6 +142,80 @@ def test_zero_rule_is_per_row(solutions, scale):
     inv = shrinkage.shrink_inverse_spectrum(eigs, sol, spec)
     assert np.array_equal(
         np.sum(inv == shrinkage.psi_zero(sol, spec), axis=-1), counts)
+
+
+@pytest.mark.parametrize("name, gamma", [("d1", 2.0), ("204040", 100.0)])
+def test_blocks_change_nothing(solutions, name, gamma):
+    # lengths around the block boundaries, 0-d, 2-D and empty inputs read
+    # what the same points give one at a time; d1 has one support interval
+    # and 204040 at gamma = 100 three
+    sol, spec = solutions(name, gamma), solutions.specs[name]
+    edges = np.ravel(sol.support)
+    rng = np.random.default_rng(11)
+    pts = np.unique(np.concatenate([
+        sol.grid[::37], edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+        rng.uniform(0.0, 1.2 * sol.grid[-1], 200), [0.0]]))
+    signed = np.concatenate([-pts[1:20], pts])
+    # no positive eigenvalue so small that a longer row would zero it
+    eigs = pts[(pts == 0) | (pts > 1e-6 * pts[-1])]
+    lookups = [(sol.m_at, signed),
+               (lambda x: shrinkage.delta(x, sol), signed),
+               (lambda x: shrinkage.psi(x, sol, spec), signed),
+               (lambda x: shrinkage.shrink_spectrum(x, sol), eigs)]
+    b = stieltjes.BLOCK
+    for f, x in lookups:
+        one = np.array([f(x[i:i + 1])[0] for i in range(len(x))])
+        for shape in (b - 1, b, b + 1, 2 * b + 1, (2, b + 1), 0, (3, 0)):
+            idx = rng.integers(0, len(x), shape)
+            out = f(x[idx])
+            assert out.shape == idx.shape and np.array_equal(out, one[idx])
+        assert f(np.float64(x[-1])) == one[-1]
+    assert type(sol.m_at(np.float64(1.0))) is complex
+    assert type(shrinkage.delta(np.array(1.0), sol)) is float
+
+
+def test_non_finite_lambda_raises(solutions):
+    sol, spec = solutions("204040", 2.0), solutions.specs["204040"]
+    late = np.ones(2 * stieltjes.BLOCK + 1)
+    late[-1] = np.nan  # in the last block
+    for call in (lambda: shrinkage.shrink_spectrum([np.nan, 1.0], sol),
+                 lambda: shrinkage.shrink_spectrum([np.inf, 1.0], sol),
+                 lambda: shrinkage.shrink_inverse_spectrum([1.0, -np.inf], sol, spec),
+                 lambda: shrinkage.delta([0.5, np.nan], sol),
+                 lambda: shrinkage.delta(late, sol),
+                 lambda: shrinkage.delta(np.inf, sol),
+                 lambda: shrinkage.delta(-np.inf, sol),
+                 lambda: shrinkage.psi(np.nan, sol, spec)):
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize("case", ["204040", "U[0.01, 10]"])
+def test_lookup_working_set(solutions, case):
+    # a dense lookup holds its output and one block, whatever its length;
+    # shrink_spectrum holds one zeroed copy of its input besides
+    if case == "204040":
+        sol = solutions("204040", 100.0)
+    else:
+        sol = stieltjes.solve_density(spectrum.uniform(0.01, 10.0), 2.0,
+                                      num_points=SOLUTION_POINTS)
+    lam = np.random.default_rng(5).uniform(0.0, 1.2 * sol.grid[-1], 10 ** 6)
+    shrinkage.shrink_spectrum(lam[:10], sol)  # the cached interpolants
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for f, copies in ((sol.m_at, 1),
+                          (lambda x: shrinkage.shrink_spectrum(x, sol), 2)):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = f(lam)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= copies * out.nbytes + 4 * 2 ** 20
+            del out
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def test_gamma_one_rejected(spec_d1):

@@ -278,6 +278,17 @@ def test_m_at_raises_in_a_piece_without_knots(spec_d1):
         sol.m_at(np.array([0.07, 1.0]))
 
 
+def test_m_at_raises_at_nan_and_clamps_infinities(solutions):
+    sol = solutions("204040", 2.0)
+    late = np.ones(2 * stieltjes.BLOCK + 1)
+    late[-1] = np.nan  # in the last block
+    for lam in (np.nan, [1.0, np.nan], late):
+        with pytest.raises(DomainError):
+            sol.m_at(lam)
+    assert sol.m_at(np.inf) == sol.m_at(sol.grid[-1])
+    assert sol.m_at(-np.inf) == sol.m_at(sol.grid[0])
+
+
 def test_curve_samples_are_computed_once_per_interval(monkeypatch):
     # a second solve on the same (spectrum, gamma) samples the curve only at
     # the refinement midpoints of its own misses; next to the hard lower edge
@@ -490,6 +501,35 @@ def test_clip_to_support(solutions):
     assert moved and val == pytest.approx(hi)
     val, moved = sol.clip_to_support(0.5 * (lo + hi))
     assert not moved
+
+
+@pytest.mark.parametrize("support", [[(1.0, 2.0)],
+                                     [(1.0, 2.0), (4.0, 5.0), (7.0, 9.0)]])
+def test_clip_to_support_rule(support):
+    sol = stieltjes.StieltjesSolution(
+        gamma=2.0, grid=np.array([0.5, 10.0]), m_breve=np.zeros(2, complex),
+        support=support, m_under_zero=None, valid=np.ones(2, dtype=bool))
+    edges = np.ravel(support)
+    # an exact edge is inside and does not move; neither does a point inside
+    inner = np.concatenate([edges, [1.5, np.nextafter(edges[-1], 0)]])
+    val, moved = sol.clip_to_support(inner)
+    assert np.array_equal(val, inner) and not moved.any()
+    # below the lowest and above the highest edge, however far out
+    below = [-np.inf, -1e300, 0.0, np.nextafter(1.0, 0)]
+    above = [np.nextafter(edges[-1], np.inf), 1e17, 1e300, np.inf]
+    val, moved = sol.clip_to_support(below + above)
+    assert moved.all()
+    assert np.array_equal(val, [edges[0]] * 4 + [edges[-1]] * 4)
+    # a gap midpoint goes to the lower edge, one ulp off it to the nearer one
+    for lo, hi in zip(edges[1:-1:2], edges[2::2]):
+        mid = 0.5 * (lo + hi)
+        val, moved = sol.clip_to_support(
+            [mid, np.nextafter(mid, 0), np.nextafter(mid, np.inf)])
+        assert np.array_equal(val, [lo, lo, hi]) and moved.all()
+    val, moved = sol.clip_to_support(1.5)
+    assert (type(val), type(moved), val, moved) == (float, bool, 1.5, False)
+    val, moved = sol.clip_to_support(np.float64(20.0))
+    assert (type(val), type(moved), val, moved) == (float, bool, edges[-1], True)
 
 
 @st.composite
