@@ -22,15 +22,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import spectrum as spectrum_mod
-from .errors import EmptyBin, ZeroBranchUnavailable
+from .errors import DomainError, EmptyBin, ZeroBranchUnavailable
 from .spectrum import PopulationSpectrum, _stieltjes_h
 from .stieltjes import StieltjesSolution, k_factor
 
 
 def phi(l: float, t, solution: StieltjesSolution,
         spec: PopulationSpectrum):
-    """Overlap kernel at sample eigenvalue l and population eigenvalue(s) t."""
+    """Overlap kernel at sample eigenvalue l and population eigenvalue(s) t;
+    DomainError at NaN."""
     t_arr = np.asarray(t, dtype=float)
+    if np.isnan(t_arr).any():
+        raise DomainError("phi at t = NaN")
     if l < 0:
         out = np.zeros_like(t_arr)
         return out if np.ndim(t) else 0.0
@@ -87,7 +90,10 @@ def phi_cumulative(lam: float, tau: float, solution: StieltjesSolution,
                    spec: PopulationSpectrum) -> float:
     """Phi(lambda, tau): cumulative overlap mass, a bivariate c.d.f.: the
     integral of phi(l, t) over t <= tau against dH, taken at the grid points
-    up to lambda from the solved m_breve, then against dF by f_integral."""
+    up to lambda from the solved m_breve, then against dF by f_integral;
+    DomainError at NaN."""
+    if np.isnan(lam) or np.isnan(tau):
+        raise DomainError(f"phi_cumulative at lambda = {lam}, tau = {tau}")
     if tau < spec.h1 or lam < 0:
         return 0.0
     n = min(len(solution.grid), np.searchsorted(solution.grid, lam) + 1)

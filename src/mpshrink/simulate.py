@@ -87,34 +87,29 @@ def generate(config: SimulationConfig, reps: int | range) -> Realization:
     eigenvectors.  A rep index gives eigenvalues (N,) and eigenvectors
     (N, N); a range of B indices gives the stack, (B, N) and (B, N, N), from
     one eigh call.  Each draw is a pure function of (seed, rep index).  The
-    complex law draws every real part, then every imaginary part.
+    real law fills one part x_0 of Sigma^(1/2) X, the complex law its real
+    parts x_0, then its imaginary parts x_1; S is formed from real products,
+    sum_k x_k x_k^T + i (M - M^T) with M = x_1 x_0^T, so Hermitian exactly.
     """
     batch = reps if isinstance(reps, range) else range(reps, reps + 1)
     root = np.sqrt(config.population_diag)[:, None]
     real_law = config.entry_law == "real-gaussian"
-    c = np.empty((config.N, config.p), dtype=float if real_law else complex)
-    x = c if real_law else np.empty((2, *c.shape))
-    s = np.empty((len(batch), config.N, config.N), dtype=c.dtype)
+    x = np.empty((1 if real_law else 2, config.N, config.p))
+    s = np.empty((len(batch), config.N, config.N), dtype=float if real_law else complex)
+    xxt = None if real_law else np.empty((2, config.N, config.N))
     for b, r in enumerate(batch):
         _rng_for_rep(config.seed, r).standard_normal(out=x)
-        if real_law:
-            c *= root
-            np.matmul(c, c.T, out=s[b])  # syrk
-        else:
+        if not real_law:
             x *= 1.0 / np.sqrt(2.0)  # as complex division by sqrt(2) rounds
-            x *= root
-            c.real, c.imag = x
-            # into the dead draw buffer: a fresh one costs 0.1 ms at N = 100
-            conj = np.conjugate(c, out=x.reshape(-1).view(complex).reshape(c.shape))
-            np.matmul(c, conj.T, out=s[b])
-    del c, x
+        x *= root
+        # one syrk per part, the real law's straight into S
+        np.matmul(x, x.swapaxes(1, 2), out=s[b:b + 1] if real_law else xxt)
+        if not real_law:
+            np.add(*xxt, out=s[b].real)
+            np.matmul(x[1], x[0].T, out=xxt[0])
+            np.subtract(xxt[0], xxt[0].T, out=s[b].imag)
+    del x, xxt
     s /= config.p
-    if not real_law:
-        # gemm leaves S Hermitian only up to rounding (syrk fills the real S
-        # symmetric), and at p < N the null space of S turns with any
-        # rounding change of the triangle that eigh reads
-        s += s.conj().swapaxes(-1, -2)
-        s *= 0.5
     vals, vecs = np.linalg.eigh(s)  # ascending
     vals, vecs = vals[:, ::-1].copy(), vecs[:, :, ::-1].copy()
     if not isinstance(reps, range):

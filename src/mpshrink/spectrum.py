@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MassNotOne, NonPositiveSupport
+from .errors import DomainError, MassNotOne, NonPositiveSupport
 
 MASS_TOL = 1e-12
 GAUSS_ORDER = 64  # pinned for bit-reproducibility
@@ -195,9 +195,11 @@ def moment(spec: PopulationSpectrum, k: int) -> float:
 
 def cdf(spec: PopulationSpectrum, x):
     """H(x) with the right-continuous convention (atoms at x included); x may
-    be an array."""
+    be an array.  DomainError at NaN."""
     w, t, sw, lo, hi, _ = (col[:, 0] for col in spec.columns)
     x = np.asarray(x, dtype=float)[..., None]
+    if np.isnan(x).any():
+        raise DomainError("cdf of NaN")
     h = np.sum(w * (t <= x), axis=-1) \
         + np.sum(sw * np.clip((x - lo) / (hi - lo), 0.0, 1.0), axis=-1)
     return h if h.ndim else float(h)
@@ -208,7 +210,7 @@ def quantile(spec: PopulationSpectrum, q):
     be an array.  H is inverted along its graph, which at each breakpoint
     rises from H just left of it to H at it, then runs linearly to the next."""
     q = np.asarray(q, dtype=float)
-    if np.any((q <= 0.0) | (q >= 1.0)):
+    if not np.all((q > 0.0) & (q < 1.0)):
         raise ValueError(f"quantile needs q in (0,1), got {q}")
     w, t, _, lo, hi, _ = (col[:, 0] for col in spec.columns)
     pts = np.unique(np.concatenate([t, lo, hi]))

@@ -363,8 +363,11 @@ def _stencils(th, v):
 
 def _in_blocks(f, lam, dtype):
     """f of the flattened lam, BLOCK points at a time, into one output of
-    lam's shape (a dtype scalar if 0-d); one block returns f's own result."""
+    lam's shape (a dtype scalar if 0-d); one block returns f's own result.
+    DomainError at NaN."""
     x = np.asarray(lam, dtype=float).ravel()
+    if np.isnan(np.min(x, initial=np.inf)):  # min takes no copy, keeps NaN
+        raise DomainError("lookup of lambda = NaN")
     if x.size <= BLOCK:
         out = f(x)
     else:
@@ -471,8 +474,6 @@ class StieltjesSolution:
 
     def _m_block(self, x):
         """m_at of a flat block x."""
-        if np.isnan(x).any():
-            raise DomainError("m_at of NaN")
         ends, pieces = self._pieces
         x = np.minimum(self.grid[-1], np.maximum(self.grid[0], x))
         k = np.searchsorted(self.grid, x)
@@ -498,7 +499,7 @@ class StieltjesSolution:
         atom at zero.  The trapezoid rule in theta (_angle_weights), cumulated
         along the grid and linear in lambda in between: dF is sin(theta) times
         a smooth even periodic function of theta, so on the Chebyshev nodes of
-        solve_density the rule converges exponentially."""
+        solve_density the rule converges exponentially.  DomainError at NaN."""
         left, right = self._angle_weights
         fd = self.density * values
         cum = np.concatenate([[0.0], np.cumsum(left * fd[:-1] + right * fd[1:])])

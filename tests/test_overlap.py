@@ -235,10 +235,23 @@ def test_point_mass_reduction_scaled():
 
 def test_phi_at_nan_raises(solutions):
     sol, spec = solutions("204040", 2.0), solutions.specs["204040"]
-    with pytest.raises(DomainError):
-        overlap.phi(np.nan, 3.0, sol, spec)
-    with pytest.raises(DomainError):
-        overlap.phi_h_integral(np.nan, sol, spec)
+    for call in (lambda: overlap.phi(np.nan, 3.0, sol, spec),
+                 lambda: overlap.phi(2.0, np.nan, sol, spec),
+                 lambda: overlap.phi(2.0, [3.0, np.nan], sol, spec),
+                 lambda: overlap.phi_h_integral(np.nan, sol, spec),
+                 lambda: overlap.phi_cumulative(5.0, np.nan, sol, spec),
+                 lambda: overlap.phi_cumulative(np.nan, 5.0, sol, spec),
+                 # below h1, where Phi is 0 at every lambda
+                 lambda: overlap.phi_cumulative(np.nan, 0.5, sol, spec),
+                 lambda: overlap.average_overlap(1.0, np.nan, 0.5, 2.0, sol, spec),
+                 lambda: overlap.average_overlap(1.0, 5.0, 0.5, np.nan, sol, spec)):
+        with pytest.raises(DomainError):
+            call()
+    # infinities keep their limits
+    assert overlap.phi_cumulative(5.0, np.inf, sol, spec) \
+        == overlap.phi_cumulative(5.0, 10.0, sol, spec)
+    assert overlap.phi_cumulative(np.inf, 5.0, sol, spec) \
+        == overlap.phi_cumulative(sol.grid[-1], 5.0, sol, spec)
 
 
 def test_phi_h_integral_below_and_at_zero(solutions):

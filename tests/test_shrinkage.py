@@ -185,7 +185,9 @@ def test_non_finite_lambda_raises(solutions):
                  lambda: shrinkage.delta(late, sol),
                  lambda: shrinkage.delta(np.inf, sol),
                  lambda: shrinkage.delta(-np.inf, sol),
-                 lambda: shrinkage.psi(np.nan, sol, spec)):
+                 lambda: shrinkage.psi(np.nan, sol, spec),
+                 lambda: shrinkage.delta_cumulative(np.nan, sol),
+                 lambda: shrinkage.psi_cumulative([1.0, np.nan], sol, spec)):
         with pytest.raises(DomainError):
             call()
 

@@ -123,6 +123,85 @@ def test_generate_range_matches_single_draws(spec_204040, entry_law, n, p):
             assert single.eigenvectors.flags.c_contiguous
 
 
+# eigenvalues of the real law at seed 123, rep 1, on 204040
+PINNED_REAL_LAW = {
+    (20, 40): [
+        23.599835319632806, 16.500917511054755, 13.003026689081894,
+        9.61508165347498, 9.140816200152676, 8.1931196828088,
+        6.63494533207911, 5.351318380291371, 3.996845683054625,
+        2.452341358672032, 2.1735421101637122, 1.8196777010575753,
+        1.6423498365004074, 1.3896123412728394, 1.3602502693811878,
+        0.7951032342948482, 0.7008226753940268, 0.6184742681425643,
+        0.5118902469065325, 0.32106094243368116],
+    (30, 15): [
+        29.81704270203977, 20.835968794240763, 16.469447244476918,
+        14.967095042547266, 11.808238100122146, 9.542574660579215,
+        8.09241693160604, 6.835572655127701, 5.280705638259694,
+        3.516543326727996, 2.962976971555046, 2.5957370672631,
+        1.3650673714876624, 0.9346809201739802, 0.41135701956709547,
+        4.422665930199345e-15, 2.144327744053572e-15, 1.1581580800648083e-15,
+        1.055197446242804e-15, 5.697404651874434e-16, 1.0338570924888799e-16,
+        -3.8783095325888106e-17, -2.8713832481834316e-16,
+        -5.688614628996337e-16, -9.307756642681839e-16,
+        -1.3086909888448956e-15, -1.7489160515266809e-15,
+        -1.9717036033594314e-15, -2.496604869588443e-15,
+        -3.6315674939662865e-15],
+}
+
+
+@pytest.mark.parametrize("n, p", sorted(PINNED_REAL_LAW))
+def test_real_law_draws_are_pinned(spec_204040, n, p):
+    # bit for bit, so that a change to the stream or to the assembly of S
+    # shows; the null block at p < N is rounding, pinned all the same (a
+    # different BLAS or LAPACK build may round differently)
+    config = simulate.SimulationConfig(N=n, p=p, spec=spec_204040, reps=2,
+                                       seed=123)
+    assert simulate.generate(config, 1).eigenvalues.tolist() \
+        == PINNED_REAL_LAW[(n, p)]
+
+
+@pytest.mark.parametrize("entry_law", simulate.ENTRY_LAWS)
+@pytest.mark.parametrize("n, p", [(20, 40), (30, 15)])
+def test_generate_decomposes_exactly_hermitian_stacks(monkeypatch,
+                                                      spec_204040,
+                                                      entry_law, n, p):
+    eigh = np.linalg.eigh
+    seen = []
+
+    def spy(s):
+        seen.append(s.copy())
+        return eigh(s)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    config = simulate.SimulationConfig(N=n, p=p, spec=spec_204040, reps=1,
+                                       seed=3, entry_law=entry_law)
+    simulate.generate(config, 0)
+    simulate.generate(config, range(1, 5))
+    assert [s.shape for s in seen] == [(1, n, n), (4, n, n)]
+    for s in seen:
+        assert np.array_equal(s, s.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("n, p", [(20, 40), (30, 15), (100, 200)])
+def test_complex_law_matches_the_complex_product(spec_204040, n, p):
+    # S from real products against A A*/p in complex arithmetic, with
+    # A = Sigma^(1/2) (X_re + i X_im) / sqrt(2) from the same stream
+    config = simulate.SimulationConfig(N=n, p=p, spec=spec_204040, reps=1,
+                                       seed=9, entry_law="complex-gaussian")
+    root = np.sqrt(config.population_diag)[:, None]
+    for r in range(3):
+        x = simulate._rng_for_rep(config.seed, r).standard_normal((2, n, p))
+        a = root * (x[0] + 1j * x[1]) / np.sqrt(2.0)
+        s = a @ a.conj().T / p
+        expected = np.linalg.eigvalsh(s)[::-1]
+        got = simulate.generate(config, r)
+        tol = 1e-12 * expected[0]
+        assert np.max(np.abs(got.eigenvalues - expected)) <= tol
+        # the eigenvectors are those of S, not of its conjugate
+        U = got.eigenvectors
+        assert np.max(np.abs(s @ U - U * got.eigenvalues)) <= tol
+
+
 def test_replication_batches_respect_memory_cap(monkeypatch, solutions,
                                                 spec_204040):
     monkeypatch.setattr(simulate, "mc_workers", lambda reps: min(2, reps))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mpshrink import spectrum
-from mpshrink.errors import MassNotOne, NonPositiveSupport
+from mpshrink.errors import DomainError, MassNotOne, NonPositiveSupport
 
 MIXTURE = spectrum.validate(atoms=[(0.27, 7.12)], segments=[(0.73, 2.14, 5.15)])
 # 400 atoms at the quantiles of U[0.01, 10]
@@ -214,6 +214,13 @@ def test_cdf_and_quantile_roundtrip():
         assert spectrum.cdf(s, x) >= q - 1e-12
 
 
+def test_cdf_raises_at_nan_and_takes_infinities():
+    for x in (np.nan, [2.0, np.nan]):
+        with pytest.raises(DomainError):
+            spectrum.cdf(MIXTURE, x)
+    assert spectrum.cdf(MIXTURE, [-np.inf, np.inf]).tolist() == [0.0, 1.0]
+
+
 def test_json_roundtrip():
     s = spectrum.validate(atoms=[(0.25, 1.5)], segments=[(0.75, 5.0, 6.0)])
     assert spectrum.from_json(json.loads(s.to_json())) == s
@@ -307,7 +314,7 @@ def test_validate_rejects_negative_weights_and_empty_spectra(atoms, segments,
         spectrum.validate(atoms=atoms, segments=segments)
 
 
-@pytest.mark.parametrize("q", [0.0, 1.0, -0.5, np.array([0.5, 1.5])])
+@pytest.mark.parametrize("q", [0.0, 1.0, -0.5, np.array([0.5, 1.5]), np.nan])
 def test_quantile_rejects_q_outside_the_open_unit_interval(q):
     with pytest.raises(ValueError, match="q in"):
         spectrum.quantile(MIXTURE, q)

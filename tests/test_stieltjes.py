@@ -289,6 +289,19 @@ def test_m_at_raises_at_nan_and_clamps_infinities(solutions):
     assert sol.m_at(-np.inf) == sol.m_at(sol.grid[0])
 
 
+def test_f_integral_raises_at_nan_and_clamps_infinities(solutions):
+    sol = solutions("204040", 2.0)
+    late = np.ones(2 * stieltjes.BLOCK + 1)
+    late[-1] = np.nan  # in the last block
+    for lam in (np.nan, [1.0, np.nan], late):
+        with pytest.raises(DomainError):
+            sol.cdf(lam)
+        with pytest.raises(DomainError):
+            sol.f_integral(lam, sol.grid)
+    assert sol.cdf(np.inf) == sol.total_mass()
+    assert sol.cdf(-np.inf) == 0.0
+
+
 def test_curve_samples_are_computed_once_per_interval(monkeypatch):
     # a second solve on the same (spectrum, gamma) samples the curve only at
     # the refinement midpoints of its own misses; next to the hard lower edge
