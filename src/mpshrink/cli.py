@@ -232,7 +232,10 @@ def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
         doc = report.to_dict()
         if "delta" in wanted:
             xs = np.linspace(0.0, 1.05 * sol.support[-1][1], n_delta)
-            emp = simulate_mod.empirical_delta(config, xs)
+            # the last value counts every eigenvalue, also those above xs[-1]
+            upto = xs.copy()
+            upto[-1:] = np.inf
+            emp = simulate_mod.empirical_delta(config, upto)
             doc["empirical_delta"] = {"x": list(map(float, xs)),
                                       "value": list(map(float, emp))}
         if "losses" in wanted:

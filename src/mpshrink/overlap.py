@@ -30,11 +30,11 @@ from .stieltjes import StieltjesSolution, k_factor
 def phi(l: float, t, solution: StieltjesSolution,
         spec: PopulationSpectrum):
     """Overlap kernel at sample eigenvalue l and population eigenvalue(s) t;
-    DomainError at NaN."""
+    its limit 0 at an infinite l or t; DomainError at NaN."""
     t_arr = np.asarray(t, dtype=float)
     if np.isnan(t_arr).any():
         raise DomainError("phi at t = NaN")
-    if l < 0:
+    if l < 0 or l == np.inf:
         out = np.zeros_like(t_arr)
         return out if np.ndim(t) else 0.0
     if l == 0:
@@ -44,6 +44,8 @@ def phi(l: float, t, solution: StieltjesSolution,
         out = 1.0 / ((1.0 - solution.gamma) * (1.0 + mu0 * t_arr))
         return out if np.ndim(t) else float(out)
     g = solution.gamma
+    # the kernel falls like 1/t, and is 0 at t = 0 as at t = inf
+    t_arr = np.where(np.isinf(t_arr), 0.0, t_arr)
     k = k_factor(l, solution.m_at(l), g)  # a + i*b
     den = (k.real * t_arr - l) ** 2 + k.imag * k.imag * t_arr ** 2
     # exactly at a support edge b -> 0 while a*t - l can cross zero; the
@@ -79,9 +81,10 @@ def _h_integral_zero(solution: StieltjesSolution, spec: PopulationSpectrum,
 
 def phi_h_integral(l: float, solution: StieltjesSolution,
                    spec: PopulationSpectrum) -> float:
-    """Integral of phi(l, t) over dH(t); equals 1 on the support of F."""
-    if l <= 0:
-        return 0.0 if l < 0 else _h_integral_zero(solution, spec)
+    """Integral of phi(l, t) over dH(t); equals 1 on the support of F, and
+    its limit 0 at an infinite l."""
+    if l <= 0 or l == np.inf:
+        return _h_integral_zero(solution, spec) if l == 0 else 0.0
     return float(_h_integral(np.array([l]), np.array([solution.m_at(l)]),
                              solution.gamma, spec)[0])
 

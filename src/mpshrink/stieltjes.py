@@ -17,7 +17,7 @@ with S(s) = integral of dH(t) / (t - s) in closed form (spectrum._stieltjes_h).
 On the real axis the support edges are x at its real critical points.
 Inside the support the roots with Im u > 0 form the curve Im x(u) = 0 over
 the falling branch of x, one monotone equation in Im u per Re u; Chebyshev
-samples of it, refined where a point misses, seed Newton on x(u) = lambda.
+samples of it seed one Newton solve on x(u) = lambda.
 Where it passes close to a singular point of u(lambda) (a near split of the
 support, the end of a segment of H), the density changes over a tiny
 length, and solve_density cuts its grid there.
@@ -25,7 +25,8 @@ Off it u is the real root on a rising branch of x.  One bracketed Newton
 finder, started from Taylor models, solves every real root.  For Im z > 0
 (solve_mF) Newton on x(u) = z starts from the real-axis root at Re z, moved
 by the root of the quadratic Taylor model of x in Im z.  Each value is checked
-on the equation in m, H exact, with k = z/u = -z*mu from the root (_residual).
+on the equation in m, H exact, with k = z/u = -z*mu from the root, by one
+acceptance rule: TOL plus the rounding floor of x(u) (_at_root).
 """
 
 from __future__ import annotations
@@ -64,22 +65,25 @@ def k_factor(z, m, gamma: float):
     return 1.0 - 1.0 / gamma - z * m / gamma
 
 
-def _residual(x, z, u, gamma: float):
-    """gamma |x(u) - z| / (|z| |u|) = |(gamma - 1)/z - gamma/u - u S(u)/z|,
-    the residual of the equation in m with k = z/u = -z*mu taken from the root
-    u: the integral of dH(tau) / (tau*k - z) is u S(u) / z."""
-    return gamma * np.abs(x - z) / (np.abs(z) * np.abs(u))
-
-
-def _at_root(z, u, spec: PopulationSpectrum, gamma: float):
-    """(m, _residual) at a root u = -1/mu of x(u) = z, from one S(u).  For
-    gamma < 1, F has an atom at zero and m = (gamma - 1)/z - gamma/u keeps its
-    pole apart from the regular mu.  For gamma > 1 the two terms cancel to
-    |m| << gamma/|z|, and m = u * S(u) / z."""
-    S = _stieltjes_h(spec, u, order=0)
+def _at_root(z, u, spec: PopulationSpectrum, gamma: float, S=None):
+    """(m, residual, accepted) at a root u = -1/mu of x(u) = z, from S =
+    [S(u), ...] (one S(u) if not given).  With k = z/u = -z*mu from the root,
+    the equation in m reads m = (gamma - 1)/z - gamma/u = u S(u)/z, and its
+    residual is the gap of the two forms, gamma |x(u) - z| / (|z| |u|).  For
+    gamma < 1 m takes the first, which keeps the pole of F's atom at zero
+    apart from the regular mu; for gamma > 1 its terms cancel to
+    |m| << gamma/|z|, and m takes the second.  The root is accepted at a
+    residual within TOL * max(1, |m|) plus the rounding floor of x(u) as a
+    residual, 4 eps (gamma + |u S(u)|) / |z| (Higham 2002, 3.3), which is
+    above TOL where gamma / |z| is large, as next to a hard edge."""
+    S = _stieltjes_h(spec, u, order=0) if S is None else S
+    us = u * S[0]
+    pole = (gamma - 1.0) / z - gamma / u
     # + 0.0 turns the -0.0 imaginary parts of real m to +0.0
-    m = (gamma - 1.0) / z - gamma / u if gamma < 1 else u * S[0] / z + 0.0
-    return m, _residual(_in_u(u, spec, gamma, order=0, S=S)[0], z, u, gamma)
+    m = pole if gamma < 1 else us / z + 0.0
+    resid = np.abs(pole - us / z)
+    floor = 4.0 * np.finfo(float).eps * (gamma + np.abs(us)) / np.abs(z)
+    return m, resid, resid <= TOL * np.maximum(1.0, np.abs(m)) + floor
 
 
 def solve_mF(z, spec: PopulationSpectrum, gamma: float):
@@ -91,8 +95,8 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
     x'(u0) d + x''(u0) d^2 / 2 = i Im z with Im(u0 + d) > 0 and the smaller
     |d|: i Im z / x'(u0) inside the support, the square-root step at an edge.
     The returned m has Im m > 0, Im mu > 0 and solves the equation in m, H
-    integrated exactly, within 10 * TOL * max(1, |m|).  Raises NoConvergence
-    otherwise.  gamma = 1 is in the domain.
+    integrated exactly, within the acceptance rule of _at_root.  Raises
+    NoConvergence otherwise.  gamma = 1 is in the domain.
     """
     if gamma != 1:  # off the real axis gamma = 1 is in the domain
         check_gamma(gamma)
@@ -108,9 +112,8 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
     up1, up2 = (u0 + d1).imag > 0, (u0 + d2).imag > 0
     d = np.where(up1 & ~(up2 & (np.abs(d2) < np.abs(d1))), d1, d2)
     u, _ = _newton(spec, gamma, z_arr, u0 + d)
-    m, resid = _at_root(z_arr, u, spec, gamma)
-    ok = (resid <= 10 * TOL * np.maximum(1.0, np.abs(m))) & (m.imag > 0) \
-        & (u.imag > 0)
+    m, resid, accepted = _at_root(z_arr, u, spec, gamma)
+    ok = accepted & (m.imag > 0) & (u.imag > 0)
     if not ok.all():
         i = int(np.argmin(ok))
         raise NoConvergence(f"no converged solution at z={z_arr[i]}",
@@ -196,17 +199,14 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
 def _newton(spec: PopulationSpectrum, gamma: float, z, u):
     """Newton on x(u) = z from seeds u; returns (u, converged).
 
-    A point has converged when _residual, that of the equation in m, is
-    within TOL * max(1, |m|).  Each evaluation is followed by its step, so a
-    converged point takes one more quadratic step, which brings it to
-    rounding level at no extra cost."""
+    A point has converged when _at_root accepts it.  Each evaluation is
+    followed by its step, so a converged point takes one more quadratic
+    step, which brings it to rounding level at no extra cost."""
     u = np.array(u, dtype=complex)
     for _ in range(NEWTON_STEPS + 1):
-        x, x1 = _in_u(u, spec, gamma, order=1)
-        # |m| only scales the tolerance, so the cancellation of this form at
-        # gamma >> 1 (see _at_root) does not matter, and it is cheaper
-        m = (gamma - 1.0) / z - gamma / u
-        done = _residual(x, z, u, gamma) <= TOL * np.maximum(1.0, np.abs(m))
+        S = _stieltjes_h(spec, u, order=1)
+        x, x1 = _in_u(u, spec, gamma, order=1, S=S)
+        done = _at_root(z, u, spec, gamma, S)[2]
         u = u - (x - z) / x1
         if done.all():
             break
@@ -283,29 +283,18 @@ def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
 
     Newton starts from the curve of physical roots (_curve_samples), along
     which lambda rises from a to b, interpolated in the Chebyshev angle theta
-    of lambda, in which u is smooth up to both edges.  Its root counts only
-    within Im(seed)/2 of the seed, a disk in the upper half plane, where the
-    physical root is the only one.  Points that miss are solved again once
-    the v-midpoints of the sample pairs around their theta join a copy of
-    the samples, until all pass or no such pair splits in floating point."""
+    of lambda, in which u is smooth up to both edges.  x is real on the real
+    axis, so the conjugate of a root is a root: one that lands below the axis
+    is reflected.  The physical root is the only root with Im u > 0
+    (Silverstein & Choi 1995), so a converged root counts where Im u > 0."""
     path, path_t = _curve_samples(spec, gamma, a, b, u_a, u_b)
     t = _angle(lam, a, b)
     u, ok = np.where(t == 0, u_a, u_b).astype(complex), (t == 0) | (t == np.pi)
-    while True:
-        todo = np.flatnonzero(~ok)
-        seed = np.interp(t[todo], path_t, path)
-        u[todo], ok[todo] = _newton(spec, gamma, lam[todo], seed)
-        # next to an edge Newton's last step is noise; a seed solving x = lam stands
-        far = np.flatnonzero(ok[todo] & (np.abs(u[todo] - seed) > 0.5 * seed.imag))
-        m, resid = _at_root(lam[todo[far]], seed[far], spec, gamma)
-        u[todo[far]], ok[todo[far]] = seed[far], resid <= TOL * np.maximum(1.0, np.abs(m))
-        k = np.unique(np.clip(np.searchsorted(path_t, t[~ok]), 1, len(path) - 1))
-        v = 0.5 * (path.real[k - 1] + path.real[k])
-        v = v[(path.real[k - 1] < v) & (v < path.real[k])]
-        if not len(v):
-            return u, ok
-        path = np.sort(np.concatenate([path, _curve(spec, gamma, v)]))
-        path_t = _angle(_in_u(path, spec, gamma, order=0)[0].real, a, b)
+    i = np.flatnonzero(~ok)
+    root, done = _newton(spec, gamma, lam[i], np.interp(t[i], path_t, path))
+    u[i] = root.real + 1j * np.abs(root.imag)
+    ok[i] = done & (u[i].imag > 0)
+    return u, ok
 
 
 def _rising_root(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
@@ -545,9 +534,9 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
     The support edges are the exact critical values of x(u) whatever the
     grid, so refine_edges has no effect; it is accepted for callers that pass
     it.  Inside the support, Newton is seeded from Chebyshev samples of the
-    curve Im x(u) = 0, refined where a point misses (_interior); off it u is
-    the real root on a rising branch of x.  A point that misses the residual,
-    of the Newton solve or of the original equation in m, is marked invalid
+    curve Im x(u) = 0 (_interior); off it u is the real root on a rising
+    branch of x.  A point that _at_root does not accept, in the Newton solve
+    or on the equation in m at the returned root, is marked invalid
     (density 0) instead of aborting.
     """
     check_gamma(gamma)
@@ -556,8 +545,8 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
             or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("grid must be a strictly ascending positive finite 1-D array")
     u, ok = _real_roots(spec, gamma, grid)
-    m_breve, resid = _at_root(grid, u, spec, gamma)
-    valid = ok & (resid <= 10 * TOL * np.maximum(1.0, np.abs(m_breve)))
+    m_breve, _, accepted = _at_root(grid, u, spec, gamma)
+    valid = ok & accepted
     return StieltjesSolution(
         gamma=float(gamma), grid=grid, m_breve=m_breve, valid=valid,
         support=[(float(a), float(b))

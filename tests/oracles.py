@@ -8,8 +8,9 @@ H = delta_c, derived from the quadratic self-consistency equation
 solved directly with the quadratic formula, plus exact_gap, the residual of
 the self-consistency equation for any H with k formed from m,
 stieltjes_h_reference, the closed form of S(s) written out on the
-spectrum's tuples, and theta_by_quad, a weighted functional integrated by
-scipy.  None of it calls into the package's solvers.
+spectrum's tuples, theta_by_quad, a weighted functional integrated by
+scipy, and m_breve_mp, the boundary value solved at 40 digits by mpmath.
+None of it calls into the package's solvers.
 """
 
 from __future__ import annotations
@@ -139,3 +140,49 @@ def companion_zero_point_mass(gamma: float, c: float = 1.0) -> float:
     """Companion transform at zero for H = delta_c, gamma < 1: the root of
     c*m/(1 + c*m) = gamma is m = gamma / ((1 - gamma) * c)."""
     return gamma / ((1.0 - gamma) * c)
+
+
+def m_breve_mp(spec, gamma: float, lam: float, dps: int = 40) -> complex:
+    """m_breve(lambda), the limit of m(lambda + i*eta) as eta -> 0+, at dps
+    digits: Newton on x(u) = z in u = -1/mu, x(u) = u (1 - 1/gamma) -
+    u^2 S(u) / gamma with S(u) = int dH(t) / (t - u), atoms summed and
+    segments through log((hi - u)/(lo - u)).  The root is followed in double
+    precision along z = lambda + i*eta from eta = 10 (h2 + lambda), where u
+    is about z - m1/gamma, in steps eta / 4 down to 1e-24 lambda; a step that
+    would cross the real axis is halved, so u stays on the branch of the
+    upper half plane.  Newton at z = lambda in mpmath then finishes it.
+    m = u S(u) / lambda."""
+    import cmath
+
+    import mpmath
+
+    def step(u, z, num, log):
+        g, s, d = num(gamma), 0, 0
+        for w, t in spec.atoms:
+            s, d = s + num(w) / (num(t) - u), d + num(w) / (num(t) - u) ** 2
+        for w, lo, hi in spec.segments:
+            c, lo, hi = num(w) / (num(hi) - num(lo)), num(lo), num(hi)
+            s += c * log((hi - u) / (lo - u))
+            d += c * (1 / (lo - u) - 1 / (hi - u))
+        x = u * (1 - 1 / g) - u * u * s / g
+        return (x - z) / ((1 - 1 / g) - (2 * u * s + u * u * d) / g), s
+
+    m1 = sum(w * t for w, t in spec.atoms) \
+        + sum(w * (lo + hi) / 2 for w, lo, hi in spec.segments)
+    eta = 10.0 * (spec.h2 + lam)
+    u = complex(lam - m1 / gamma, eta)
+    while eta > 1e-24 * lam:
+        for _ in range(3):
+            d = step(u, complex(lam, eta), float, cmath.log)[0]
+            while (u - d).imag <= 0:
+                d /= 2
+            u -= d
+        eta /= 4
+    with mpmath.workdps(dps):
+        u, tol = mpmath.mpc(u), mpmath.mpf(10) ** (5 - dps)
+        for _ in range(60):
+            d = step(u, mpmath.mpf(lam), mpmath.mpf, mpmath.log)[0]
+            u -= d
+            if abs(d) <= tol * abs(u):
+                break
+        return complex(u * step(u, 0, mpmath.mpf, mpmath.log)[1] / lam)

@@ -254,6 +254,20 @@ def test_phi_at_nan_raises(solutions):
         == overlap.phi_cumulative(sol.grid[-1], 5.0, sol, spec)
 
 
+def test_phi_at_infinity_is_its_limit_zero(solutions):
+    # the kernel falls like 1/t in t and like 1/l in l; a RuntimeWarning
+    # (inf / inf) fails the test under this suite's filterwarnings
+    sol, spec = solutions("204040", 2.0), solutions.specs["204040"]
+    assert overlap.phi(2.0, np.inf, sol, spec) == 0.0
+    assert overlap.phi(np.inf, 3.0, sol, spec) == 0.0
+    assert overlap.phi_h_integral(np.inf, sol, spec) == 0.0
+    t = np.array([3.0, np.inf, -np.inf])
+    out = overlap.phi(2.0, t, sol, spec)
+    assert out[0] == overlap.phi(2.0, 3.0, sol, spec) > 0.0
+    assert np.array_equal(out[1:], [0.0, 0.0])
+    assert np.array_equal(overlap.phi(np.inf, t, sol, spec), np.zeros(3))
+
+
 def test_phi_h_integral_below_and_at_zero(solutions):
     spec = solutions.specs["d1"]
     assert overlap.phi_h_integral(-1.0, solutions("d1", 2.0), spec) == 0.0

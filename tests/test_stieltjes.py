@@ -303,32 +303,28 @@ def test_f_integral_raises_at_nan_and_clamps_infinities(solutions):
 
 
 def test_curve_samples_are_computed_once_per_interval(monkeypatch):
-    # a second solve on the same (spectrum, gamma) samples the curve only at
-    # the refinement midpoints of its own misses; next to the hard lower edge
-    # of U[0.01, 10] at gamma = 2 the solve refines
-    grid = stieltjes.solve_density(U_HARD, 2.0).grid
+    # the first solve on a (spectrum, gamma) samples the curve once per
+    # support interval and a second solve not at all, also next to the hard
+    # lower edge of U[0.01, 10] at gamma = 2
+    sol = stieltjes.solve_density(U_HARD, 2.0)
     calls = []
     curve = stieltjes._curve
     def spy(spec, gamma, v):
-        calls[-1].append(v.copy())
+        calls[-1].append(len(v))
         return curve(spec, gamma, v)
     monkeypatch.setattr(stieltjes, "_curve", spy)
     stieltjes._curve_samples.cache_clear()
     for _ in range(2):
         calls.append([])
-        assert stieltjes.boundary_values(U_HARD, 2.0, grid).valid.all()
-    first, second = calls
-    assert len(first[0]) == stieltjes.PATH_POINTS - 2 and len(first) > 1
-    assert len(second) == len(first) - 1
-    assert all(np.array_equal(v, w) for v, w in zip(second, first[1:]))
+        assert stieltjes.boundary_values(U_HARD, 2.0, sol.grid).valid.all()
+    assert calls == [[stieltjes.PATH_POINTS - 2] * len(sol.support), []]
 
 
 @pytest.mark.parametrize("gamma", [0.2, 2.0])
-def test_one_ulp_inside_an_edge_takes_at_most_two_rounds(monkeypatch, gamma):
+def test_one_ulp_inside_an_edge_takes_one_newton_solve(monkeypatch, gamma):
     # there the root is within rounding of the edge and Newton's last step is
-    # noise that can leave the disk around its seed: one ulp below the top
-    # edge of the mixture the solve refined 38 times at gamma = 0.2 (161 ms)
-    # and 5 times at gamma = 2, until a step happened to land in the disk
+    # noise: at gamma = 0.2, one ulp below the top edge of the mixture, the
+    # root lands below the axis, and its conjugate is the physical root
     (a, b), = stieltjes.boundary_values(MIXTURE, gamma, [1.0]).support
     lam = np.array([np.nextafter(a, np.inf), np.nextafter(b, 0.0)])
     rounds = []
@@ -337,8 +333,49 @@ def test_one_ulp_inside_an_edge_takes_at_most_two_rounds(monkeypatch, gamma):
                         lambda *args: rounds.append(1) or newton(*args))
     stieltjes._curve_samples.cache_clear()
     sol = stieltjes.boundary_values(MIXTURE, gamma, lam)
-    assert len(rounds) <= 2
+    assert len(rounds) == 1
     assert sol.valid.all() and np.all(sol.m_breve.imag >= 0)
+
+
+def _near_edge_sample(gamma: float):
+    """The support [a, b] of U[0.01, 10] at gamma and 8000 lambda in it: 4000
+    within 1e-12 to 1e-2 (relative) of a random edge and 4000 uniform."""
+    (a, b), = stieltjes.boundary_values(U_HARD, gamma, [1.0]).support
+    rng = np.random.default_rng(7)
+    rel = 10.0 ** rng.uniform(-12.0, -2.0, 4000)
+    near = np.where(rng.random(4000) < 0.5, b * (1.0 - rel), a * (1.0 + rel))
+    return a, b, np.unique(np.concatenate([near, rng.uniform(a, b, 4000)]))
+
+
+@pytest.mark.parametrize("gamma", [87.5, 100.0, 1000.0])
+def test_near_edge_sample_has_no_invalid_point(gamma):
+    # next to the hard lower edge the residual of x(u) cannot fall below its
+    # rounding floor, about gamma * eps / lambda, which is above TOL there
+    _, _, lam = _near_edge_sample(gamma)
+    sol = stieltjes.boundary_values(U_HARD, gamma, lam)
+    assert sol.valid.all() and np.all(sol.m_breve.imag >= 0)
+
+
+@pytest.mark.parametrize("gamma", [87.5, 100.0, 1000.0])
+def test_near_hard_edge_roots_match_40_digits(gamma):
+    # 17 points of the sample between 1e-8 and 1e-3 (relative) above the
+    # lower edge, where the residual of some roots is above TOL and only the
+    # rounding floor accepts them; closer to the edge the error is set by
+    # the conditioning, which grows like 1/|x'(u)| (4.7e-9 at 1e-12 above it)
+    a, _, lam = _near_edge_sample(gamma)
+    lam = lam[(lam >= a * (1.0 + 1e-8)) & (lam <= a * (1.0 + 1e-3))]
+    lam = lam[np.linspace(0, len(lam) - 1, 17).astype(int)]
+    m = stieltjes.boundary_values(U_HARD, gamma, lam).m_breve
+    ref = np.array([oracles.m_breve_mp(U_HARD, gamma, x) for x in lam])
+    assert np.all(np.abs(m - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_hard_edge_solves_at_gamma_1e5():
+    # there the residual's rounding floor, about gamma * eps / lambda, is
+    # above TOL on the whole support
+    sol = stieltjes.solve_density(U_HARD, 1e5)
+    assert sol.valid.all()
+    assert abs(sol.total_mass() - 1.0) <= stieltjes.MASS_TOL
 
 
 @pytest.mark.parametrize("knots", [1, 3])
