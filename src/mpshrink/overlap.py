@@ -62,9 +62,10 @@ def _h_integral(ls, m, gamma: float, spec: PopulationSpectrum,
     k = k_factor(ls, m, gamma)
     s = ls / k
     real = s.imag == 0
-    S = _stieltjes_h(spec, s, upto, order=int(real.any()))
-    ratio = (s * S[0]).imag / np.where(real, 1.0, s.imag)
-    if real.any():
+    order = int(real.any())
+    S = _stieltjes_h(spec, s, upto, order=order)
+    ratio = (s * S[0]).imag / (s.imag + real)  # 1 where s is real
+    if order:
         ratio[real] = (S[0] + s * S[1]).real[real]
     return ls / gamma * ratio / np.abs(k) ** 2
 
@@ -85,8 +86,8 @@ def phi_h_integral(l: float, solution: StieltjesSolution,
     its limit 0 at an infinite l."""
     if l <= 0 or l == np.inf:
         return _h_integral_zero(solution, spec) if l == 0 else 0.0
-    return float(_h_integral(np.array([l]), np.array([solution.m_at(l)]),
-                             solution.gamma, spec)[0])
+    ls = np.array([float(l)])
+    return float(_h_integral(ls, solution.m_at(ls), solution.gamma, spec)[0])
 
 
 def phi_cumulative(lam: float, tau: float, solution: StieltjesSolution,

@@ -166,7 +166,7 @@ def _bracketed_newton(f, neg, pos, start=np.nan) -> np.ndarray:
 def _critical_points(spec: PopulationSpectrum, gamma: float):
     """Real critical points u* = -1/mu* of x, ascending, and the values x(u*),
     for a finite gamma > 0.  At gamma = 1, which solve_mF accepts, the lower
-    critical point is u* = 0 and the support starts at x(0) = 0.
+    critical point is u* = 0, bracketed by 0 alone; the support starts at 0.
 
     In u = -1/mu, dx/du = 1 - (1/gamma) int tau^2/(u - tau)^2 dH is strictly
     concave between consecutive pieces of supp H and falls to -inf at them;
@@ -185,7 +185,7 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
     rising = _in_u(peak, spec, gamma, order=1)[1] > 0
     root = spec.h2 / np.sqrt(gamma)
     neg = [spec.h1 if gamma > 1 else 0.0, spec.h2, *p[rising], *q[rising]]
-    pos = [0.0 if gamma > 1 else -2.0 * root, spec.h2 + 2.0 * root] + 2 * [*peak[rising]]
+    pos = [0.0 if gamma >= 1 else -2.0 * root, spec.h2 + 2.0 * root] + 2 * [*peak[rising]]
     # the outer two start from those of one atom at h1 and at h2
     x0 = [spec.h1 - spec.h1 / np.sqrt(gamma), spec.h2 + root] + [np.nan] * (len(neg) - 2)
     crit = np.sort(_bracketed_newton(lambda u, i: _in_u(u, spec, gamma)[1:], neg, pos, x0))
@@ -336,26 +336,25 @@ def _real_roots(spec: PopulationSpectrum, gamma: float, lam: np.ndarray):
     return u, ok
 
 
-def _stencils(th, v):
-    """Newton form of the polynomial through the STENCIL nearest knots (all
-    if fewer) of each interval between ascending knots th with values v:
-    (cuts, nodes, dd): the inner knots and, one column per interval, all but
-    the last knot of its stencil and its divided differences by order."""
-    n, k = len(th), min(STENCIL, len(th))
-    first = np.clip(np.arange(max(n - 1, 1)) - (k - 1) // 2, 0, n - k)
-    near = first + np.arange(k)[:, None]
-    nodes, dd = th[near], v[near]
-    for i in range(1, k):
-        dd[i:] = (dd[i:] - dd[i - 1:-1]) / (nodes[i:] - nodes[:-i])
-    return th[1:-1], nodes[:-1], dd
+def _divided(th, v):
+    """Divided differences of values v at ascending knots th, both along the
+    first axis, to order STENCIL - 1 (or len(th) - 1): rows[i][j] = v[th[j],
+    ..., th[j + i]], the Newton coefficients of the polynomial through the
+    knots from th[j] on."""
+    rows = [v]
+    for i in range(1, min(STENCIL, len(th))):
+        v = (v[1:] - v[:-1]) / (th[i:] - th[:-i])
+        rows.append(v)
+    return rows
 
 
 def _in_blocks(f, lam, dtype):
     """f of the flattened lam, BLOCK points at a time, into one output of
     lam's shape (a dtype scalar if 0-d); one block returns f's own result.
     DomainError at NaN."""
-    x = np.asarray(lam, dtype=float).ravel()
-    if np.isnan(np.min(x, initial=np.inf)):  # min takes no copy, keeps NaN
+    lam = np.asarray(lam, dtype=float)
+    x = lam.ravel()
+    if np.isnan(np.minimum.reduce(x, initial=np.inf)):  # no copy, keeps NaN
         raise DomainError("lookup of lambda = NaN")
     if x.size <= BLOCK:
         out = f(x)
@@ -363,17 +362,7 @@ def _in_blocks(f, lam, dtype):
         out = np.empty(x.size, dtype)
         for s in range(0, x.size, BLOCK):
             out[s:s + BLOCK] = f(x[s:s + BLOCK])
-    return out.reshape(np.shape(lam)) if np.ndim(lam) else dtype(out[0])
-
-
-def _newton_form(th, cuts, nodes, dd):
-    """The polynomials of _stencils at th; th outside the knots takes the
-    polynomial of the nearest interval."""
-    j = cuts.searchsorted(th, side="right")
-    v = dd[-1, j]
-    for node, c in zip(nodes[::-1], dd[-2::-1]):
-        v = v * (th - node[j]) + c[j]
-    return v
+    return out.reshape(lam.shape) if lam.ndim else dtype(out[0])
 
 
 @dataclass
@@ -413,11 +402,14 @@ class StieltjesSolution:
     @cached_property
     def _pieces(self):
         """The support edges clipped to the grid range, which split it into
-        pieces (tails, support intervals, gaps), and per piece the ends of
-        its Chebyshev angle theta and the _stencils of its valid grid points
-        (None if none): of v = Re m_breve + i log(Im m_breve / sin theta) at
-        0 < theta < pi in the support, of the real m_breve off it, both
-        smooth in theta up to both ends of the piece."""
+        pieces (tails, support intervals, gaps); the grid, NaN where m_at
+        does not return m_breve as it is (invalid, or Im m_breve < 0); per
+        piece the ends of its Chebyshev angle theta and its knots, its valid
+        grid points (None if none): theta and v = Re m_breve + i log(Im
+        m_breve / sin theta) at 0 < theta < pi in the support, the real
+        m_breve off it, both smooth in theta up to both ends of the piece;
+        per piece the count of points m_at has looked up in it; and the
+        _divided tables of the knots of the pieces that m_at has built."""
         ends = np.clip(np.ravel(self.support), self.grid[0], self.grid[-1])
         bounds = np.concatenate([[self.grid[0]], ends, [self.grid[-1]]])
         pieces = []
@@ -429,8 +421,9 @@ class StieltjesSolution:
             keep = (q % 2 == 0) | ((th > 0) & (th < np.pi) & (m.imag > 0))
             th, m = th[keep], m[keep]
             v = m.real + 1j * np.log(m.imag / np.sin(th)) if q % 2 else m.real
-            pieces.append((a, b, _stencils(th, v)) if len(th) else None)
-        return ends, pieces
+            pieces.append((a, b, th, v) if len(th) else None)
+        read = self.valid & (self.m_breve.imag >= 0)
+        return ends, np.where(read, self.grid, np.nan), pieces, [0] * len(pieces), {}
 
     @cached_property
     def _angle_weights(self):
@@ -458,28 +451,46 @@ class StieltjesSolution:
     def m_at(self, lam):
         """m_breve at valid grid points, else the polynomial of the piece of
         the grid range holding lambda, clamped to it (_pieces): Im >= 0 in the
-        support, 0 off it; in blocks; DomainError at NaN or in a knotless piece."""
+        support, 0 off it; in blocks; DomainError at NaN or in a knotless piece.
+        A point takes the divided differences of its own stencil until the
+        lookups of its piece have asked for as many points as the piece has
+        knots; then the piece builds the table of its knots once (_divided),
+        which every later lookup reads.  Both give the same bits."""
         return _in_blocks(self._m_block, lam, complex)
 
     def _m_block(self, x):
         """m_at of a flat block x."""
-        ends, pieces = self._pieces
+        ends, read, pieces, asked, tables = self._pieces
         x = np.minimum(self.grid[-1], np.maximum(self.grid[0], x))
-        k = np.searchsorted(self.grid, x)
-        node = (self.grid[k] == x) & self.valid[k] & (self.m_breve.imag[k] >= 0)
+        k = self.grid.searchsorted(x)
         out = self.m_breve[k]
-        # the piece of each point; valid nodes go to one past the last piece
-        k = np.where(node, len(pieces), np.searchsorted(ends, x))
-        for q in np.flatnonzero(np.bincount(k)[:len(pieces)]):
-            i = k == q
-            if pieces[q] is None:
-                raise DomainError(f"no valid grid point near lambda={x[i][0]}")
-            a, b, stencil = pieces[q]
-            th = _angle(x[i], a, b)
-            v = _newton_form(th, *stencil)
-            if q % 2:
-                v.imag = np.sin(th) * np.exp(v.imag)
-            out[i] = v
+        i = (read[k] != x).nonzero()[0]  # the points off the nodes it reads
+        q = ends.searchsorted(x[i])
+        held = np.bincount(q).nonzero()[0].tolist()
+        for p in held:
+            at = i if len(held) == 1 else i[q == p]
+            if pieces[p] is None:
+                raise DomainError(f"no valid grid point near lambda={x[at[0]]}")
+            a, b, th, v = pieces[p]
+            t = _angle(x[at], a, b)
+            n, s = len(th), min(STENCIL, len(th))
+            # the first of the s knots nearest the knot interval holding t
+            first = th[(s + 1) // 2:n - s // 2].searchsorted(t, side="right")
+            asked[p] += len(at)
+            if asked[p] >= n and p not in tables:
+                tables[p] = _divided(th, v)
+            if p in tables:
+                rows, knots, col = tables[p], th, first
+            else:  # each point's own stencil; knots in v's type cast once
+                near = first + np.arange(s)[:, None]
+                knots, col = th[near].astype(v.dtype), 0
+                rows = _divided(knots, v[near])
+            val = rows[-1][col]
+            for r in range(s - 2, -1, -1):
+                val = val * (t - knots[r:][col]) + rows[r][col]
+            if p % 2:
+                val.imag = np.sin(t) * np.exp(val.imag)
+            out[at] = val
         return out
 
     def f_integral(self, lam, values=1.0, at_zero: float = 1.0):
@@ -517,9 +528,11 @@ class StieltjesSolution:
                                                     bool(~inside[0]))
 
 
+@lru_cache(maxsize=128)
 def companion_zero(spec: PopulationSpectrum, gamma: float) -> float:
     """Companion transform value at zero, for gamma < 1: the positive root of
-    x(-1/mu) = 0, i.e. of integral of tau*mu/(1+tau*mu) dH(tau) = gamma."""
+    x(-1/mu) = 0, i.e. of integral of tau*mu/(1+tau*mu) dH(tau) = gamma;
+    cached, as boundary_values has solved it for its solution already."""
     if not 0 < gamma < 1:
         raise DomainError(f"companion_zero requires 0 < gamma < 1, got {gamma}")
     u = _rising_root(spec, gamma, np.zeros(1), *_critical_points(spec, gamma))

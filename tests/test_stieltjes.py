@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import SOLUTION_POINTS, interior_points
-from mpshrink import spectrum, stieltjes
+from mpshrink import overlap, shrinkage, spectrum, stieltjes
 from mpshrink.errors import DomainError, EmptySupport, GammaOne, NoConvergence
 
 U_HARD = spectrum.uniform(0.01, 10.0)   # segment reaching down to 1e-3 * h2
@@ -222,16 +222,53 @@ def test_m_at_matches_boundary_values(solutions, name, gamma):
 
 
 def test_stencils_reproduce_polynomials():
-    # each knot interval's Newton form through its 6 nearest of 10 unevenly
-    # spaced knots gives back a degree-5 polynomial between the knots
+    # the Newton form through the 6 nearest of 10 unevenly spaced knots
+    # gives back a degree-5 polynomial between the knots, with coefficients
+    # from _divided of each point's own stencil as of all the knots
     rng = np.random.default_rng(5)
     coef = rng.normal(size=6) + 1j * rng.normal(size=6)
     th = np.sort(rng.uniform(-2.0, 3.0, 10))
     def poly(t):
         return sum(c * t ** i for i, c in enumerate(coef))
-    stencils = stieltjes._stencils(th, poly(th))
     t = np.linspace(th[0], th[-1], 1001)
-    assert np.max(np.abs(stieltjes._newton_form(t, *stencils) - poly(t))) <= 1e-10
+    first = np.clip(th[1:-1].searchsorted(t, side="right") - 2, 0, 4)
+    def newton(knots, rows, col):
+        val = rows[-1][col]
+        for r in range(4, -1, -1):
+            val = val * (t - knots[r:][col]) + rows[r][col]
+        return val
+    near = first + np.arange(6)[:, None]
+    own = newton(th[near], stieltjes._divided(th[near], poly(th[near])), 0)
+    assert np.max(np.abs(own - poly(t))) <= 1e-10
+    assert np.array_equal(newton(th, stieltjes._divided(th, poly(th)), first), own)
+
+
+@pytest.mark.parametrize("case", LIMIT_CASES)
+def test_lookups_are_the_same_bits_one_point_at_a_time_and_dense(solutions, case):
+    # one-point lookups take stencils of their own, a dense lookup the
+    # piece's full table; both give the same bits, and neither one-point
+    # lookups nor lookups at grid nodes build a table
+    name, gamma = case
+    spec = solutions.specs[name]
+    sol = dataclasses.replace(solutions(name, gamma))  # nothing built yet
+    lam = interior_points(sol, 24)
+    def lookups(x):
+        return (sol.m_at(x), shrinkage.delta(x, sol), shrinkage.psi(x, sol, spec),
+                overlap._h_integral(x, sol.m_at(x), gamma, spec))
+    one = [lookups(np.array([x])) for x in lam]
+    assert [overlap.phi_h_integral(x, sol, spec) for x in lam] \
+        == [float(h[0]) for *_, h in one]
+    shrinkage.build_shrinkage_curve(sol, spec)
+    shrinkage.moment_residuals(sol, spec)
+    assert sol._pieces[-1] == {}
+    dense = np.linspace(sol.grid[0], sol.grid[-1], 20000)
+    at = np.random.default_rng(1).choice(len(dense), len(lam), replace=False)
+    dense[at] = lam
+    dense_lookups = lookups(dense)
+    assert sol._pieces[-1]
+    for k, (single, block) in enumerate(zip(lookups(lam), dense_lookups)):
+        assert np.array_equal(np.concatenate([o[k] for o in one]), single)
+        assert np.array_equal(block[at], single)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 2.0, 10.0, 100.0])
@@ -455,6 +492,28 @@ def test_companion_zero_matches_eta_limit(spec_204040, spec_unif56, gamma):
         mu = (m - (gamma - 1.0) / (1j * eta)) / gamma
         val = stieltjes.companion_zero(spec, gamma)
         assert abs(mu.real - val) <= 1e-6 * max(1.0, val)
+
+
+def test_companion_zero_is_cached_by_solve_density(monkeypatch):
+    spec = spectrum.validate(atoms=[(0.3, 2.0), (0.7, 5.0)])
+    sol = stieltjes.solve_density(spec, 0.5)
+    calls = []
+    rising_root = stieltjes._rising_root
+    monkeypatch.setattr(stieltjes, "_rising_root",
+                        lambda *args: calls.append(1) or rising_root(*args))
+    assert stieltjes.companion_zero(spec, 0.5) == sol.m_under_zero
+    assert calls == []
+    assert stieltjes.companion_zero.__wrapped__(spec, 0.5) == sol.m_under_zero
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("spec", [spectrum.point_mass(1.0), spectrum.validate(
+    atoms=[(0.2, 1.0), (0.4, 3.0), (0.4, 10.0)]), U_HARD])
+def test_critical_points_at_gamma_one_start_at_zero(spec):
+    # x'(0) = 1 - 1/gamma = 0: the lower critical point is u = 0 itself
+    crit, values = stieltjes._critical_points(spec, 1.0)
+    assert crit[0] == values[0] == 0.0
+    assert not np.signbit(crit[0]) and not np.signbit(values[0])
 
 
 def test_companion_zero_scaling():
