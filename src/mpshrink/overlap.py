@@ -64,7 +64,7 @@ def _h_integral(ls, m, gamma: float, spec: PopulationSpectrum,
     real = s.imag == 0
     order = int(real.any())
     S = _stieltjes_h(spec, s, upto, order=order)
-    ratio = (s * S[0]).imag / (s.imag + real)  # 1 where s is real
+    ratio = (s * S[0]).imag / np.where(real, 1.0, s.imag)
     if order:
         ratio[real] = (S[0] + s * S[1]).real[real]
     return ls / gamma * ratio / np.abs(k) ** 2

@@ -337,10 +337,9 @@ def _real_roots(spec: PopulationSpectrum, gamma: float, lam: np.ndarray):
 
 
 def _divided(th, v):
-    """Divided differences of values v at ascending knots th, both along the
-    first axis, to order STENCIL - 1 (or len(th) - 1): rows[i][j] = v[th[j],
-    ..., th[j + i]], the Newton coefficients of the polynomial through the
-    knots from th[j] on."""
+    """Divided differences of values v at ascending knots th to order
+    STENCIL - 1 (or len(th) - 1): rows[i][j] = v[th[j], ..., th[j + i]], the
+    Newton coefficients of the polynomial through the knots from th[j] on."""
     rows = [v]
     for i in range(1, min(STENCIL, len(th))):
         v = (v[1:] - v[:-1]) / (th[i:] - th[:-i])
@@ -352,9 +351,8 @@ def _in_blocks(f, lam, dtype):
     """f of the flattened lam, BLOCK points at a time, into one output of
     lam's shape (a dtype scalar if 0-d); one block returns f's own result.
     DomainError at NaN."""
-    lam = np.asarray(lam, dtype=float)
-    x = lam.ravel()
-    if np.isnan(np.minimum.reduce(x, initial=np.inf)):  # no copy, keeps NaN
+    x = np.asarray(lam, dtype=float).ravel()
+    if np.isnan(np.min(x, initial=np.inf)):  # min takes no copy, keeps NaN
         raise DomainError("lookup of lambda = NaN")
     if x.size <= BLOCK:
         out = f(x)
@@ -362,7 +360,7 @@ def _in_blocks(f, lam, dtype):
         out = np.empty(x.size, dtype)
         for s in range(0, x.size, BLOCK):
             out[s:s + BLOCK] = f(x[s:s + BLOCK])
-    return out.reshape(lam.shape) if lam.ndim else dtype(out[0])
+    return out.reshape(np.shape(lam)) if np.ndim(lam) else dtype(out[0])
 
 
 @dataclass
@@ -403,13 +401,11 @@ class StieltjesSolution:
     def _pieces(self):
         """The support edges clipped to the grid range, which split it into
         pieces (tails, support intervals, gaps); the grid, NaN where m_at
-        does not return m_breve as it is (invalid, or Im m_breve < 0); per
-        piece the ends of its Chebyshev angle theta and its knots, its valid
-        grid points (None if none): theta and v = Re m_breve + i log(Im
+        does not return m_breve as it is (invalid, or Im m_breve < 0); and
+        per piece the ends of its Chebyshev angle theta and its knots, its
+        valid grid points (None if none): theta and v = Re m_breve + i log(Im
         m_breve / sin theta) at 0 < theta < pi in the support, the real
-        m_breve off it, both smooth in theta up to both ends of the piece;
-        per piece the count of points m_at has looked up in it; and the
-        _divided tables of the knots of the pieces that m_at has built."""
+        m_breve off it, both smooth in theta up to both ends of the piece."""
         ends = np.clip(np.ravel(self.support), self.grid[0], self.grid[-1])
         bounds = np.concatenate([[self.grid[0]], ends, [self.grid[-1]]])
         pieces = []
@@ -423,7 +419,13 @@ class StieltjesSolution:
             v = m.real + 1j * np.log(m.imag / np.sin(th)) if q % 2 else m.real
             pieces.append((a, b, th, v) if len(th) else None)
         read = self.valid & (self.m_breve.imag >= 0)
-        return ends, np.where(read, self.grid, np.nan), pieces, [0] * len(pieces), {}
+        return ends, np.where(read, self.grid, np.nan), pieces
+
+    @cached_property
+    def _tables(self):
+        """The _divided tables of the knots of the pieces, by piece, each
+        built by m_at at the first point between knots it looks up there."""
+        return {}
 
     @cached_property
     def _angle_weights(self):
@@ -452,15 +454,13 @@ class StieltjesSolution:
         """m_breve at valid grid points, else the polynomial of the piece of
         the grid range holding lambda, clamped to it (_pieces): Im >= 0 in the
         support, 0 off it; in blocks; DomainError at NaN or in a knotless piece.
-        A point takes the divided differences of its own stencil until the
-        lookups of its piece have asked for as many points as the piece has
-        knots; then the piece builds the table of its knots once (_divided),
-        which every later lookup reads.  Both give the same bits."""
+        Valid grid points are read as they are; the first point between
+        knots of a piece builds the table of its knots (_divided, _tables)."""
         return _in_blocks(self._m_block, lam, complex)
 
     def _m_block(self, x):
         """m_at of a flat block x."""
-        ends, read, pieces, asked, tables = self._pieces
+        ends, read, pieces = self._pieces
         x = np.minimum(self.grid[-1], np.maximum(self.grid[0], x))
         k = self.grid.searchsorted(x)
         out = self.m_breve[k]
@@ -472,22 +472,16 @@ class StieltjesSolution:
             if pieces[p] is None:
                 raise DomainError(f"no valid grid point near lambda={x[at[0]]}")
             a, b, th, v = pieces[p]
+            if p not in self._tables:
+                self._tables[p] = _divided(th, v)
+            rows = self._tables[p]
             t = _angle(x[at], a, b)
-            n, s = len(th), min(STENCIL, len(th))
+            n, s = len(th), len(rows)
             # the first of the s knots nearest the knot interval holding t
             first = th[(s + 1) // 2:n - s // 2].searchsorted(t, side="right")
-            asked[p] += len(at)
-            if asked[p] >= n and p not in tables:
-                tables[p] = _divided(th, v)
-            if p in tables:
-                rows, knots, col = tables[p], th, first
-            else:  # each point's own stencil; knots in v's type cast once
-                near = first + np.arange(s)[:, None]
-                knots, col = th[near].astype(v.dtype), 0
-                rows = _divided(knots, v[near])
-            val = rows[-1][col]
+            val = rows[-1][first]
             for r in range(s - 2, -1, -1):
-                val = val * (t - knots[r:][col]) + rows[r][col]
+                val = val * (t - th[r:][first]) + rows[r][first]
             if p % 2:
                 val.imag = np.sin(t) * np.exp(val.imag)
             out[at] = val

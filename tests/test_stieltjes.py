@@ -222,32 +222,31 @@ def test_m_at_matches_boundary_values(solutions, name, gamma):
 
 
 def test_stencils_reproduce_polynomials():
-    # the Newton form through the 6 nearest of 10 unevenly spaced knots
-    # gives back a degree-5 polynomial between the knots, with coefficients
-    # from _divided of each point's own stencil as of all the knots
+    # m_at between the knots of an off-support piece whose m_breve is a
+    # degree-5 polynomial in the Chebyshev angle gives the polynomial back,
+    # one point at a time and as a dense array: the Newton form through the
+    # 6 nearest of 10 unevenly spaced knots
     rng = np.random.default_rng(5)
-    coef = rng.normal(size=6) + 1j * rng.normal(size=6)
-    th = np.sort(rng.uniform(-2.0, 3.0, 10))
+    coef = rng.normal(size=6)
     def poly(t):
         return sum(c * t ** i for i, c in enumerate(coef))
-    t = np.linspace(th[0], th[-1], 1001)
-    first = np.clip(th[1:-1].searchsorted(t, side="right") - 2, 0, 4)
-    def newton(knots, rows, col):
-        val = rows[-1][col]
-        for r in range(4, -1, -1):
-            val = val * (t - knots[r:][col]) + rows[r][col]
-        return val
-    near = first + np.arange(6)[:, None]
-    own = newton(th[near], stieltjes._divided(th[near], poly(th[near])), 0)
-    assert np.max(np.abs(own - poly(t))) <= 1e-10
-    assert np.array_equal(newton(th, stieltjes._divided(th, poly(th)), first), own)
+    th = np.sort(np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 8)]))
+    grid = np.concatenate([(1.0 - np.cos(th)) / 2.0, [1.5, 2.0]])
+    m_breve = np.concatenate([poly(stieltjes._angle(grid[:10], 0.0, 1.0)), [1j, 1j]])
+    sol = stieltjes.StieltjesSolution(
+        gamma=2.0, grid=grid, m_breve=m_breve, support=[(1.0, 2.0)],
+        m_under_zero=None, valid=np.ones(len(grid), dtype=bool))
+    lam = np.linspace(0.0, 1.0, 1001)
+    exact = poly(stieltjes._angle(lam, 0.0, 1.0))
+    one = np.array([sol.m_at(x) for x in lam])
+    assert np.max(np.abs(one - exact)) <= 1e-10
+    assert np.array_equal(sol.m_at(lam), one) and not one.imag.any()
 
 
 @pytest.mark.parametrize("case", LIMIT_CASES)
 def test_lookups_are_the_same_bits_one_point_at_a_time_and_dense(solutions, case):
-    # one-point lookups take stencils of their own, a dense lookup the
-    # piece's full table; both give the same bits, and neither one-point
-    # lookups nor lookups at grid nodes build a table
+    # a value has the same bits whether it is looked up alone, in a short
+    # array or inside a dense one, before and after lookups at grid nodes
     name, gamma = case
     spec = solutions.specs[name]
     sol = dataclasses.replace(solutions(name, gamma))  # nothing built yet
@@ -260,12 +259,10 @@ def test_lookups_are_the_same_bits_one_point_at_a_time_and_dense(solutions, case
         == [float(h[0]) for *_, h in one]
     shrinkage.build_shrinkage_curve(sol, spec)
     shrinkage.moment_residuals(sol, spec)
-    assert sol._pieces[-1] == {}
     dense = np.linspace(sol.grid[0], sol.grid[-1], 20000)
     at = np.random.default_rng(1).choice(len(dense), len(lam), replace=False)
     dense[at] = lam
     dense_lookups = lookups(dense)
-    assert sol._pieces[-1]
     for k, (single, block) in enumerate(zip(lookups(lam), dense_lookups)):
         assert np.array_equal(np.concatenate([o[k] for o in one]), single)
         assert np.array_equal(block[at], single)
