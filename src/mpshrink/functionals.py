@@ -45,9 +45,10 @@ def flat() -> WeightFunction:
     return WeightFunction(lambda t: np.ones_like(t))
 
 
-def power(k: int) -> WeightFunction:
-    """g = tau^k; for 1 <= k <= MAX_POWER Theta_g is theta_k."""
-    closed = partial(_theta_k, k=k) if 1 <= k <= MAX_POWER else None
+def power(k: float) -> WeightFunction:
+    """g = tau^k; for integral k, 1 <= k <= MAX_POWER, Theta_g is theta_k."""
+    integral = 1 <= k <= MAX_POWER and float(k).is_integer()
+    closed = partial(_theta_k, k=int(k)) if integral else None
     return WeightFunction(lambda t: t ** float(k), closed=closed)
 
 
@@ -57,7 +58,10 @@ def reciprocal() -> WeightFunction:
 
 def indicator_below(tau: float) -> WeightFunction:
     """g = 1 on (-inf, tau), 0 elsewhere (open at tau); Theta_g is S of H
-    restricted to t < tau, over k."""
+    restricted to t < tau, over k.  DomainError at a NaN tau."""
+    if np.isnan(tau):
+        raise DomainError("indicator_below of a NaN threshold")
+
     def closed(z, m, gamma, spec):
         k = _denominator(z, m, gamma) / gamma
         below = np.nextafter(tau, -np.inf)

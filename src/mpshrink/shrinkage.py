@@ -137,15 +137,15 @@ def linear_shrinkage_limit(spec: PopulationSpectrum, gamma: float
                            ) -> tuple[float, float]:
     """Large-N limit of the oracle linear projection coefficients (a, b).
 
-    Normal equations with limiting moments: mean sample eigenvalue mu1,
-    mean square mu2 + mu1^2/gamma, and cross term mu2.
+    Normal equations with limiting moments: mean sample eigenvalue M1, mean
+    square M2 + M1^2/gamma, and cross term M2.  Their solution is
+    b = Var_H / (Var_H + M1^2/gamma) and a = M1 (1 - b), Var_H = M2 - M1^2;
+    exactly (c, 0) for H = delta_c.
     """
-    mu1 = spectrum_mod.moment(spec, 1)
-    mu2 = spectrum_mod.moment(spec, 2)
-    gram = np.array([[1.0, mu1], [mu1, mu2 + mu1 * mu1 / gamma]])
-    rhs = np.array([mu1, mu2])
-    coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    return float(coef[0]), float(coef[1])
+    m1 = spectrum_mod.moment(spec, 1)
+    var = spectrum_mod.moment(spec, 2) - m1 * m1
+    b = var / (var + m1 * m1 / gamma)
+    return m1 * (1.0 - b), b
 
 
 @dataclass

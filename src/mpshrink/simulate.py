@@ -337,20 +337,3 @@ def run_prial(config: SimulationConfig,
     )
     return report
 
-
-def null_space_dtilde_mean(config: SimulationConfig) -> float:
-    """Monte-Carlo mean of d_i over the zero-eigenvalue eigenvectors.
-
-    Only meaningful for p < N, where S has exactly N - p null directions."""
-    if config.p >= config.N:
-        raise ValueError("null space requires p < N")
-
-    def rows(real: Realization) -> tuple[np.ndarray, np.ndarray]:
-        d = oracle_dtilde(real.eigenvectors, real.population_diag)
-        k = zero_eig_count(real.eigenvalues)
-        # the k null directions come last, the eigenvalues being descending
-        return np.array([d_r[config.N - k_r:].sum()
-                         for d_r, k_r in zip(d, k)]), k
-
-    totals, counts = _replicate(config, rows)
-    return sum(totals.tolist()) / int(counts.sum())

@@ -201,7 +201,8 @@ def test_criterion_10_zero_branch(solutions, spec_d1):
     assert d0 == pytest.approx(1.0, abs=1e-9)
     config = simulate.SimulationConfig(N=100, p=50, spec=spec_d1, reps=200,
                                        seed=777)
-    mc = simulate.null_space_dtilde_mean(config)
+    # the null-space mean: empirical_delta at 0 over its share (N - p)/N
+    mc = simulate.empirical_delta(config, [0.0])[0] * 100 / (100 - 50)
     gap = abs(mc / d0 - 1.0)
     _report(10, gap <= 0.05,
             f"null-space mean dtilde {mc:.6f} vs delta(0) {d0:.6f}, "

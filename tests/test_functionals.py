@@ -231,6 +231,25 @@ def test_power_beyond_max_power_stays_on_quadrature(spec_204040):
     assert fn.theta_g(z, fn.power(fn.MAX_POWER + 1), spec_204040, gamma, m=m) == gl
 
 
+def test_power_of_a_float_exponent(spec_204040):
+    # an integral float takes theta_k as its int; any other exponent sums
+    # tau^k on the Gauss-Legendre panels, as a user weight does
+    zs = np.array([0.5 + 1e-3j, 3.0 + 1e-2j, 11.0 + 1.0j])
+    for z, m in zip(zs, stieltjes.solve_mF(zs, spec_204040, 2.0)):
+        assert fn.theta_g(z, fn.power(3.0), spec_204040, 2.0, m=m) == \
+            fn.theta_g(z, fn.power(3), spec_204040, 2.0, m=m)
+        assert fn.theta_g(z, fn.power(2.5), spec_204040, 2.0, m=m) == \
+            fn.theta_g(z, fn.WeightFunction(lambda t: t ** 2.5), spec_204040,
+                       2.0, m=m)
+
+
+def test_indicator_below_rejects_nan():
+    # a NaN threshold would restrict nothing in the closed form (Theta = m)
+    # while its evaluator is 0 everywhere
+    with pytest.raises(DomainError):
+        fn.indicator_below(float("nan"))
+
+
 def _every_theta():
     """(label, call(z, spec, gamma, m)) for each public Theta and each
     built-in weight, GL ones included."""

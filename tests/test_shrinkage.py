@@ -345,8 +345,20 @@ def test_linear_oracle_stack_matches_rows():
             shrinkage.linear_shrinkage_oracle(eigs, bad, trace_s_sigma)
 
 
-def test_linear_limit_preserves_trace(spec_204040):
-    a, b = shrinkage.linear_shrinkage_limit(spec_204040, 2.0)
+LIMIT_GAMMAS = [0.5, 2.0, 10.0, 100.0]
+
+
+@pytest.mark.parametrize("gamma", LIMIT_GAMMAS)
+def test_linear_limit_preserves_trace(spec_204040, gamma):
+    a, b = shrinkage.linear_shrinkage_limit(spec_204040, gamma)
     mu1 = spectrum.moment(spec_204040, 1)
     assert a + b * mu1 == pytest.approx(mu1, abs=1e-12)
     assert 0 < b < 1  # strictly shrinks toward the mean
+
+
+@pytest.mark.parametrize("gamma", LIMIT_GAMMAS)
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_linear_limit_of_a_point_mass(c, gamma):
+    # Sigma = cI lies in span{I, S}: the projection is cI itself, exactly
+    assert shrinkage.linear_shrinkage_limit(spectrum.point_mass(c), gamma) \
+        == (c, 0.0)

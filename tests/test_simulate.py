@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from mpshrink import simulate, spectrum
+from mpshrink import shrinkage, simulate, spectrum
 from mpshrink.errors import GammaOne
 
 
@@ -267,8 +267,11 @@ def test_empirical_delta_at_zero_is_the_null_space(spec_unif56):
     config = simulate.SimulationConfig(N=100, p=60, spec=spec_unif56, reps=30,
                                        seed=4)
     emp, = simulate.empirical_delta(config, [0.0])
-    null = simulate.null_space_dtilde_mean(config)
-    assert emp == pytest.approx((100 - 60) / 100 * null, rel=1e-12)
+    real = simulate.generate(config, range(config.reps))
+    zero = shrinkage.zero_eigenvalues(real.eigenvalues)
+    assert np.all(zero.sum(axis=1) == 100 - 60)
+    d = simulate.oracle_dtilde(real.eigenvectors, real.population_diag)
+    assert emp == pytest.approx(d[zero].sum() / (100 * config.reps), rel=1e-12)
 
 
 def test_overlap_bins_skip_null_eigenvalues(spec_unif56):
@@ -296,11 +299,12 @@ def test_prial_ordering_across_sizes(solutions, spec_204040):
 
 
 def test_null_space_dtilde_point_mass(spec_d1):
-    # Sigma = I makes every d_i exactly 1, including null directions
+    # Sigma = I makes every d_i exactly 1, including null directions; the
+    # null-space mean is empirical_delta at 0 over its share (N - p)/N
     config = simulate.SimulationConfig(N=30, p=15, spec=spec_d1, reps=5,
                                        seed=21)
-    assert simulate.null_space_dtilde_mean(config) == pytest.approx(
-        1.0, abs=1e-12)
+    emp, = simulate.empirical_delta(config, [0.0])
+    assert emp * 30 / (30 - 15) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_empirical_overlap_identity_population(spec_d1):
@@ -371,7 +375,6 @@ def _mc_outputs(spec_204040, solutions) -> dict:
     low = simulate.SimulationConfig(N=30, p=15, spec=spec_204040, reps=5,
                                     seed=8, entry_law="complex-gaussian")
     out["delta"] = simulate.empirical_delta(low, np.linspace(0.0, 30.0, 31))
-    out["null"] = simulate.null_space_dtilde_mean(low)
     config = simulate.SimulationConfig(N=40, p=80, spec=spec_204040, reps=9,
                                        seed=4, entry_law="complex-gaussian")
     table = simulate.empirical_overlap(config, np.linspace(0.0, 40.0, 9),
