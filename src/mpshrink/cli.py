@@ -152,7 +152,7 @@ def cmd_kernel(cfg: dict, out_dir: str, args) -> list[str]:
     for gamma, sol in solutions:
         l = sol.support[-1][1] if l_cfg == "sup" else l_cfg
         t_grid = np.linspace(spec.h1, spec.h2, n_t)
-        vals = overlap_mod.phi(l, t_grid, sol, spec)
+        vals = overlap_mod.phi(l, t_grid, sol)
         path = os.path.join(out_dir, f"kernel_gamma{_tag(gamma)}.csv")
         _write_csv(path, ["l", "t", "phi"],
                    ((l, t, v) for t, v in zip(t_grid, vals)))
@@ -224,10 +224,12 @@ def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
     if "overlap" in wanted and not (lam_bins and tau_bins):
         raise UsageError("'overlap' output needs 'lambda_bins' and 'tau_bins'")
     min_prial = _get(cfg, "assert_nonlinear_min", float, 90.0)
-    # one limiting solution at the target aspect ratio serves the whole sweep
-    sol = stieltjes_mod.solve_density(spec, ratio)
+    # one solution per gamma: p = round(N * ratio) can move gamma off the ratio
+    sols = {g: stieltjes_mod.solve_density(spec, g)
+            for g in {config.gamma for config in configs}}
     outputs, reports = [], []
     for config in configs:
+        sol = sols[config.gamma]
         report = simulate_mod.run_prial(config, sol)
         doc = report.to_dict()
         if "delta" in wanted:

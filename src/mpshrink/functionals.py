@@ -63,7 +63,7 @@ def indicator_below(tau: float) -> WeightFunction:
         raise DomainError("indicator_below of a NaN threshold")
 
     def closed(z, m, gamma, spec):
-        k = _denominator(z, m, gamma) / gamma
+        k = _kappa(z, m, gamma)
         below = np.nextafter(tau, -np.inf)
         return complex(_stieltjes_h(spec, np.array([z / k]), below, 0)[0][0] / k)
     return WeightFunction(lambda t: (t < tau).astype(float), (tau,), closed)
@@ -82,12 +82,13 @@ def _moments(spec: PopulationSpectrum) -> tuple[float, ...]:
     return tuple(spectrum_mod.moment(spec, i) for i in (*range(MAX_POWER), -1))
 
 
-def _denominator(z: complex, m: complex, gamma: float) -> complex:
-    """gamma - 1 - z*m = gamma*k, or DegenerateDenominator below 1e-14."""
+def _kappa(z: complex, m: complex, gamma: float) -> complex:
+    """k_factor(z, m, gamma) as (gamma - 1 - z*m)/gamma, or
+    DegenerateDenominator where gamma - 1 - z*m is below 1e-14."""
     denom = gamma - 1.0 - z * m
     if abs(denom) < 1e-14:
         raise DegenerateDenominator(f"gamma - 1 - z*m = {denom} at z = {z}")
-    return denom
+    return denom / gamma
 
 
 def theta_g(z: complex, g: WeightFunction, spec: PopulationSpectrum,
@@ -114,12 +115,6 @@ def _weighted_nodes(spec: PopulationSpectrum, g: Callable, breaks: tuple):
     return taus, ws * np.asarray(g(taus), dtype=float)
 
 
-def theta_1(z: complex, spec: PopulationSpectrum, gamma: float, *,
-            m: complex | None = None) -> complex:
-    """Closed form gamma^2/(gamma - 1 - z*m(z)) - gamma for the weight tau."""
-    return _theta_k(*_checked(z, m, spec, gamma), spec, 1)
-
-
 def theta_k(z: complex, k: int, spec: PopulationSpectrum, gamma: float, *,
             m: complex | None = None) -> complex:
     """Power-weight functional via the moment recursion, in Horner form:
@@ -128,7 +123,7 @@ def theta_k(z: complex, k: int, spec: PopulationSpectrum, gamma: float, *,
         Theta_k = (S(s) s^k + sum over i < k of moment_i(H) s^(k-1-i)) / kappa,
 
     the same as Theta_(q+1) = [z*Theta_(q) + moment_q(H)] * [1 + Theta_1/gamma]
-    from Theta_0 = m(z), since 1 + Theta_1/gamma = 1/kappa.  k == 1 is theta_1.
+    from Theta_0 = m(z), since Theta_1 = (1 + z*m)/kappa = gamma/kappa - gamma.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k}")
@@ -138,10 +133,7 @@ def theta_k(z: complex, k: int, spec: PopulationSpectrum, gamma: float, *,
 
 
 def _theta_k(z, m, gamma, spec, k):
-    denom = _denominator(z, m, gamma)
-    if k == 1:
-        return gamma * gamma / denom - gamma
-    kappa = denom / gamma
+    kappa = _kappa(z, m, gamma)
     val, s = kappa * m, z / kappa
     for moment in _moments(spec)[:k]:
         val = val * s + moment

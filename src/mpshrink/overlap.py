@@ -27,10 +27,10 @@ from .spectrum import PopulationSpectrum, _stieltjes_h
 from .stieltjes import StieltjesSolution, k_factor
 
 
-def phi(l: float, t, solution: StieltjesSolution,
-        spec: PopulationSpectrum):
+def phi(l: float, t, solution: StieltjesSolution):
     """Overlap kernel at sample eigenvalue l and population eigenvalue(s) t;
-    its limit 0 at an infinite l or t; DomainError at NaN."""
+    its limit 0 at an infinite l or t; DomainError at NaN.  At a support
+    edge, where Im k = 0, it is +inf at t = l/Re k, off the support of H."""
     t_arr = np.asarray(t, dtype=float)
     if np.isnan(t_arr).any():
         raise DomainError("phi at t = NaN")
@@ -48,10 +48,8 @@ def phi(l: float, t, solution: StieltjesSolution,
     t_arr = np.where(np.isinf(t_arr), 0.0, t_arr)
     k = k_factor(l, solution.m_at(l), g)  # a + i*b
     den = (k.real * t_arr - l) ** 2 + k.imag * k.imag * t_arr ** 2
-    # exactly at a support edge b -> 0 while a*t - l can cross zero; the
-    # kernel concentrates there and the denominator is floored to keep the
-    # point evaluation finite (integrals against dF are unaffected)
-    out = (l / g) * t_arr / np.maximum(den, 1e-300)
+    with np.errstate(divide="ignore"):  # den = 0 only at an edge, at t = l/a
+        out = (l / g) * t_arr / den
     return out if np.ndim(t) else float(out)
 
 
@@ -70,22 +68,22 @@ def _h_integral(ls, m, gamma: float, spec: PopulationSpectrum,
     return ls / gamma * ratio / np.abs(k) ** 2
 
 
-def _h_integral_zero(solution: StieltjesSolution, spec: PopulationSpectrum,
-                     upto: float = np.inf) -> float:
+def _h_integral_zero(solution: StieltjesSolution, upto: float = np.inf) -> float:
     """Integral of phi(0, t) over t <= upto against dH (gamma < 1)."""
     if solution.gamma > 1:
         raise ZeroBranchUnavailable("l = 0 branch requires gamma < 1")
     mu0 = solution.m_under_zero
-    S = _stieltjes_h(spec, np.array([-1.0 / mu0]), upto, order=0)[0][0]
+    S = _stieltjes_h(solution.spec, np.array([-1.0 / mu0]), upto, order=0)[0][0]
     return float(S) / (mu0 * (1.0 - solution.gamma))
 
 
 def phi_h_integral(l: float, solution: StieltjesSolution,
                    spec: PopulationSpectrum) -> float:
     """Integral of phi(l, t) over dH(t); equals 1 on the support of F, and
-    its limit 0 at an infinite l."""
+    its limit 0 at an infinite l.  DomainError if spec is not the solution's."""
+    solution._check(spec)
     if l <= 0 or l == np.inf:
-        return _h_integral_zero(solution, spec) if l == 0 else 0.0
+        return _h_integral_zero(solution) if l == 0 else 0.0
     ls = np.array([float(l)])
     return float(_h_integral(ls, solution.m_at(ls), solution.gamma, spec)[0])
 
@@ -95,7 +93,8 @@ def phi_cumulative(lam: float, tau: float, solution: StieltjesSolution,
     """Phi(lambda, tau): cumulative overlap mass, a bivariate c.d.f.: the
     integral of phi(l, t) over t <= tau against dH, taken at the grid points
     up to lambda from the solved m_breve, then against dF by f_integral;
-    DomainError at NaN."""
+    DomainError at NaN, or if spec is not the solution's."""
+    solution._check(spec)
     if np.isnan(lam) or np.isnan(tau):
         raise DomainError(f"phi_cumulative at lambda = {lam}, tau = {tau}")
     if tau < spec.h1 or lam < 0:
@@ -106,8 +105,7 @@ def phi_cumulative(lam: float, tau: float, solution: StieltjesSolution,
     inner = np.zeros(len(solution.grid))
     inner[pos] = _h_integral(solution.grid[pos], solution.m_breve[pos],
                              solution.gamma, spec, tau)
-    at_zero = _h_integral_zero(solution, spec, tau) if solution.gamma < 1 \
-        else 0.0
+    at_zero = _h_integral_zero(solution, tau) if solution.gamma < 1 else 0.0
     return solution.f_integral(lam, inner, at_zero)
 
 
@@ -117,7 +115,7 @@ def average_overlap(lambda_lo: float, lambda_hi: float, tau_lo: float,
     """Limiting mean of N |u_i* v_j|^2 over the rectangle of eigenvalue bins.
 
     Ratio of the Phi increment over the product of the marginal increments;
-    raises EmptyBin when either marginal mass vanishes.
+    raises EmptyBin when a marginal mass vanishes, DomainError as phi_cumulative.
     """
     f_mass = solution.cdf(lambda_hi) - solution.cdf(lambda_lo)
     h_mass = spectrum_mod.cdf(spec, tau_hi) - spectrum_mod.cdf(spec, tau_lo)

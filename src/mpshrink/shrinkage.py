@@ -58,17 +58,17 @@ def delta_zero(solution: StieltjesSolution) -> float:
     return 0.0 if g > 1 else g / ((1.0 - g) * solution.m_under_zero)
 
 
-def psi(lam, solution: StieltjesSolution, spec: PopulationSpectrum):
+def psi(lam, solution: StieltjesSolution):
     """Inverse-covariance bias correction psi(lambda) in blocks, as delta;
     psi_zero at lambda = 0, 0 below, DomainError if not finite."""
-    return _correction(lam, solution, psi_zero(solution, spec), lambda lam, m, g:
+    return _correction(lam, solution, psi_zero(solution), lambda lam, m, g:
                        (1.0 - 1.0 / g - 2.0 / g * lam * m.real) / lam)
 
 
-def psi_zero(solution: StieltjesSolution, spec: PopulationSpectrum) -> float:
+def psi_zero(solution: StieltjesSolution) -> float:
     """psi(0) = m_H(0)/(1-gamma) - m_under(0) for gamma < 1; 0 for gamma > 1."""
     g = solution.gamma
-    return 0.0 if g > 1 else (spectrum_mod.moment(spec, -1) / (1.0 - g)
+    return 0.0 if g > 1 else (spectrum_mod.moment(solution.spec, -1) / (1.0 - g)
                               - solution.m_under_zero)
 
 
@@ -100,12 +100,11 @@ def shrink_spectrum(sample_eigs, solution: StieltjesSolution) -> np.ndarray:
     return delta(zeroed(sample_eigs), solution)
 
 
-def shrink_inverse_spectrum(sample_eigs, solution: StieltjesSolution,
-                            spec: PopulationSpectrum) -> np.ndarray:
+def shrink_inverse_spectrum(sample_eigs, solution: StieltjesSolution) -> np.ndarray:
     """psi of each sample eigenvalue, the eigenvalues of the corrected
     inverse covariance; zero eigenvalues map to psi(0), as in
     shrink_spectrum."""
-    return psi(zeroed(sample_eigs), solution, spec)
+    return psi(zeroed(sample_eigs), solution)
 
 
 def linear_shrinkage_oracle(sample_eigs, trace_sigma, trace_s_sigma) -> np.ndarray:
@@ -139,11 +138,14 @@ def linear_shrinkage_limit(spec: PopulationSpectrum, gamma: float
 
     Normal equations with limiting moments: mean sample eigenvalue M1, mean
     square M2 + M1^2/gamma, and cross term M2.  Their solution is
-    b = Var_H / (Var_H + M1^2/gamma) and a = M1 (1 - b), Var_H = M2 - M1^2;
-    exactly (c, 0) for H = delta_c.
+    b = Var_H / (Var_H + M1^2/gamma) and a = M1 (1 - b); exactly (c, 0) for
+    H = delta_c.  Var_H is summed per atom and segment about M1, so it does
+    not cancel as M2 - M1^2 does when the spread of H is small against M1.
     """
     m1 = spectrum_mod.moment(spec, 1)
-    var = spectrum_mod.moment(spec, 2) - m1 * m1
+    aw, at, sw, lo, hi, _ = spec.columns
+    var = float(np.sum(aw * (at - m1) ** 2)
+                + np.sum(sw * (((lo + hi) / 2 - m1) ** 2 + (hi - lo) ** 2 / 12)))
     b = var / (var + m1 * m1 / gamma)
     return m1 * (1.0 - b), b
 
@@ -163,15 +165,17 @@ class ShrinkageCurve:
 
 def build_shrinkage_curve(solution: StieltjesSolution, spec: PopulationSpectrum,
                           lambda_grid=None) -> ShrinkageCurve:
+    """delta and psi on lambda_grid, the grid if None; DomainError for another spec."""
+    solution._check(spec)
     if lambda_grid is None:
         lambda_grid = solution.grid
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     d0 = delta_zero(solution) if solution.gamma < 1 else None
-    p0 = psi_zero(solution, spec) if solution.gamma < 1 else None
+    p0 = psi_zero(solution) if solution.gamma < 1 else None
     return ShrinkageCurve(
         lambda_grid=lambda_grid,
         delta=delta(lambda_grid, solution),
-        psi=psi(lambda_grid, solution, spec),
+        psi=psi(lambda_grid, solution),
         delta_zero=d0, psi_zero=p0, gamma=solution.gamma)
 
 
@@ -181,11 +185,10 @@ def delta_cumulative(xs, solution: StieltjesSolution):
                                delta_zero(solution))
 
 
-def psi_cumulative(xs, solution: StieltjesSolution,
-                   spec: PopulationSpectrum):
+def psi_cumulative(xs, solution: StieltjesSolution):
     """The limit curve x -> integral of psi over dF up to x."""
-    return solution.f_integral(xs, psi(solution.grid, solution, spec),
-                               psi_zero(solution, spec))
+    return solution.f_integral(xs, psi(solution.grid, solution),
+                               psi_zero(solution))
 
 
 def moment_residuals(solution: StieltjesSolution, spec: PopulationSpectrum
@@ -194,7 +197,8 @@ def moment_residuals(solution: StieltjesSolution, spec: PopulationSpectrum
     correction curve, the zero atom included, minus the H-moment it must
     reproduce, int tau dH and int 1/tau dH.  On a solve_density grid the
     gaps are at rounding level (see StieltjesSolution.f_integral); the CLI
-    enforces MOMENT_GAP_TOL."""
+    enforces MOMENT_GAP_TOL.  DomainError if spec is not the solution's."""
+    solution._check(spec)
     top = solution.grid[-1]
     return (delta_cumulative(top, solution) - spectrum_mod.moment(spec, 1),
-            psi_cumulative(top, solution, spec) - spectrum_mod.moment(spec, -1))
+            psi_cumulative(top, solution) - spectrum_mod.moment(spec, -1))

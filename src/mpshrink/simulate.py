@@ -298,12 +298,14 @@ def run_prial(config: SimulationConfig,
     eigenvectors, so every Frobenius loss against U D~ U* reduces to a sum of
     squared eigenvalue differences.  PRIAL(M) = 100 * (1 - E loss(M) / E
     loss(S)); the sample matrix scores 0 and the oracle 100 by construction.
+    A given solution must be of the config's spectrum and gamma (DomainError).
     """
     if config.p == config.N:
         raise GammaOne("PRIAL experiment requires p != N")
     gamma = config.gamma
     if solution is None:
         solution = solve_density(config.spec, gamma)
+    solution._check(config.spec, gamma)
     lam, d = _replicate(config, lambda real: (
         real.eigenvalues,
         oracle_dtilde(real.eigenvectors, real.population_diag)))

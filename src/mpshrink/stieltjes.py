@@ -367,18 +367,18 @@ def _in_blocks(f, lam, dtype):
 class StieltjesSolution:
     """Boundary values of the limiting law on a lambda grid.
 
-    support holds the closed intervals where the density is positive;
-    m_under_zero is the companion transform at 0 (present iff gamma < 1);
-    cuts are grid nodes inside the support where the trapezoid rule of
-    f_integral restarts (solve_density); density and mass_at_zero follow
-    from the fields.  gamma must pass check_gamma; the support is not empty.
+    spec and gamma are the population spectrum H and the aspect ratio; support
+    holds the closed intervals where the density is positive; cuts are grid
+    nodes inside the support where the trapezoid rule of f_integral restarts
+    (solve_density); density, mass_at_zero and m_under_zero follow from the
+    fields.  gamma must pass check_gamma; the support is not empty.
     """
 
     gamma: float
+    spec: PopulationSpectrum
     grid: np.ndarray
     m_breve: np.ndarray
     support: list[tuple[float, float]]
-    m_under_zero: float | None
     valid: np.ndarray = field(repr=False)
     cuts: tuple[float, ...] = ()
 
@@ -386,6 +386,11 @@ class StieltjesSolution:
         check_gamma(self.gamma)
         if not self.support:
             raise EmptySupport("a solution needs at least one support interval")
+
+    def _check(self, spec: PopulationSpectrum, gamma: float | None = None):
+        """DomainError unless spec (and gamma, if given) are the solution's."""
+        if spec != self.spec or gamma not in (None, self.gamma):
+            raise DomainError(f"not the solution's spectrum or gamma {self.gamma}")
 
     @cached_property
     def density(self) -> np.ndarray:
@@ -396,6 +401,11 @@ class StieltjesSolution:
     def mass_at_zero(self) -> float:
         """Weight of the atom of F at zero: 1 - gamma for gamma < 1, else 0."""
         return max(0.0, 1.0 - self.gamma)
+
+    @cached_property
+    def m_under_zero(self) -> float | None:
+        """The companion transform at 0, companion_zero(spec, gamma); None if gamma > 1."""
+        return companion_zero(self.spec, self.gamma) if self.gamma < 1 else None
 
     @cached_property
     def _pieces(self):
@@ -554,11 +564,12 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
     u, ok = _real_roots(spec, gamma, grid)
     m_breve, _, accepted = _at_root(grid, u, spec, gamma)
     valid = ok & accepted
-    return StieltjesSolution(
-        gamma=float(gamma), grid=grid, m_breve=m_breve, valid=valid,
+    solution = StieltjesSolution(
+        gamma=float(gamma), spec=spec, grid=grid, m_breve=m_breve, valid=valid,
         support=[(float(a), float(b))
-                 for a, b in _critical_points(spec, gamma)[1].reshape(-1, 2)],
-        m_under_zero=companion_zero(spec, gamma) if gamma < 1 else None)
+                 for a, b in _critical_points(spec, gamma)[1].reshape(-1, 2)])
+    solution.m_under_zero  # solved here, so companion_zero's cache holds it
+    return solution
 
 
 def support_edges(solution: StieltjesSolution) -> list[tuple[float, float]]:

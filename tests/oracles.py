@@ -9,7 +9,8 @@ solved directly with the quadratic formula, plus exact_gap, the residual of
 the self-consistency equation for any H with k formed from m,
 stieltjes_h_reference, the closed form of S(s) written out on the
 spectrum's tuples, theta_by_quad, a weighted functional integrated by
-scipy, and m_breve_mp, the boundary value solved at 40 digits by mpmath.
+scipy, m_breve_mp, the boundary value solved at 40 digits by mpmath, and
+exact_gap_mp, the residual of exact_gap evaluated at 40 digits.
 None of it calls into the package's solvers.
 """
 
@@ -29,6 +30,23 @@ def exact_gap(z, m, spec, gamma: float):
     to -z*mu, and this residual grows like ulp / |z| there."""
     k = 1.0 - 1.0 / gamma - z * m / gamma
     return np.abs(_stieltjes_h(spec, z / k, order=0)[0] / k - m)
+
+
+def exact_gap_mp(z: complex, m: complex, spec, gamma: float, dps: int = 40) -> float:
+    """exact_gap at dps digits, z and m taken exactly from their doubles: the
+    residual of m itself, free of the rounding floor that exact_gap's double
+    evaluation of S(z/k) has next to the end of a segment of H."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        z, m = mpmath.mpc(complex(z)), mpmath.mpc(complex(m))
+        k = 1 - 1 / mpmath.mpf(gamma) - z * m / mpmath.mpf(gamma)
+        s = z / k
+        S = sum(mpmath.mpf(w) / (mpmath.mpf(t) - s) for w, t in spec.atoms)
+        for w, lo, hi in spec.segments:
+            lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+            S += mpmath.mpf(w) / (hi - lo) * mpmath.log((hi - s) / (lo - s))
+        return float(abs(S / k - m))
 
 
 def stieltjes_h_reference(spec, s, upto: float = np.inf, order: int = 2) -> list:

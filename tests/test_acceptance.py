@@ -71,17 +71,16 @@ def test_criterion_03_kernel_normalization(solutions):
 
 
 def test_criterion_04_point_mass_reductions(solutions):
-    spec = solutions.specs["d1"]
     worst = 0.0
     for gamma in (0.5, 2.0, 10.0):
         sol = solutions("d1", gamma)
         lams = interior_points(sol, 60)
         worst = max(worst, float(np.max(np.abs(
-            [overlap.phi(l, 1.0, sol, spec) - 1.0 for l in lams]))))
+            [overlap.phi(l, 1.0, sol) - 1.0 for l in lams]))))
         worst = max(worst, float(np.max(np.abs(
             shrinkage.delta(lams, sol) - 1.0))))
         worst = max(worst, float(np.max(np.abs(
-            shrinkage.psi(lams, sol, spec) - 1.0))))
+            shrinkage.psi(lams, sol) - 1.0))))
     _report(4, worst <= 1e-6,
             f"max |phi(l,1)-1|, |delta-1|, |psi-1| = {worst:.2e} (tol 1e-6)")
 

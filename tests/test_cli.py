@@ -423,3 +423,21 @@ def test_runtime_does_not_import_numpy_polynomial():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert run.stdout.strip() == "[]"
+
+
+def test_simulate_solves_each_size_at_its_own_gamma(tmp_path, monkeypatch):
+    # p = round(N * 1.5) moves gamma to 8/5 at N = 5 and 10/7 at N = 7
+    seen = []
+    run_prial = cli.simulate_mod.run_prial
+
+    def spy(config, sol):
+        seen.append((config.gamma, sol.gamma))
+        return run_prial(config, sol)
+
+    monkeypatch.setattr(cli.simulate_mod, "run_prial", spy)
+    cfg = _write_config(tmp_path, "cfg.json",
+                        {"spectrum": MIX, "N": 20, "p": 30, "reps": 4,
+                         "sweep_N": [5, 7, 20]})
+    assert cli.main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == 0
+    assert seen == [(8 / 5, 8 / 5), (10 / 7, 10 / 7), (1.5, 1.5)]

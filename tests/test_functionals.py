@@ -24,7 +24,7 @@ def test_flat_weight_reduces_to_m(spec_204040):
 
 def test_theta_1_closed_form_vs_quadrature(spec_d1):
     z = 1.0 + 1e-3j
-    closed = fn.theta_1(z, spec_d1, 2.0)
+    closed = fn.theta_k(z, 1, spec_d1, 2.0)
     quad = fn.theta_g(z, _on_quadrature(1), spec_d1, 2.0)
     assert abs(closed - quad) <= 1e-9
     # independent algebra for the point mass
@@ -33,7 +33,7 @@ def test_theta_1_closed_form_vs_quadrature(spec_d1):
 
 def test_theta_1_mixture(spec_204040):
     z = 1.0 + 1e-3j
-    closed = fn.theta_1(z, spec_204040, 2.0)
+    closed = fn.theta_k(z, 1, spec_204040, 2.0)
     quad = fn.theta_g(z, _on_quadrature(1), spec_204040, 2.0)
     assert abs(closed - quad) <= 1e-9
 
@@ -41,7 +41,7 @@ def test_theta_1_mixture(spec_204040):
 def test_theta_1_large_z_decay(spec_204040):
     z = 1e6j
     mu1 = spectrum.moment(spec_204040, 1)
-    assert abs(fn.theta_1(z, spec_204040, 2.0)) <= 2 * mu1 / abs(z)
+    assert abs(fn.theta_k(z, 1, spec_204040, 2.0)) <= 2 * mu1 / abs(z)
 
 
 def test_theta_1_internal_identity(spec_204040):
@@ -49,21 +49,24 @@ def test_theta_1_internal_identity(spec_204040):
     for gamma in (0.5, 2.0):
         z = 1.5 + 1e-3j
         m = stieltjes.solve_mF(z, spec_204040, gamma)
-        t1 = fn.theta_1(z, spec_204040, gamma, m=m)
+        t1 = fn.theta_k(z, 1, spec_204040, gamma, m=m)
         assert abs(1 + z * m - t1 / (1 + t1 / gamma)) <= 1e-10
 
 
 def test_theta_1_degenerate_denominator(spec_d1):
     z = 1.0 + 1e-3j
     with pytest.raises(DegenerateDenominator):
-        fn.theta_1(z, spec_d1, 2.0, m=(2.0 - 1.0) / z)
+        fn.theta_k(z, 1, spec_d1, 2.0, m=(2.0 - 1.0) / z)
 
 
 def test_theta_k_base_case(spec_204040):
+    # the Horner form at k = 1, (1 + z*m)/kappa, against the closed form
+    # gamma^2/(gamma - 1 - z*m) - gamma
     z = 1.0 + 1e-2j
     m = stieltjes.solve_mF(z, spec_204040, 2.0)
-    assert fn.theta_k(z, 1, spec_204040, 2.0, m=m) == fn.theta_1(
-        z, spec_204040, 2.0, m=m)
+    closed = 2.0 ** 2 / (2.0 - 1.0 - z * m) - 2.0
+    assert abs(fn.theta_k(z, 1, spec_204040, 2.0, m=m) - closed) \
+        <= 1e-14 * abs(closed)
 
 
 def test_theta_k_vs_quadrature_point_mass(spec_d1):
@@ -157,7 +160,7 @@ def test_imaginary_part_positive_for_nonneg_weight(spec_204040):
 
 def test_rejects_lower_half_plane(spec_d1):
     for call in (lambda: fn.theta_g(1 - 1j, fn.flat(), spec_d1, 2.0),
-                 lambda: fn.theta_1(1 - 1j, spec_d1, 2.0),
+                 lambda: fn.theta_k(1 - 1j, 1, spec_d1, 2.0),
                  lambda: fn.theta_inv(1 - 1j, spec_d1, 2.0)):
         with pytest.raises(DomainError):
             call()
@@ -205,7 +208,7 @@ def test_power_closed_form_matches_recursion(spec_204040, spec_unif56):
     zs = np.linspace(0.3, 18.0, 20) + 1j * np.logspace(-3, 0, 20)
     for spec in (spec_204040, spec_unif56):
         for z, m in zip(zs, stieltjes.solve_mF(zs, spec, 2.0)):
-            rec = fn.theta_1(z, spec, 2.0, m=m)
+            rec = fn.theta_k(z, 1, spec, 2.0, m=m)
             factor = 1.0 + rec / 2.0
             for j in range(1, 7):
                 closed = fn.theta_g(z, fn.power(j), spec, 2.0, m=m)
@@ -214,7 +217,7 @@ def test_power_closed_form_matches_recursion(spec_204040, spec_unif56):
 
 
 def test_closed_forms_degenerate_denominator(spec_d1):
-    # theta_1's input: gamma - 1 - z*m = 0 makes k = 0
+    # gamma - 1 - z*m = 0 makes k = 0
     z = 1.0 + 1e-3j
     for g in (fn.power(1), fn.power(3), fn.power(fn.MAX_POWER),
               fn.indicator_below(2.0)):
@@ -260,8 +263,7 @@ def _every_theta():
              for name, w in weights.items()]
     calls += [(f"theta_k({k})", lambda z, s, g, m, k=k: fn.theta_k(z, k, s, g, m=m))
               for k in range(1, fn.MAX_POWER + 1)]
-    return calls + [("theta_1", lambda z, s, g, m: fn.theta_1(z, s, g, m=m)),
-                    ("theta_inv", lambda z, s, g, m: fn.theta_inv(z, s, g, m=m))]
+    return calls + [("theta_inv", lambda z, s, g, m: fn.theta_inv(z, s, g, m=m))]
 
 
 def _numpy_points(spec):

@@ -77,5 +77,5 @@ def test_empirical_inverse_curve_tracks_limit(solutions, spec_204040):
         csum = np.concatenate([[0.0], np.cumsum(inv_d[::-1])]) / config.N
         acc += csum[np.searchsorted(lam_asc, xs, side="right")]
     emp = acc / config.reps
-    limit = shrinkage.psi_cumulative(xs, sol, spec_204040)
+    limit = shrinkage.psi_cumulative(xs, sol)
     assert np.max(np.abs(emp - limit)) <= 0.01  # curve total is ~0.373

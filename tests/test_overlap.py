@@ -16,7 +16,7 @@ EDGE_CASES = [(name, gamma) for name in ("d1", "204040", "unif56")
 def test_point_mass_kernel_is_one(solutions):
     sol = solutions("d1", 2.0)
     for l in interior_points(sol, 12):
-        assert overlap.phi(l, 1.0, sol, solutions.specs["d1"]) == pytest.approx(
+        assert overlap.phi(l, 1.0, sol) == pytest.approx(
             1.0, abs=1e-6)
 
 
@@ -24,22 +24,22 @@ def test_point_mass_kernel_other_gammas(solutions):
     for gamma in (0.5, 10.0):
         sol = solutions("d1", gamma)
         for l in interior_points(sol, 8):
-            assert overlap.phi(l, 1.0, sol, solutions.specs["d1"]) \
+            assert overlap.phi(l, 1.0, sol) \
                 == pytest.approx(1.0, abs=1e-6)
 
 
 def test_negative_l_is_zero(solutions):
     sol = solutions("d1", 2.0)
-    assert overlap.phi(-1.0, 1.0, sol, solutions.specs["d1"]) == 0.0
+    assert overlap.phi(-1.0, 1.0, sol) == 0.0
 
 
 def test_zero_branch_requires_small_gamma(solutions):
     sol2 = solutions("d1", 2.0)
     with pytest.raises(ZeroBranchUnavailable):
-        overlap.phi(0.0, 1.0, sol2, solutions.specs["d1"])
+        overlap.phi(0.0, 1.0, sol2)
     sol5 = solutions("d1", 0.5)
     # mu0 = 1 for delta_1 at gamma = 1/2, so phi(0, 1) = 1/((1-g)(1+1)) = 1
-    assert overlap.phi(0.0, 1.0, sol5, solutions.specs["d1"]) == pytest.approx(
+    assert overlap.phi(0.0, 1.0, sol5) == pytest.approx(
         1.0, abs=1e-9)
 
 
@@ -49,7 +49,7 @@ def test_gamma_one_guard(spec_d1):
     with pytest.raises(GammaOne):
         stieltjes.StieltjesSolution(
             gamma=1.0, grid=np.array([1.0, 2.0]), m_breve=np.array([0j, 0j]),
-            support=[(1.0, 2.0)], m_under_zero=None, valid=np.array([True, True]))
+            support=[(1.0, 2.0)], spec=spec_d1, valid=np.array([True, True]))
 
 
 def test_fig1_profile_uniform_spectrum(solutions):
@@ -59,7 +59,7 @@ def test_fig1_profile_uniform_spectrum(solutions):
     l_top = stieltjes.support_edges(sol)[-1][1]
     assert abs(overlap.phi_h_integral(l_top, sol, spec) - 1.0) <= 1e-3
     ts = np.linspace(5.0, 6.0, 400)
-    vals = overlap.phi(l_top, ts, sol, spec)
+    vals = overlap.phi(l_top, ts, sol)
     assert np.all(vals >= 0)
     d = np.sign(np.diff(vals))
     switches = np.sum(np.abs(np.diff(d[d != 0])) > 0)
@@ -120,11 +120,10 @@ def test_kernel_integral_at_edges_of_segment_near_zero(gamma):
 
 
 def test_phi_nonnegative_on_grid(solutions):
-    spec = solutions.specs["204040"]
     sol = solutions("204040", 2.0)
     ts = np.linspace(1.0, 10.0, 30)
     for l in interior_points(sol, 30):
-        assert np.all(overlap.phi(l, ts, sol, spec) >= 0)
+        assert np.all(overlap.phi(l, ts, sol) >= 0)
 
 
 def test_cumulative_limits(solutions):
@@ -230,14 +229,14 @@ def test_point_mass_reduction_scaled():
     sol = stieltjes.solve_density(spec, 2.0, num_points=1500)
     lo, hi = sol.support[0]
     for l in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 9):
-        assert overlap.phi(l, 2.0, sol, spec) == pytest.approx(1.0, abs=1e-6)
+        assert overlap.phi(l, 2.0, sol) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_phi_at_nan_raises(solutions):
     sol, spec = solutions("204040", 2.0), solutions.specs["204040"]
-    for call in (lambda: overlap.phi(np.nan, 3.0, sol, spec),
-                 lambda: overlap.phi(2.0, np.nan, sol, spec),
-                 lambda: overlap.phi(2.0, [3.0, np.nan], sol, spec),
+    for call in (lambda: overlap.phi(np.nan, 3.0, sol),
+                 lambda: overlap.phi(2.0, np.nan, sol),
+                 lambda: overlap.phi(2.0, [3.0, np.nan], sol),
                  lambda: overlap.phi_h_integral(np.nan, sol, spec),
                  lambda: overlap.phi_cumulative(5.0, np.nan, sol, spec),
                  lambda: overlap.phi_cumulative(np.nan, 5.0, sol, spec),
@@ -258,14 +257,14 @@ def test_phi_at_infinity_is_its_limit_zero(solutions):
     # the kernel falls like 1/t in t and like 1/l in l; a RuntimeWarning
     # (inf / inf) fails the test under this suite's filterwarnings
     sol, spec = solutions("204040", 2.0), solutions.specs["204040"]
-    assert overlap.phi(2.0, np.inf, sol, spec) == 0.0
-    assert overlap.phi(np.inf, 3.0, sol, spec) == 0.0
+    assert overlap.phi(2.0, np.inf, sol) == 0.0
+    assert overlap.phi(np.inf, 3.0, sol) == 0.0
     assert overlap.phi_h_integral(np.inf, sol, spec) == 0.0
     t = np.array([3.0, np.inf, -np.inf])
-    out = overlap.phi(2.0, t, sol, spec)
-    assert out[0] == overlap.phi(2.0, 3.0, sol, spec) > 0.0
+    out = overlap.phi(2.0, t, sol)
+    assert out[0] == overlap.phi(2.0, 3.0, sol) > 0.0
     assert np.array_equal(out[1:], [0.0, 0.0])
-    assert np.array_equal(overlap.phi(np.inf, t, sol, spec), np.zeros(3))
+    assert np.array_equal(overlap.phi(np.inf, t, sol), np.zeros(3))
 
 
 def test_phi_h_integral_below_and_at_zero(solutions):
@@ -276,3 +275,30 @@ def test_phi_h_integral_below_and_at_zero(solutions):
     # for gamma < 1 the eigenvectors of the zero atom carry the whole of H
     assert overlap.phi_h_integral(0.0, solutions("d1", 0.5), spec) \
         == pytest.approx(1.0, abs=1e-12)
+
+
+def test_phi_at_the_top_edge(solutions):
+    # at an exact edge Im k = 0, so the kernel is finite over supp H and
+    # +inf only at t = l/k, the critical point of x above supp H
+    sol, spec = solutions("204040", 2.0), solutions.specs["204040"]
+    l = sol.support[-1][1]
+    k = stieltjes.k_factor(l, sol.m_at(l), 2.0)
+    assert k.imag == 0.0 and l / k.real > spec.h2
+    assert np.all(np.isfinite(overlap.phi(l, np.linspace(spec.h1, spec.h2, 400), sol)))
+    assert overlap.phi(l, l / k.real, sol) == np.inf
+
+
+def test_a_spectrum_not_the_solutions_is_a_domain_error(solutions, spec_unif56):
+    # the gamma = 2 solution of 204040 with U[5, 6]: phi_h_integral(4.0)
+    # returned 2.24, with no error; an equal spectrum built anew is the same
+    sol = solutions("204040", 2.0)
+    for call in (lambda: overlap.phi_h_integral(4.0, sol, spec_unif56),
+                 lambda: overlap.phi_h_integral(-1.0, sol, spec_unif56),
+                 lambda: overlap.phi_cumulative(4.0, 5.5, sol, spec_unif56),
+                 lambda: overlap.phi_cumulative(4.0, 0.5, sol, spec_unif56),
+                 lambda: overlap.average_overlap(3.0, 5.0, 5.0, 6.0, sol,
+                                                 spec_unif56)):
+        with pytest.raises(DomainError):
+            call()
+    same = spectrum.validate(atoms=[(0.2, 1.0), (0.4, 3.0), (0.4, 10.0)])
+    assert overlap.phi_h_integral(4.0, sol, same) == pytest.approx(1.0, abs=1e-9)

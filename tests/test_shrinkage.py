@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,23 +32,20 @@ def test_delta_zero_gamma_half(solutions):
 
 def test_psi_identity_on_point_mass(solutions):
     sol = solutions("d1", 2.0)
-    spec = solutions.specs["d1"]
     for lam in interior_points(sol, 30):
-        assert shrinkage.psi(lam, sol, spec) == pytest.approx(1.0, abs=1e-6)
+        assert shrinkage.psi(lam, sol) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_psi_negative_lambda_is_zero(solutions):
-    assert shrinkage.psi(-1.0, solutions("d1", 2.0),
-                         solutions.specs["d1"]) == 0.0
+    assert shrinkage.psi(-1.0, solutions("d1", 2.0)) == 0.0
 
 
 def test_psi_zero_gamma_half(solutions):
     # psi(0) = m_H(0)/(1-gamma) - mu0 = 2 - 1 = 1; confirmed through the
     # inverse-moment conservation gamma*1 + (1-gamma)*psi(0) = m_H(0) = 1.
     sol = solutions("d1", 0.5)
-    spec = solutions.specs["d1"]
-    assert shrinkage.psi_zero(sol, spec) == pytest.approx(1.0, abs=1e-9)
-    assert shrinkage.psi(0.0, sol, spec) == pytest.approx(1.0, abs=1e-9)
+    assert shrinkage.psi_zero(sol) == pytest.approx(1.0, abs=1e-9)
+    assert shrinkage.psi(0.0, sol) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_point_mass_scaling():
@@ -56,7 +54,7 @@ def test_point_mass_scaling():
     lo, hi = sol.support[0]
     lams = np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 15)
     assert np.allclose(shrinkage.delta(lams, sol), 2.0, atol=2e-6)
-    assert np.allclose(shrinkage.psi(lams, sol, spec), 0.5, atol=1e-6)
+    assert np.allclose(shrinkage.psi(lams, sol), 0.5, atol=1e-6)
 
 
 def test_moment_conservation_mixture(solutions):
@@ -116,12 +114,11 @@ def test_shrink_spectrum_rejects_negative(solutions):
     with pytest.raises(ValueError):
         shrinkage.shrink_spectrum(np.array([-1.0]), solutions("204040", 2.0))
     # rounding below zero, inside the zero band of a row topping out at 10
-    sol, spec = solutions("204040", 0.5), solutions.specs["204040"]
+    sol = solutions("204040", 0.5)
     out = shrinkage.shrink_spectrum(np.array([10.0, 2.0, -1e-17]), sol)
     assert out[2] == shrinkage.delta_zero(sol)
     for shrink in (shrinkage.shrink_spectrum,
-                   lambda eigs, sol: shrinkage.shrink_inverse_spectrum(
-                       eigs, sol, spec)):
+                   shrinkage.shrink_inverse_spectrum):
         with pytest.raises(ValueError):
             shrink(np.array([10.0, 2.0, -1.0]), sol)
 
@@ -139,9 +136,9 @@ def test_zero_rule_is_per_row(solutions, scale):
     shrunk = shrinkage.shrink_spectrum(eigs, sol)
     assert np.array_equal(
         np.sum(shrunk == shrinkage.delta_zero(sol), axis=-1), counts)
-    inv = shrinkage.shrink_inverse_spectrum(eigs, sol, spec)
+    inv = shrinkage.shrink_inverse_spectrum(eigs, sol)
     assert np.array_equal(
-        np.sum(inv == shrinkage.psi_zero(sol, spec), axis=-1), counts)
+        np.sum(inv == shrinkage.psi_zero(sol), axis=-1), counts)
 
 
 @pytest.mark.parametrize("name, gamma", [("d1", 2.0), ("204040", 100.0)])
@@ -149,7 +146,7 @@ def test_blocks_change_nothing(solutions, name, gamma):
     # lengths around the block boundaries, 0-d, 2-D and empty inputs read
     # what the same points give one at a time; d1 has one support interval
     # and 204040 at gamma = 100 three
-    sol, spec = solutions(name, gamma), solutions.specs[name]
+    sol = solutions(name, gamma)
     edges = np.ravel(sol.support)
     rng = np.random.default_rng(11)
     pts = np.unique(np.concatenate([
@@ -160,7 +157,7 @@ def test_blocks_change_nothing(solutions, name, gamma):
     eigs = pts[(pts == 0) | (pts > 1e-6 * pts[-1])]
     lookups = [(sol.m_at, signed),
                (lambda x: shrinkage.delta(x, sol), signed),
-               (lambda x: shrinkage.psi(x, sol, spec), signed),
+               (lambda x: shrinkage.psi(x, sol), signed),
                (lambda x: shrinkage.shrink_spectrum(x, sol), eigs)]
     b = stieltjes.BLOCK
     for f, x in lookups:
@@ -175,19 +172,19 @@ def test_blocks_change_nothing(solutions, name, gamma):
 
 
 def test_non_finite_lambda_raises(solutions):
-    sol, spec = solutions("204040", 2.0), solutions.specs["204040"]
+    sol = solutions("204040", 2.0)
     late = np.ones(2 * stieltjes.BLOCK + 1)
     late[-1] = np.nan  # in the last block
     for call in (lambda: shrinkage.shrink_spectrum([np.nan, 1.0], sol),
                  lambda: shrinkage.shrink_spectrum([np.inf, 1.0], sol),
-                 lambda: shrinkage.shrink_inverse_spectrum([1.0, -np.inf], sol, spec),
+                 lambda: shrinkage.shrink_inverse_spectrum([1.0, -np.inf], sol),
                  lambda: shrinkage.delta([0.5, np.nan], sol),
                  lambda: shrinkage.delta(late, sol),
                  lambda: shrinkage.delta(np.inf, sol),
                  lambda: shrinkage.delta(-np.inf, sol),
-                 lambda: shrinkage.psi(np.nan, sol, spec),
+                 lambda: shrinkage.psi(np.nan, sol),
                  lambda: shrinkage.delta_cumulative(np.nan, sol),
-                 lambda: shrinkage.psi_cumulative([1.0, np.nan], sol, spec)):
+                 lambda: shrinkage.psi_cumulative([1.0, np.nan], sol)):
         with pytest.raises(DomainError):
             call()
 
@@ -226,7 +223,7 @@ def test_gamma_one_rejected(spec_d1):
     with pytest.raises(GammaOne):
         stieltjes.StieltjesSolution(
             gamma=1.0, grid=np.array([1.0, 2.0]), m_breve=np.array([0j, 0j]),
-            support=[(1.0, 2.0)], m_under_zero=None, valid=np.array([True, True]))
+            support=[(1.0, 2.0)], spec=spec_d1, valid=np.array([True, True]))
     with pytest.raises(GammaOne):
         stieltjes.solve_density(spec_d1, 1.0)
 
@@ -272,17 +269,15 @@ def test_inverse_shrink_is_not_reciprocal(solutions, spec_204040):
                                        reps=1, seed=5)
     real = simulate.generate(config, 0)
     fwd = shrinkage.shrink_spectrum(real.eigenvalues, sol)
-    inv = shrinkage.shrink_inverse_spectrum(real.eigenvalues, sol,
-                                            spec_204040)
+    inv = shrinkage.shrink_inverse_spectrum(real.eigenvalues, sol)
     rel_gap = np.abs(inv - 1.0 / fwd) / np.abs(inv)
     assert rel_gap.max() > 1e-3
 
 
 def test_inverse_shrink_zero_branch(solutions):
     sol = solutions("d1", 0.5)
-    spec = solutions.specs["d1"]
-    out = shrinkage.shrink_inverse_spectrum(np.zeros(3), sol, spec)
-    assert np.allclose(out, shrinkage.psi_zero(sol, spec))
+    out = shrinkage.shrink_inverse_spectrum(np.zeros(3), sol)
+    assert np.allclose(out, shrinkage.psi_zero(sol))
 
 
 def test_inverse_shrink_monte_carlo(solutions, spec_d1):
@@ -293,7 +288,7 @@ def test_inverse_shrink_monte_carlo(solutions, spec_d1):
     for r in range(config.reps):
         real = simulate.generate(config, r)
         means.append(shrinkage.shrink_inverse_spectrum(
-            real.eigenvalues, sol, spec_d1).mean())
+            real.eigenvalues, sol).mean())
     assert np.mean(means) == pytest.approx(1.0, rel=0.05)
 
 
@@ -362,3 +357,23 @@ def test_linear_limit_of_a_point_mass(c, gamma):
     # Sigma = cI lies in span{I, S}: the projection is cI itself, exactly
     assert shrinkage.linear_shrinkage_limit(spectrum.point_mass(c), gamma) \
         == (c, 0.0)
+
+
+@pytest.mark.parametrize("lo,hi", [(5.0, 5.0 + 1e-6), (100.0, 100.01)])
+def test_linear_limit_of_a_narrow_segment(lo, hi):
+    # (a, b) in exact rationals of the float ends: Var_H as M2 - M1^2 put b
+    # 1.9% and 3.2e-7 off here
+    var, m1 = (Fraction(hi) - Fraction(lo)) ** 2 / 12, (Fraction(lo) + Fraction(hi)) / 2
+    b = var / (var + m1 * m1 / 2)
+    got = shrinkage.linear_shrinkage_limit(spectrum.uniform(lo, hi), 2.0)
+    assert got == pytest.approx((float(m1 * (1 - b)), float(b)), rel=1e-14, abs=0)
+
+
+def test_a_spectrum_not_the_solutions_is_a_domain_error(solutions, spec_unif56):
+    # the gamma = 2 solution of 204040 with U[5, 6]: moment_residuals
+    # returned (-0.100, 0.191), with no error
+    sol = solutions("204040", 2.0)
+    with pytest.raises(DomainError):
+        shrinkage.moment_residuals(sol, spec_unif56)
+    with pytest.raises(DomainError):
+        shrinkage.build_shrinkage_curve(sol, spec_unif56)

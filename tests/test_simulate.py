@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mpshrink import shrinkage, simulate, spectrum
-from mpshrink.errors import GammaOne
+from mpshrink.errors import DomainError, GammaOne
 
 
 def test_config_validation(spec_d1):
@@ -426,3 +426,14 @@ def test_run_prial_leaves_no_threads(monkeypatch, solutions, spec_204040):
                                        seed=1)
     simulate.run_prial(config, solutions("204040", 2.0))
     assert threading.active_count() == baseline
+
+
+def test_run_prial_rejects_a_solution_of_another_config(solutions, spec_204040,
+                                                        spec_unif56):
+    # the gamma = 2 solution of 204040 gave a p/N = 0.5 config a nonlinear
+    # PRIAL of 81.0, with no error
+    sol = solutions("204040", 2.0)
+    for config in (simulate.SimulationConfig(N=100, p=50, spec=spec_204040, reps=2),
+                   simulate.SimulationConfig(N=20, p=40, spec=spec_unif56, reps=2)):
+        with pytest.raises(DomainError):
+            simulate.run_prial(config, sol)
