@@ -64,8 +64,9 @@ def validate(atoms: Sequence[Sequence[float]] = (),
     Zero-weight entries are dropped, components are sorted by location and
     h1/h2 are recomputed from content.
 
-    Raises NonPositiveSupport if any mass sits at tau <= 0, MassNotOne if a
-    weight is negative, none is positive or they do not sum to 1 within 1e-12.
+    Raises NonPositiveSupport if any mass sits at tau <= 0, ValueError at a
+    location that is not finite, MassNotOne if a weight is negative or not
+    finite, none is positive or they do not sum to 1 within 1e-12.
     """
     clean_atoms = []
     for w, t in atoms:
@@ -76,6 +77,8 @@ def validate(atoms: Sequence[Sequence[float]] = (),
             continue
         if t <= 0:
             raise NonPositiveSupport(f"atom at tau={t} <= 0")
+        if not t < math.inf:
+            raise ValueError(f"atom at tau={t} is not finite")
         clean_atoms.append((w, t))
     clean_segments = []
     for w, lo, hi in segments:
@@ -86,14 +89,14 @@ def validate(atoms: Sequence[Sequence[float]] = (),
             continue
         if lo <= 0 or hi <= 0:
             raise NonPositiveSupport(f"segment [{lo},{hi}] touches tau <= 0")
-        if hi <= lo:
-            raise ValueError(f"segment [{lo},{hi}] needs hi > lo")
+        if not lo < hi < math.inf:
+            raise ValueError(f"segment [{lo},{hi}] needs finite ends, hi > lo")
         clean_segments.append((w, lo, hi))
 
     if not clean_atoms and not clean_segments:
         raise MassNotOne("empty spectrum")
     total = sum(w for w, _ in clean_atoms) + sum(w for w, _, _ in clean_segments)
-    if abs(total - 1.0) > MASS_TOL:
+    if not abs(total - 1.0) <= MASS_TOL:  # a NaN weight too
         raise MassNotOne(f"weights sum to {total!r}, expected 1 within {MASS_TOL}")
 
     # merge duplicate atoms, then sort everything by location

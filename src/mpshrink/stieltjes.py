@@ -197,17 +197,18 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
 
 
 def _newton(spec: PopulationSpectrum, gamma: float, z, u):
-    """Newton on x(u) = z from seeds u; returns (u, converged).
-
-    A point has converged when _at_root accepts it.  Each evaluation is
-    followed by its step, so a converged point takes one more quadratic
-    step, which brings it to rounding level at no extra cost."""
-    u = np.array(u, dtype=complex)
+    """Newton on x(u) = z from 1-D seeds u; returns (u, converged).  A point
+    has converged when _at_root accepts it; it then takes the step that
+    follows each evaluation, one more quadratic step to rounding level at no
+    extra cost, and stops, so its bits do not depend on the rest of the batch."""
+    u, done = np.array(u, dtype=complex), np.zeros(len(u), dtype=bool)
+    i = np.arange(len(u))
     for _ in range(NEWTON_STEPS + 1):
-        S = _stieltjes_h(spec, u, order=1)
-        x, x1 = _in_u(u, spec, gamma, order=1, S=S)
-        done = _at_root(z, u, spec, gamma, S)[2]
-        u = u - (x - z) / x1
+        S = _stieltjes_h(spec, u[i], order=1)
+        x, x1 = _in_u(u[i], spec, gamma, order=1, S=S)
+        done[i] = _at_root(z[i], u[i], spec, gamma, S)[2]
+        u[i] -= (x - z[i]) / x1
+        i = i[~done[i]]
         if done.all():
             break
     return u, done
@@ -409,33 +410,21 @@ class StieltjesSolution:
 
     @cached_property
     def _pieces(self):
-        """The support edges clipped to the grid range, which split it into
-        pieces (tails, support intervals, gaps); the grid, NaN where m_at
-        does not return m_breve as it is (invalid, or Im m_breve < 0); and
-        per piece the ends of its Chebyshev angle theta and its knots, its
-        valid grid points (None if none): theta and v = Re m_breve + i log(Im
-        m_breve / sin theta) at 0 < theta < pi in the support, the real
-        m_breve off it, both smooth in theta up to both ends of the piece."""
-        ends = np.clip(np.ravel(self.support), self.grid[0], self.grid[-1])
-        bounds = np.concatenate([[self.grid[0]], ends, [self.grid[-1]]])
-        pieces = []
-        for q, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            a, b = self.support[q // 2] if q % 2 else (lo, hi)
-            # a tail or gap that the grid range cuts to a point has no knots
-            sel = self.valid & (self.grid >= lo) & (self.grid <= hi) & (b > a)
-            th, m = _angle(self.grid[sel], a, b), self.m_breve[sel]
-            keep = (q % 2 == 0) | ((th > 0) & (th < np.pi) & (m.imag > 0))
-            th, m = th[keep], m[keep]
-            v = m.real + 1j * np.log(m.imag / np.sin(th)) if q % 2 else m.real
-            pieces.append((a, b, th, v) if len(th) else None)
+        """The grid's knots in each support interval [a, b]: its valid points
+        at Chebyshev angles 0 < theta < pi with Im m_breve > 0.  Returns their
+        ranges ([a, a] if none), ravelled; the grid, NaN where m_at does not
+        read m_breve (invalid, or Im m_breve < 0); per interval a, b, theta and
+        v = Re m_breve + i log(Im m_breve / sin theta), smooth in theta up to a
+        and b; and the _divided tables, each built at its first lookup."""
+        bounds, pieces = [], []
+        for a, b in self.support:
+            th = _angle(self.grid, a, b)
+            sel = self.valid & (th > 0) & (th < np.pi) & (self.m_breve.imag > 0)
+            lam, th, m = self.grid[sel], th[sel], self.m_breve[sel]
+            bounds += [lam[0], lam[-1]] if len(lam) else [a, a]
+            pieces.append((a, b, th, m.real + 1j * np.log(m.imag / np.sin(th))))
         read = self.valid & (self.m_breve.imag >= 0)
-        return ends, np.where(read, self.grid, np.nan), pieces
-
-    @cached_property
-    def _tables(self):
-        """The _divided tables of the knots of the pieces, by piece, each
-        built by m_at at the first point between knots it looks up there."""
-        return {}
+        return np.array(bounds), np.where(read, self.grid, np.nan), pieces, {}
 
     @cached_property
     def _angle_weights(self):
@@ -461,30 +450,29 @@ class StieltjesSolution:
         return left, right
 
     def m_at(self, lam):
-        """m_breve at valid grid points, else the polynomial of the piece of
-        the grid range holding lambda, clamped to it (_pieces): Im >= 0 in the
-        support, 0 off it; in blocks; DomainError at NaN or in a knotless piece.
-        Valid grid points are read as they are; the first point between
-        knots of a piece builds the table of its knots (_divided, _tables)."""
+        """m_breve in blocks: read at valid grid points, the degree-5 stencil
+        of the nearest knots strictly inside a knot range (_pieces; Im >= 0),
+        else as boundary_values solves it (_exact): DomainError at NaN, +-inf
+        and lambda <= 0, NoConvergence where _at_root rejects the root."""
         return _in_blocks(self._m_block, lam, complex)
 
     def _m_block(self, x):
         """m_at of a flat block x."""
-        ends, read, pieces = self._pieces
-        x = np.minimum(self.grid[-1], np.maximum(self.grid[0], x))
-        k = self.grid.searchsorted(x)
+        bounds, read, pieces, tables = self._pieces
+        k = np.minimum(self.grid.searchsorted(x), len(self.grid) - 1)
         out = self.m_breve[k]
         i = (read[k] != x).nonzero()[0]  # the points off the nodes it reads
-        q = ends.searchsorted(x[i])
+        q = bounds.searchsorted(x[i])  # odd: inside the knot range q // 2
         held = np.bincount(q).nonzero()[0].tolist()
         for p in held:
             at = i if len(held) == 1 else i[q == p]
-            if pieces[p] is None:
-                raise DomainError(f"no valid grid point near lambda={x[at[0]]}")
-            a, b, th, v = pieces[p]
-            if p not in self._tables:
-                self._tables[p] = _divided(th, v)
-            rows = self._tables[p]
+            if p % 2 == 0:  # off every knot range
+                out[at] = self._exact(x[at])
+                continue
+            a, b, th, v = pieces[p // 2]
+            if p not in tables:
+                tables[p] = _divided(th, v)
+            rows = tables[p]
             t = _angle(x[at], a, b)
             n, s = len(th), len(rows)
             # the first of the s knots nearest the knot interval holding t
@@ -492,10 +480,19 @@ class StieltjesSolution:
             val = rows[-1][first]
             for r in range(s - 2, -1, -1):
                 val = val * (t - th[r:][first]) + rows[r][first]
-            if p % 2:
-                val.imag = np.sin(t) * np.exp(val.imag)
+            val.imag = np.sin(t) * np.exp(val.imag)
             out[at] = val
         return out
+
+    def _exact(self, x):
+        """m_breve at x as boundary_values solves it, if valid there."""
+        if not np.all((x > 0) & (x < np.inf)):
+            raise DomainError("m_breve off the grid needs a finite lambda > 0")
+        lam, back = np.unique(x, return_inverse=True)
+        exact = boundary_values(self.spec, self.gamma, lam)
+        if not exact.valid.all():
+            raise NoConvergence(f"m_breve missed its residual at {lam[~exact.valid]}")
+        return exact.m_breve[back]
 
     def f_integral(self, lam, values=1.0, at_zero: float = 1.0):
         """Integral of f against dF over [0, lam], from values = f at every

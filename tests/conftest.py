@@ -31,8 +31,10 @@ def spec_unif56():
 
 @pytest.fixture(scope="session")
 def solutions(spec_d1, spec_204040, spec_unif56):
-    """Session-wide cache of StieltjesSolution objects keyed (name, gamma)."""
-    specs = {"d1": spec_d1, "204040": spec_204040, "unif56": spec_unif56}
+    """Session-wide cache of StieltjesSolution objects keyed (name, gamma);
+    "uhard" is U[0.01, 10], whose lower edge is hard at large gamma."""
+    specs = {"d1": spec_d1, "204040": spec_204040, "unif56": spec_unif56,
+             "uhard": spectrum_mod.uniform(0.01, 10.0)}
     cache: dict[tuple[str, float], stieltjes_mod.StieltjesSolution] = {}
 
     def get(name: str, gamma: float) -> stieltjes_mod.StieltjesSolution:

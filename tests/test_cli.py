@@ -100,10 +100,15 @@ def test_missing_subcommand_is_usage_error(capsys):
     ("simulate", {"spectrum": MIX, "N": 15, "p": 30,
                   "assert_nonlinear_min": "x"}, []),
     ("density", [D1, [2]], []),
+    ("density", {"spectrum": {"atoms": [[1.0, float("nan")]]}, "gammas": [2]},
+     []),
+    ("density", {"spectrum": {"segments": [[1.0, 5.0, float("inf")]]},
+                 "gammas": [2]}, []),
 ], ids=["entry_law", "N", "reps", "grid", "segment", "spectrum_list",
         "spectrum_atoms", "gammas_number", "gammas_text", "gammas_zero",
         "sweep_N", "N_text", "p_zero", "reps_text", "t_points", "l",
-        "delta_points", "lambda_bins", "assert_min", "top_level_list"])
+        "delta_points", "lambda_bins", "assert_min", "top_level_list",
+        "atom_nan", "segment_inf"])
 def test_config_errors_are_usage_errors(tmp_path, capsys, command, doc, extra):
     cfg = _write_config(tmp_path, "cfg.json", doc)
     out = tmp_path / "out"
@@ -140,13 +145,15 @@ def test_config_is_read_before_the_first_solve(tmp_path, monkeypatch, command,
 
 
 @pytest.mark.parametrize("spec", [{"atoms": [[0.9, 1.0]]},
-                                  {"atoms": [[1.0, 0.0]]}],
-                         ids=["mass", "support"])
+                                  {"atoms": [[1.0, 0.0]]},
+                                  {"atoms": [[float("nan"), 1.0]]}],
+                         ids=["mass", "support", "nan_weight"])
 def test_spectrum_faults_stay_numeric(tmp_path, capsys, spec):
     cfg = _write_config(tmp_path, "cfg.json", {"spectrum": spec, "gammas": [2]})
     out = tmp_path / "out"
     assert cli.main(["density", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("numeric failure")
+    assert not (out / "density.manifest.json").exists()
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -145,17 +145,21 @@ def test_zero_rule_is_per_row(solutions, scale):
 def test_blocks_change_nothing(solutions, name, gamma):
     # lengths around the block boundaries, 0-d, 2-D and empty inputs read
     # what the same points give one at a time; d1 has one support interval
-    # and 204040 at gamma = 100 three
+    # and 204040 at gamma = 100 three.  m_at solves the points between an
+    # edge and its first knot, off the support and above the grid exactly
     sol = solutions(name, gamma)
     edges = np.ravel(sol.support)
+    k = sol.grid.searchsorted(edges)
+    first = sol.grid[k + np.resize([1, -1], len(k))]  # each edge's first knot
     rng = np.random.default_rng(11)
     pts = np.unique(np.concatenate([
         sol.grid[::37], edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
-        rng.uniform(0.0, 1.2 * sol.grid[-1], 200), [0.0]]))
+        rng.uniform(0.0, 1.2 * sol.grid[-1], 200), [0.0],
+        (edges + (first - edges) * rng.uniform(0.0, 1.0, (5, len(k)))).ravel()]))
     signed = np.concatenate([-pts[1:20], pts])
     # no positive eigenvalue so small that a longer row would zero it
     eigs = pts[(pts == 0) | (pts > 1e-6 * pts[-1])]
-    lookups = [(sol.m_at, signed),
+    lookups = [(sol.m_at, pts[pts > 0]),
                (lambda x: shrinkage.delta(x, sol), signed),
                (lambda x: shrinkage.psi(x, sol), signed),
                (lambda x: shrinkage.shrink_spectrum(x, sol), eigs)]

@@ -52,6 +52,23 @@ def test_validate_rejects_bad_segment():
         spectrum.validate(segments=[(1.0, -1.0, 5.0)])
 
 
+@pytest.mark.parametrize("atoms, segments", [
+    ([(np.nan, 1.0)], []), ([(0.5, 1.0), (np.nan, 2.0)], []),
+    ([(0.5, 1.0)], [(np.nan, 2.0, 3.0)]), ([(np.inf, 1.0)], [])])
+def test_validate_rejects_a_weight_that_is_not_finite(atoms, segments):
+    # a NaN weight makes the mass check compare false
+    with pytest.raises(MassNotOne):
+        spectrum.validate(atoms=atoms, segments=segments)
+
+
+@pytest.mark.parametrize("atoms, segments", [
+    ([(1.0, np.nan)], []), ([(1.0, np.inf)], []), ([], [(1.0, np.nan, 2.0)]),
+    ([], [(1.0, 1.0, np.nan)]), ([], [(1.0, 1.0, np.inf)])])
+def test_validate_rejects_a_location_that_is_not_finite(atoms, segments):
+    with pytest.raises(ValueError, match="not finite|finite ends"):
+        spectrum.validate(atoms=atoms, segments=segments)
+
+
 def test_integrate_point_mass_identity():
     s = spectrum.point_mass(1.0)
     assert spectrum.moment(s, 1) == pytest.approx(1.0, abs=1e-15)
