@@ -83,12 +83,21 @@ def _list(item, least: int = 0):
     return kind
 
 
+def _number(doc) -> float:
+    """A JSON number (not a string or a boolean) as a float."""
+    if isinstance(doc, bool) or not isinstance(doc, (int, float)):
+        raise TypeError(f"expected a number, got {doc!r}")
+    return float(doc)
+
+
 def _count(lo: int):
-    """The kind of an integer >= lo."""
+    """The kind of a JSON integer >= lo (not a float or a boolean)."""
     def kind(doc) -> int:
-        if int(doc) < lo:
+        if isinstance(doc, bool) or not isinstance(doc, int):
+            raise TypeError(f"expected an integer, got {doc!r}")
+        if doc < lo:
             raise ValueError(f"needs an integer >= {lo}, got {doc!r}")
-        return int(doc)
+        return doc
     return kind
 
 
@@ -123,7 +132,7 @@ def _limits(cfg: dict, gammas=...):
     spec = _get(cfg, "spectrum", spectrum_mod.from_json)
     # a gamma outside stieltjes.check_gamma raises DomainError (exit 1)
     gammas = _get(cfg, "gammas", _list(
-        lambda g: stieltjes_mod.check_gamma(float(g)), 1), gammas)
+        lambda g: stieltjes_mod.check_gamma(_number(g)), 1), gammas)
     n = _get(_get(cfg, "grid", _object, {}), "n", _count(2), 2000)
     return spec, ((g, stieltjes_mod.solve_density(spec, g, num_points=n))
                   for g in gammas)
@@ -143,11 +152,11 @@ def cmd_density(cfg: dict, out_dir: str, args) -> list[str]:
 def cmd_kernel(cfg: dict, out_dir: str, args) -> list[str]:
     spec, solutions = _limits(cfg, [2.0, 10.0, 100.0])
     n_t = _get(cfg, "t_points", _count(0), 400)
-    l_cfg = _get(cfg, "l", lambda v: v if v == "sup" else float(v), "sup")
+    l_cfg = _get(cfg, "l", lambda v: v if v == "sup" else _number(v), "sup")
     cum = _get(cfg, "cumulative", _object, None)
     if cum is not None:
-        lam_vals = _get(cum, "lambdas", _list(float, 1))
-        tau_vals = _get(cum, "taus", _list(float, 1))
+        lam_vals = _get(cum, "lambdas", _list(_number, 1))
+        tau_vals = _get(cum, "taus", _list(_number, 1))
     outputs = []
     for gamma, sol in solutions:
         l = sol.support[-1][1] if l_cfg == "sup" else l_cfg
@@ -202,8 +211,8 @@ def cmd_shrink(cfg: dict, out_dir: str, args) -> list[str]:
 
 def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
     spec = _get(cfg, "spectrum", spectrum_mod.from_json)
-    reps = args.reps if args.reps is not None else _get(cfg, "reps", int, 100)
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
+    reps = args.reps if args.reps is not None else _get(cfg, "reps", _count(1), 100)
+    seed = args.seed if args.seed is not None else _get(cfg, "seed", _count(0), 0)
     args.seed = seed  # the manifest records the seed in effect
     args.mc_workers = simulate_mod.mc_workers(reps)  # and the loop threads
     n, p = _get(cfg, "N", _count(1)), _get(cfg, "p", _count(1))
@@ -212,18 +221,18 @@ def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
     try:
         configs = [simulate_mod.SimulationConfig(
             N=n_val, p=round(n_val * ratio), spec=spec, reps=reps, seed=seed,
-            entry_law=law) for n_val in _get(cfg, "sweep_N", _list(int), [n])]
+            entry_law=law) for n_val in _get(cfg, "sweep_N", _list(_count(1)), [n])]
         for config in configs:  # p = round(N * ratio) can equal N
             stieltjes_mod.check_gamma(config.gamma)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     wanted = _get(cfg, "outputs", _list(str), [])
     n_delta = _get(cfg, "delta_points", _count(0), 101)
-    lam_bins = _get(cfg, "lambda_bins", _list(float, 2), [])
-    tau_bins = _get(cfg, "tau_bins", _list(float, 2), [])
+    lam_bins = _get(cfg, "lambda_bins", _list(_number, 2), [])
+    tau_bins = _get(cfg, "tau_bins", _list(_number, 2), [])
     if "overlap" in wanted and not (lam_bins and tau_bins):
         raise UsageError("'overlap' output needs 'lambda_bins' and 'tau_bins'")
-    min_prial = _get(cfg, "assert_nonlinear_min", float, 90.0)
+    min_prial = _get(cfg, "assert_nonlinear_min", _number, 90.0)
     # one solution per gamma: p = round(N * ratio) can move gamma off the ratio
     sols = {g: stieltjes_mod.solve_density(spec, g)
             for g in {config.gamma for config in configs}}

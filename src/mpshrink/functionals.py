@@ -12,6 +12,7 @@ Theta checks z and m and makes them Python complex once, and returns complex.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
@@ -70,10 +71,14 @@ def indicator_below(tau: float) -> WeightFunction:
 
 
 def _checked(z, m, spec: PopulationSpectrum, gamma: float):
-    """Python-scalar (z, m, gamma), m solve_mF's if None; DomainError if Im z <= 0."""
+    """Python-scalar (z, m, gamma), m solve_mF's if None; DomainError unless
+    Im z > 0 and z and m are finite (then so is z + m)."""
     if (z := complex(z)).imag <= 0:
         raise DomainError(f"Theta requires Im(z) > 0, got z = {z}")
-    return z, complex(solve_mF(z, spec, gamma) if m is None else m), float(gamma)
+    m = complex(solve_mF(z, spec, gamma) if m is None else m)
+    if not cmath.isfinite(z + m):
+        raise DomainError(f"Theta requires a finite z and m, got z = {z}, m = {m}")
+    return z, m, float(gamma)
 
 
 @lru_cache(maxsize=128)

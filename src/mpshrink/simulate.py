@@ -43,8 +43,8 @@ class SimulationConfig:
     entry_law: str = "real-gaussian"
 
     def __post_init__(self):
-        if self.N < 2 or self.p < 1 or self.reps < 1:
-            raise ValueError("need N >= 2, p >= 1, reps >= 1")
+        if self.N < 2 or self.p < 1 or self.reps < 1 or self.seed < 0:
+            raise ValueError("need N >= 2, p >= 1, reps >= 1, seed >= 0")
         if self.entry_law not in ENTRY_LAWS:
             raise ValueError(f"entry_law must be one of {ENTRY_LAWS}")
 

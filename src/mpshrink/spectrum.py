@@ -124,10 +124,16 @@ def uniform(lo: float, hi: float) -> PopulationSpectrum:
 
 def from_json(doc) -> PopulationSpectrum:
     """The spectrum of a decoded {"atoms": [[w, tau], ...], "segments":
-    [[w, lo, hi], ...]} object; TypeError if doc is not an object."""
+    [[w, lo, hi], ...]} object; TypeError if doc is not an object or an
+    entry holds anything but numbers (a string or a boolean)."""
     if not isinstance(doc, dict):
         raise TypeError(f"expected an object, got {doc!r}")
-    return validate(atoms=doc.get("atoms", ()), segments=doc.get("segments", ()))
+    atoms, segments = doc.get("atoms", ()), doc.get("segments", ())
+    for entry in [*atoms, *segments]:
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in entry):
+            raise TypeError(f"expected a list of numbers, got {entry!r}")
+    return validate(atoms=atoms, segments=segments)
 
 
 @lru_cache(maxsize=128)

@@ -87,7 +87,7 @@ def _at_root(z, u, spec: PopulationSpectrum, gamma: float, S=None):
 
 
 def solve_mF(z, spec: PopulationSpectrum, gamma: float):
-    """Solve the self-consistency equation at z (Im z > 0).
+    """Solve the self-consistency equation at a finite z with Im z > 0.
 
     Accepts a scalar or an array of z values; returns the matching shape.
     Newton on x(u) = z starts from u0 + d, where u0 is the physical root at
@@ -101,8 +101,8 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
     if gamma != 1:  # off the real axis gamma = 1 is in the domain
         check_gamma(gamma)
     z_arr = np.asarray(z, dtype=complex).ravel()
-    if np.any(z_arr.imag <= 0):
-        raise DomainError("solve_mF requires Im(z) > 0")
+    if not np.all((z_arr.imag > 0) & np.isfinite(z_arr)):
+        raise DomainError("solve_mF requires a finite z with Im(z) > 0")
     u0 = _real_roots(spec, gamma, z_arr.real)[0]
     _, x1, x2 = _in_u(u0, spec, gamma)
     root = np.sqrt(x1 * x1 + 2j * z_arr.imag * x2)
@@ -198,26 +198,28 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
 
 def _newton(spec: PopulationSpectrum, gamma: float, z, u):
     """Newton on x(u) = z from 1-D seeds u; returns (u, converged).  A point
-    has converged when _at_root accepts it; it then takes the step that
-    follows each evaluation, one more quadratic step to rounding level at no
-    extra cost, and stops, so its bits do not depend on the rest of the batch."""
+    has converged when _at_root accepts it; it then takes one more step, to
+    rounding level, only if |step| < Im u (one that could cross the real axis
+    is noise), and stops, so its bits do not depend on the rest of the batch."""
     u, done = np.array(u, dtype=complex), np.zeros(len(u), dtype=bool)
     i = np.arange(len(u))
     for _ in range(NEWTON_STEPS + 1):
-        S = _stieltjes_h(spec, u[i], order=1)
-        x, x1 = _in_u(u[i], spec, gamma, order=1, S=S)
-        done[i] = _at_root(z[i], u[i], spec, gamma, S)[2]
-        u[i] -= (x - z[i]) / x1
-        i = i[~done[i]]
-        if done.all():
+        ui = u[i]
+        S = _stieltjes_h(spec, ui, order=1)
+        x, x1 = _in_u(ui, spec, gamma, order=1, S=S)
+        ok = _at_root(z[i], ui, spec, gamma, S)[2]
+        step = (x - z[i]) / x1
+        step[ok & ~(np.abs(step) < ui.imag)] = 0.0
+        u[i], done[i], i = ui - step, ok, i[~ok]  # u, done at the old i
+        if not len(i):
             break
     return u, done
 
 
 def _angle(lam, a: float, b: float):
-    """Chebyshev angle theta of lambda = a + (b - a) * (1 - cos theta) / 2."""
-    return np.arccos(np.minimum(1.0, np.maximum(-1.0, 1.0 - 2.0 * (lam - a)
-                                                / (b - a))))
+    """Chebyshev angle theta of lambda = a + (b - a) * (1 - cos theta) / 2 in
+    [a, b], as a half angle: exact at both ends, 0 only at a, pi only at b."""
+    return 2.0 * np.arctan2(np.sqrt(lam - a), np.sqrt(b - lam))
 
 
 def _curve(spec: PopulationSpectrum, gamma: float, v: np.ndarray):
@@ -240,12 +242,13 @@ def _curve(spec: PopulationSpectrum, gamma: float, v: np.ndarray):
 def _curve_samples(spec: PopulationSpectrum, gamma: float, a: float, b: float,
                    u_a: float, u_b: float):
     """The curve (_curve) of the critical pair (u_a, u_b) of the support
-    interval [a, b] at PATH_POINTS Chebyshev points of (u_a, u_b), its ends
-    included, ascending, and the Chebyshev angles of x along it; read-only."""
+    interval [a, b] at PATH_POINTS Chebyshev points of [u_a, u_b], ascending,
+    and the Chebyshev angles of x along it, 0 at u_a and pi at u_b; read-only."""
     v = u_a + 0.5 * (u_b - u_a) * (1.0 - np.cos(np.linspace(0.0, np.pi,
                                                             PATH_POINTS)))[1:-1]
-    path = np.sort(np.concatenate([[u_a, u_b], _curve(spec, gamma, v)]))
-    path_t = _angle(_in_u(path, spec, gamma, order=0)[0].real, a, b)
+    path = np.concatenate([[u_a], _curve(spec, gamma, v), [u_b]])
+    x = _in_u(path[1:-1], spec, gamma, order=0)[0].real
+    path_t = np.concatenate([[0.0], _angle(x, a, b), [np.pi]])
     path.flags.writeable = path_t.flags.writeable = False
     return path, path_t
 
@@ -280,20 +283,18 @@ def _near_splits(spec: PopulationSpectrum, gamma: float) -> np.ndarray:
 def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
               a: float, b: float, u_a: float, u_b: float):
     """(u, converged) at points of the support interval [a, b] with edges
-    x(u_a), x(u_b); where the angle theta below is 0 or pi, u is u_a or u_b.
+    x(u_a), x(u_b); at lambda = a or b, u is u_a or u_b.
 
     Newton starts from the curve of physical roots (_curve_samples), along
     which lambda rises from a to b, interpolated in the Chebyshev angle theta
-    of lambda, in which u is smooth up to both edges.  x is real on the real
-    axis, so the conjugate of a root is a root: one that lands below the axis
-    is reflected.  The physical root is the only root with Im u > 0
-    (Silverstein & Choi 1995), so a converged root counts where Im u > 0."""
+    of lambda, in which u is smooth up to both edges.  The physical root is
+    the only root with Im u > 0 (Silverstein & Choi 1995), so a converged
+    root counts where Newton ends with Im u > 0."""
     path, path_t = _curve_samples(spec, gamma, a, b, u_a, u_b)
     t = _angle(lam, a, b)
     u, ok = np.where(t == 0, u_a, u_b).astype(complex), (t == 0) | (t == np.pi)
     i = np.flatnonzero(~ok)
-    root, done = _newton(spec, gamma, lam[i], np.interp(t[i], path_t, path))
-    u[i] = root.real + 1j * np.abs(root.imag)
+    u[i], done = _newton(spec, gamma, lam[i], np.interp(t[i], path_t, path))
     ok[i] = done & (u[i].imag > 0)
     return u, ok
 
@@ -411,16 +412,15 @@ class StieltjesSolution:
     @cached_property
     def _pieces(self):
         """The grid's knots in each support interval [a, b]: its valid points
-        at Chebyshev angles 0 < theta < pi with Im m_breve > 0.  Returns their
+        strictly inside it with Im m_breve > 0.  Returns their
         ranges ([a, a] if none), ravelled; the grid, NaN where m_at does not
         read m_breve (invalid, or Im m_breve < 0); per interval a, b, theta and
         v = Re m_breve + i log(Im m_breve / sin theta), smooth in theta up to a
         and b; and the _divided tables, each built at its first lookup."""
         bounds, pieces = [], []
         for a, b in self.support:
-            th = _angle(self.grid, a, b)
-            sel = self.valid & (th > 0) & (th < np.pi) & (self.m_breve.imag > 0)
-            lam, th, m = self.grid[sel], th[sel], self.m_breve[sel]
+            sel = self.valid & (self.m_breve.imag > 0) & (a < self.grid) & (self.grid < b)
+            lam, m, th = self.grid[sel], self.m_breve[sel], _angle(self.grid[sel], a, b)
             bounds += [lam[0], lam[-1]] if len(lam) else [a, a]
             pieces.append((a, b, th, m.real + 1j * np.log(m.imag / np.sin(th))))
         read = self.valid & (self.m_breve.imag >= 0)

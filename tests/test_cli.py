@@ -104,11 +104,32 @@ def test_missing_subcommand_is_usage_error(capsys):
      []),
     ("density", {"spectrum": {"segments": [[1.0, 5.0, float("inf")]]},
                  "gammas": [2]}, []),
+    # a number as text or a boolean where a number goes, a fraction where a
+    # count goes, a negative seed: read as 20, 40, 1 and 7 before, or a
+    # numpy traceback at the seed
+    ("simulate", {"spectrum": MIX, "N": "20", "p": 40}, []),
+    ("simulate", {"spectrum": MIX, "N": 20, "p": 40.7}, []),
+    ("simulate", {"spectrum": MIX, "N": 20, "p": 40, "reps": True}, []),
+    ("simulate", {"spectrum": MIX, "N": 20, "p": 40, "seed": 7.9}, []),
+    ("simulate", {"spectrum": MIX, "N": 20, "p": 40, "seed": -1}, []),
+    ("simulate", {"spectrum": MIX, "N": 20, "p": 40}, ["--seed", "-1"]),
+    ("simulate", {"spectrum": MIX, "N": 20, "p": 40, "sweep_N": [20.5]}, []),
+    ("density", {"spectrum": D1, "gammas": ["2"]}, []),
+    ("density", {"spectrum": D1, "gammas": [True]}, []),
+    ("density", {"spectrum": D1, "gammas": [2], "grid": {"n": 300.9}}, []),
+    ("density", {"spectrum": {"atoms": [["0.2", 1.0], [0.8, 3.0]]},
+                 "gammas": [2]}, []),
+    ("kernel", {"spectrum": D1, "gammas": [2], "t_points": 7.5}, []),
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "delta_points": 1.5}, []),
 ], ids=["entry_law", "N", "reps", "grid", "segment", "spectrum_list",
         "spectrum_atoms", "gammas_number", "gammas_text", "gammas_zero",
         "sweep_N", "N_text", "p_zero", "reps_text", "t_points", "l",
         "delta_points", "lambda_bins", "assert_min", "top_level_list",
-        "atom_nan", "segment_inf"])
+        "atom_nan", "segment_inf", "N_number_text", "p_fraction",
+        "reps_boolean", "seed_fraction", "seed_negative", "seed_flag_negative",
+        "sweep_N_fraction", "gammas_number_text", "gammas_boolean",
+        "grid_fraction", "weight_text", "t_points_fraction",
+        "delta_points_fraction"])
 def test_config_errors_are_usage_errors(tmp_path, capsys, command, doc, extra):
     cfg = _write_config(tmp_path, "cfg.json", doc)
     out = tmp_path / "out"
@@ -168,6 +189,16 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert cli.main(["density", "--config", cfg, "--out", str(out)]) == 2
     assert "forced failure" in capsys.readouterr().err
     assert not (out / "density.manifest.json").exists()
+
+
+def test_shrink_moment_gap_is_a_numeric_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.shrinkage_mod, "moment_residuals",
+                        lambda *args: (2e-5, 0.0))
+    cfg = _write_config(tmp_path, "cfg.json", {"spectrum": MIX, "gammas": [2]})
+    out = tmp_path / "out"
+    assert cli.main(["shrink", "--config", cfg, "--out", str(out)]) == 2
+    assert "moment conservation violated" in capsys.readouterr().err
+    assert not (out / "shrink.manifest.json").exists()
 
 
 def test_kernel_point_mass_constant(tmp_path):

@@ -293,6 +293,15 @@ def test_domain_checked_for_numpy_scalars(spec_d1, spec_unif56):
             for label, call in _every_theta():
                 with pytest.raises(DomainError):
                     call(z, spec_d1, 2.0, m)
+    # a non-finite z (solve_mF raised NoConvergence after RuntimeWarnings) or
+    # a non-finite given m (the Theta was nan + nanj)
+    bad = [complex(np.nan, 1.0), complex(1.0, np.nan), complex(np.inf, 1.0),
+           complex(1.0, np.inf)]
+    for label, call in _every_theta():
+        for z, m in [(z, m) for z in bad for m in (None, 0.5 + 0.5j)] \
+                + [(1.0 + 1.0j, m) for m in bad]:
+            with pytest.raises(DomainError):
+                call(z, spec_d1, 2.0, m)
     # discontinuities as a list: the quadrature still splits its panels there
     step = fn.indicator_below(5.5).evaluator
     listed = fn.theta_g(5.5 + 0.5j, fn.WeightFunction(step, [5.5]), spec_unif56, 2.0)

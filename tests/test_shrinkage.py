@@ -94,6 +94,16 @@ def test_delta_positive_inside_support(solutions):
     assert np.all(shrinkage.delta(lams, sol) > 0)
 
 
+def test_delta_one_ulp_inside_both_edges(spec_unif56):
+    # between an edge and its first knot delta reads the exact root: one ulp
+    # inside the lower edge of U[5, 6] at gamma = 0.2 it raised NoConvergence
+    sol = stieltjes.solve_density(spec_unif56, 0.2)
+    (a, b), = sol.support
+    lam = np.array([np.nextafter(a, np.inf), np.nextafter(b, 0.0)])
+    assert np.all(np.isfinite(shrinkage.delta(lam, sol)))
+    assert np.all(shrinkage.delta(lam, sol) > 0)
+
+
 def test_shrink_spectrum_zero_input(solutions):
     sol = solutions("d1", 0.5)
     out = shrinkage.shrink_spectrum(np.zeros(5), sol)
@@ -335,6 +345,8 @@ def test_linear_oracle_stack_matches_rows():
         assert np.array_equal(
             row, shrinkage.linear_shrinkage_oracle(lam, trace_sigma, tss))
     assert np.allclose(stack[7], trace_sigma / 20, rtol=1e-12, atol=0)
+    with pytest.raises(DegenerateSpan):  # no eigenvalues in each spectrum
+        shrinkage.linear_shrinkage_oracle(np.zeros((2, 0)), 1.0, 1.0)
     for bad in (np.nan, np.inf):
         tss = trace_s_sigma.copy()
         tss[3] = bad

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from mpshrink import shrinkage, simulate, spectrum
+from mpshrink import shrinkage, simulate, spectrum, stieltjes
 from mpshrink.errors import DomainError, GammaOne
 
 
@@ -20,6 +20,8 @@ def test_config_validation(spec_d1):
     with pytest.raises(ValueError):
         simulate.SimulationConfig(N=5, p=5, spec=spec_d1, reps=1,
                                   entry_law="uniform")
+    with pytest.raises(ValueError):  # numpy's SeedSequence takes no sign
+        simulate.SimulationConfig(N=5, p=5, spec=spec_d1, reps=1, seed=-1)
     cfg = simulate.SimulationConfig(N=10, p=5, spec=spec_d1, reps=1)
     assert cfg.gamma == 0.5
 
@@ -239,6 +241,22 @@ def test_run_prial_identities(solutions, spec_204040):
     assert report.prial_nonlinear > report.prial_linear
 
 
+def test_run_prial_one_replication_has_no_standard_error(solutions,
+                                                          spec_204040):
+    config = simulate.SimulationConfig(N=20, p=40, spec=spec_204040, reps=1)
+    report = simulate.run_prial(config, solutions("204040", 2.0))
+    assert np.isnan(report.se_nonlinear) and np.isnan(report.se_linear)
+    assert np.isfinite(report.prial_nonlinear)
+
+
+def test_run_prial_solves_its_own_limit(spec_204040):
+    # without a solution, run_prial solves the config's limit at its gamma
+    config = simulate.SimulationConfig(N=20, p=40, spec=spec_204040, reps=3)
+    given = simulate.run_prial(
+        config, stieltjes.solve_density(spec_204040, config.gamma))
+    assert simulate.run_prial(config).to_dict() == given.to_dict()
+
+
 def test_run_prial_deterministic(solutions, spec_204040):
     sol = solutions("204040", 2.0)
     config = simulate.SimulationConfig(N=15, p=30, spec=spec_204040, reps=20,
@@ -361,6 +379,8 @@ def test_mc_workers_rule(monkeypatch, no_blas_setting):
     assert simulate.mc_workers(100) == 1
     monkeypatch.setenv("OMP_NUM_THREADS", "auto")
     assert simulate.mc_workers(100) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
+    assert simulate.mc_workers(10) == 1
 
 
 def _mc_outputs(spec_204040, solutions) -> dict:

@@ -243,6 +243,12 @@ def test_json_roundtrip():
     assert spectrum.from_json(json.loads(s.to_json())) == s
     with pytest.raises(TypeError):
         spectrum.from_json([[0.25, 1.5]])
+    # a number as text, a boolean or a nested list is not a number
+    for atom in (["0.25", 1.5], [0.25, True], [0.25, [1.5]]):
+        with pytest.raises(TypeError):
+            spectrum.from_json({"atoms": [atom, [0.75, 2.0]]})
+    with pytest.raises(TypeError):
+        spectrum.from_json({"segments": [[1.0, 5.0, "6"]]})
 
 
 @st.composite

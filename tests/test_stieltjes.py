@@ -17,6 +17,8 @@ U_HARD = spectrum.uniform(0.01, 10.0)   # segment reaching down to 1e-3 * h2
 MIXTURE = spectrum.validate(atoms=[(0.27, 7.12)], segments=[(0.73, 2.14, 5.15)])
 LIMIT_CASES = [(name, gamma) for name in ("d1", "204040", "unif56")
                for gamma in (0.5, 2.0, 10.0, 100.0)]
+EDGE_NAMES = ("d1", "204040", "unif56", "uhard", "mixture")
+EDGE_GAMMAS = (0.2, 0.5, 2.0, 10.0, 100.0)
 
 
 def test_tail_behavior(spec_204040):
@@ -190,6 +192,12 @@ def test_solve_mF_at_gamma_one(spec_d1):
 def test_solve_rejects_lower_half_plane(spec_d1):
     with pytest.raises(DomainError):
         stieltjes.solve_mF(1.0 - 1e-3j, spec_d1, 2.0)
+    for z in (complex(np.nan, 1.0), complex(1.0, np.nan), complex(np.inf, 1.0),
+              complex(1.0, np.inf)):
+        with pytest.raises(DomainError):
+            stieltjes.solve_mF(z, spec_d1, 2.0)
+        with pytest.raises(DomainError):
+            stieltjes.solve_mF(np.array([1.0 + 1j, z]), spec_d1, 2.0)
     with pytest.raises(DomainError):
         stieltjes.solve_mF(1.0 + 1e-3j, spec_d1, -2.0)
 
@@ -239,10 +247,8 @@ def test_m_at_matches_boundary_values(solutions, name, gamma):
                      lo + (hi - lo) * rng.uniform(0.0, 1.0, 20)]
     near = np.unique(np.concatenate(near))
     exact = stieltjes.boundary_values(spec, gamma, near)
-    for x in near[~exact.valid]:  # the solve can miss within rounding of an edge
-        with pytest.raises(NoConvergence):
-            sol.m_at(x)
-    near, m = near[exact.valid], exact.m_breve[exact.valid]
+    assert exact.valid.all()
+    m = exact.m_breve
     assert np.array_equal(sol.m_at(near), m)
     assert np.array_equal([sol.m_at(x) for x in near], m)
     dense = np.resize(sol.grid, 2 * stieltjes.BLOCK + 1)
@@ -394,8 +400,8 @@ def test_curve_samples_are_computed_once_per_interval(monkeypatch):
 @pytest.mark.parametrize("gamma", [0.2, 2.0])
 def test_one_ulp_inside_an_edge_takes_one_newton_solve(monkeypatch, gamma):
     # there the root is within rounding of the edge and Newton's last step is
-    # noise: at gamma = 0.2, one ulp below the top edge of the mixture, the
-    # root lands below the axis, and its conjugate is the physical root
+    # noise: at gamma = 0.2, one ulp below the top edge of the mixture, that
+    # step would throw the root onto the real axis, so it is not taken
     (a, b), = stieltjes.boundary_values(MIXTURE, gamma, [1.0]).support
     lam = np.array([np.nextafter(a, np.inf), np.nextafter(b, 0.0)])
     rounds = []
@@ -406,6 +412,72 @@ def test_one_ulp_inside_an_edge_takes_one_newton_solve(monkeypatch, gamma):
     sol = stieltjes.boundary_values(MIXTURE, gamma, lam)
     assert len(rounds) == 1
     assert sol.valid.all() and np.all(sol.m_breve.imag >= 0)
+
+
+def _ulps_around(x: float, steps) -> np.ndarray:
+    """x moved down and up by each count of ulps in steps, ascending."""
+    pts, down, up = [], x, x
+    for k in range(max(steps) + 1):
+        pts += [down, up] if k in steps else []
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+    return np.unique(pts)
+
+
+def _inside_edges(support, steps, rel=()) -> np.ndarray:
+    """Points inside every edge of the support: the edge moved inward by each
+    count of ulps in steps, and by rel times the width of its interval."""
+    pts = []
+    for a, b in support:
+        rel_ab = np.asarray(rel) * (b - a)
+        near = np.concatenate([_ulps_around(a, steps), _ulps_around(b, steps),
+                               a + rel_ab, b - rel_ab])
+        pts.append(near[(a < near) & (near < b)])
+    return np.unique(np.concatenate(pts))
+
+
+@pytest.mark.parametrize("gamma", EDGE_GAMMAS)
+@pytest.mark.parametrize("name", EDGE_NAMES)
+def test_every_point_next_to_an_edge_solves(solutions, name, gamma):
+    # 199 ulps inward from every edge and 400 points 1e-15 to 1e-3 (relative
+    # to the width) inside it.  A clamped arccos angle rounded to 0 within
+    # eps (b - a) / 2 of a lower edge, a seed on the real axis stayed real,
+    # and Newton's step after acceptance threw roots onto the real axis:
+    # 496 such points were invalid in 6 of these 25 cases
+    spec = solutions.specs.get(name, MIXTURE)
+    support = stieltjes.boundary_values(spec, gamma, [1.0]).support
+    lam = _inside_edges(support, range(1, 200), np.logspace(-15.0, -3.0, 400))
+    sol = stieltjes.boundary_values(spec, gamma, lam)
+    assert sol.valid.all() and np.all(sol.m_breve.imag > 0)
+
+
+@pytest.mark.parametrize("name", EDGE_NAMES)
+def test_solve_mF_next_to_every_edge(solutions, name):
+    # each edge +- 0, 1, 5 and 50 ulps at Im z from 1e-14 to 1e-6 (relative):
+    # seeded from the real-axis roots, 14 of these z raised NoConvergence
+    spec = solutions.specs.get(name, MIXTURE)
+    for gamma in EDGE_GAMMAS:
+        support = stieltjes.boundary_values(spec, gamma, [1.0]).support
+        z = [complex(x, eta * max(1.0, edge)) for edge in np.ravel(support)
+             for x in _ulps_around(edge, (0, 1, 5, 50))
+             for eta in (1e-14, 1e-12, 1e-9, 1e-6)]
+        assert np.all(stieltjes.solve_mF(np.array(z), spec, gamma).imag > 0)
+
+
+@pytest.mark.parametrize("gamma", EDGE_GAMMAS)
+@pytest.mark.parametrize("name", EDGE_NAMES)
+def test_roots_within_200_ulps_of_an_edge_match_40_digits(solutions, name, gamma):
+    # there the error is set by the rounding of x(u) over |x'(u)|, which
+    # falls to 0 at an edge: up to 1.8e-8 of max(1, |m|), and 6.8e-7 next to
+    # the hard lower edge of U[0.01, 10]
+    spec = solutions.specs.get(name, MIXTURE)
+    support = stieltjes.boundary_values(spec, gamma, [1.0]).support
+    for k, (a, b) in enumerate(support):
+        lam = _inside_edges([(a, b)], (1, 2, 5, 20, 50, 100, 200))
+        sol = stieltjes.boundary_values(spec, gamma, lam)
+        ref = np.array([oracles.m_breve_mp(spec, gamma, x) for x in lam])
+        err = np.abs(sol.m_breve - ref) / np.maximum(1.0, np.abs(ref))
+        hard = (name == "uhard") & (k == 0) & (lam < 0.5 * (a + b))
+        assert sol.valid.all() and np.all(err <= np.where(hard, 1e-6, 2e-8))
 
 
 def _near_edge_sample(gamma: float):
@@ -699,6 +771,10 @@ def test_inverse_map_properties(case, re_frac, log_im):
     sol = stieltjes.solve_density(spec, gamma, num_points=1500)
     assert sol.valid.all()
     assert sol.total_mass() == pytest.approx(1.0, abs=1e-5)
+    # the first 10 ulps and 30 points 1e-15 to 1e-3 (relative) inside every edge
+    near = _inside_edges(sol.support, range(1, 11), np.logspace(-15.0, -3.0, 30))
+    exact = stieltjes.boundary_values(spec, gamma, near)
+    assert exact.valid.all() and np.all(exact.m_breve.imag > 0)
     probe = np.linspace(sol.grid[0], sol.grid[-1], 20001)
     assert sol.m_at(probe).imag.min() >= 0.0
     # x(mu(z)) = z for the companion value of solve_mF, with x evaluated
