@@ -101,6 +101,15 @@ def _count(lo: int):
     return kind
 
 
+def _one_of(*names):
+    """The kind of a JSON string among names."""
+    def kind(doc) -> str:
+        if doc not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {doc!r}")
+        return doc
+    return kind
+
+
 def _get(cfg: dict, key: str, kind, default=...):
     """cfg[key] converted by kind, or default if key is absent; a missing key
     with no default, or a TypeError or ValueError of kind, is a UsageError."""
@@ -217,7 +226,7 @@ def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
     args.mc_workers = simulate_mod.mc_workers(reps)  # and the loop threads
     n, p = _get(cfg, "N", _count(1)), _get(cfg, "p", _count(1))
     ratio = stieltjes_mod.check_gamma(p / n)
-    law = _get(cfg, "entry_law", str, "real-gaussian")
+    law = _get(cfg, "entry_law", _one_of(*simulate_mod.ENTRY_LAWS), "real-gaussian")
     try:
         configs = [simulate_mod.SimulationConfig(
             N=n_val, p=round(n_val * ratio), spec=spec, reps=reps, seed=seed,
@@ -226,7 +235,7 @@ def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
             stieltjes_mod.check_gamma(config.gamma)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    wanted = _get(cfg, "outputs", _list(str), [])
+    wanted = _get(cfg, "outputs", _list(_one_of("delta", "losses", "overlap")), [])
     n_delta = _get(cfg, "delta_points", _count(0), 101)
     lam_bins = _get(cfg, "lambda_bins", _list(_number, 2), [])
     tau_bins = _get(cfg, "tau_bins", _list(_number, 2), [])

@@ -19,7 +19,7 @@ class NoConvergence(MPShrinkError):
     """A solve missed its residual check or the sign checks of its root.
 
     Carries the residual of the failing point, where one was computed; from
-    solve_mF, that of the equation in m with k = -z*mu taken from the root.
+    solve_mF and boundary_values, that of the equation in m (_at_root).
     """
 
     def __init__(self, message: str, residual: float | None = None):

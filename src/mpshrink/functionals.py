@@ -88,12 +88,12 @@ def _moments(spec: PopulationSpectrum) -> tuple[float, ...]:
 
 
 def _kappa(z: complex, m: complex, gamma: float) -> complex:
-    """k_factor(z, m, gamma) as (gamma - 1 - z*m)/gamma, or
-    DegenerateDenominator where gamma - 1 - z*m is below 1e-14."""
-    denom = gamma - 1.0 - z * m
-    if abs(denom) < 1e-14:
-        raise DegenerateDenominator(f"gamma - 1 - z*m = {denom} at z = {z}")
-    return denom / gamma
+    """k_factor(z, m, gamma), the divisor of the closed forms, or
+    DegenerateDenominator where gamma*|k| = |gamma - 1 - z*m| is below 1e-14."""
+    kappa = k_factor(z, m, gamma)
+    if abs(kappa) * gamma < 1e-14:
+        raise DegenerateDenominator(f"k = {kappa} at z = {z}")
+    return kappa
 
 
 def theta_g(z: complex, g: WeightFunction, spec: PopulationSpectrum,

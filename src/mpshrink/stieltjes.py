@@ -26,7 +26,8 @@ finder, started from Taylor models, solves every real root.  For Im z > 0
 (solve_mF) Newton on x(u) = z starts from the real-axis root at Re z, moved
 by the root of the quadratic Taylor model of x in Im z.  Each value is checked
 on the equation in m, H exact, with k = z/u = -z*mu from the root, by one
-acceptance rule: TOL plus the rounding floor of x(u) (_at_root).
+acceptance rule: TOL plus the rounding floor of x(u) (_at_root).  A solve
+returns only roots that pass it, or raises NoConvergence (_accept).
 """
 
 from __future__ import annotations
@@ -86,6 +87,19 @@ def _at_root(z, u, spec: PopulationSpectrum, gamma: float, S=None):
     return m, resid, resid <= TOL * np.maximum(1.0, np.abs(m)) + floor
 
 
+def _accept(z, u, spec: PopulationSpectrum, gamma: float, real=False):
+    """m at the roots u of x(u) = z where _at_root accepts each and, at each
+    root not marked real, Im u > 0 and Im m > 0; else NoConvergence naming
+    the first point missed and its residual."""
+    m, resid, ok = _at_root(z, u, spec, gamma)
+    ok &= real | (u.imag > 0) & (m.imag > 0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise NoConvergence(f"root at {z[i]} missed its residual {resid[i]:.3e} "
+                            f"or sign check", residual=float(resid[i]))
+    return m
+
+
 def solve_mF(z, spec: PopulationSpectrum, gamma: float):
     """Solve the self-consistency equation at a finite z with Im z > 0.
 
@@ -94,9 +108,9 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
     lambda = Re z on the real axis (_real_roots) and d is the root of
     x'(u0) d + x''(u0) d^2 / 2 = i Im z with Im(u0 + d) > 0 and the smaller
     |d|: i Im z / x'(u0) inside the support, the square-root step at an edge.
-    The returned m has Im m > 0, Im mu > 0 and solves the equation in m, H
-    integrated exactly, within the acceptance rule of _at_root.  Raises
-    NoConvergence otherwise.  gamma = 1 is in the domain.
+    Each root passes _accept (the equation in m, H integrated exactly, within
+    _at_root's rule; Im m > 0, Im mu > 0), else NoConvergence.  gamma = 1 is
+    in the domain.
     """
     if gamma != 1:  # off the real axis gamma = 1 is in the domain
         check_gamma(gamma)
@@ -111,13 +125,7 @@ def solve_mF(z, spec: PopulationSpectrum, gamma: float):
         d1, d2 = 2j * z_arr.imag / (x1 + root), 2j * z_arr.imag / (x1 - root)
     up1, up2 = (u0 + d1).imag > 0, (u0 + d2).imag > 0
     d = np.where(up1 & ~(up2 & (np.abs(d2) < np.abs(d1))), d1, d2)
-    u, _ = _newton(spec, gamma, z_arr, u0 + d)
-    m, resid, accepted = _at_root(z_arr, u, spec, gamma)
-    ok = accepted & (m.imag > 0) & (u.imag > 0)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise NoConvergence(f"no converged solution at z={z_arr[i]}",
-                            residual=float(resid[i]))
+    m = _accept(z_arr, _newton(spec, gamma, z_arr, u0 + d), spec, gamma)
     return m.reshape(np.shape(z)) if np.ndim(z) else complex(m[0])
 
 
@@ -197,12 +205,11 @@ def _critical_points(spec: PopulationSpectrum, gamma: float):
 
 
 def _newton(spec: PopulationSpectrum, gamma: float, z, u):
-    """Newton on x(u) = z from 1-D seeds u; returns (u, converged).  A point
+    """Newton on x(u) = z from 1-D seeds u; returns u, for _accept.  A point
     has converged when _at_root accepts it; it then takes one more step, to
     rounding level, only if |step| < Im u (one that could cross the real axis
     is noise), and stops, so its bits do not depend on the rest of the batch."""
-    u, done = np.array(u, dtype=complex), np.zeros(len(u), dtype=bool)
-    i = np.arange(len(u))
+    u, i = np.array(u, dtype=complex), np.arange(len(u))
     for _ in range(NEWTON_STEPS + 1):
         ui = u[i]
         S = _stieltjes_h(spec, ui, order=1)
@@ -210,10 +217,10 @@ def _newton(spec: PopulationSpectrum, gamma: float, z, u):
         ok = _at_root(z[i], ui, spec, gamma, S)[2]
         step = (x - z[i]) / x1
         step[ok & ~(np.abs(step) < ui.imag)] = 0.0
-        u[i], done[i], i = ui - step, ok, i[~ok]  # u, done at the old i
+        u[i], i = ui - step, i[~ok]  # u at the old i
         if not len(i):
             break
-    return u, done
+    return u
 
 
 def _angle(lam, a: float, b: float):
@@ -280,25 +287,6 @@ def _near_splits(spec: PopulationSpectrum, gamma: float) -> np.ndarray:
     return _in_u(_curve(spec, gamma, np.concatenate(at)), spec, gamma, order=0)[0].real
 
 
-def _interior(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
-              a: float, b: float, u_a: float, u_b: float):
-    """(u, converged) at points of the support interval [a, b] with edges
-    x(u_a), x(u_b); at lambda = a or b, u is u_a or u_b.
-
-    Newton starts from the curve of physical roots (_curve_samples), along
-    which lambda rises from a to b, interpolated in the Chebyshev angle theta
-    of lambda, in which u is smooth up to both edges.  The physical root is
-    the only root with Im u > 0 (Silverstein & Choi 1995), so a converged
-    root counts where Newton ends with Im u > 0."""
-    path, path_t = _curve_samples(spec, gamma, a, b, u_a, u_b)
-    t = _angle(lam, a, b)
-    u, ok = np.where(t == 0, u_a, u_b).astype(complex), (t == 0) | (t == np.pi)
-    i = np.flatnonzero(~ok)
-    u[i], done = _newton(spec, gamma, lam[i], np.interp(t[i], path_t, path))
-    ok[i] = done & (u[i].imag > 0)
-    return u, ok
-
-
 def _rising_root(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
                  crit: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Real u = -1/mu with x(u) = lam on the rising branch of x that covers
@@ -323,19 +311,26 @@ def _rising_root(spec: PopulationSpectrum, gamma: float, lam: np.ndarray,
 
 
 def _real_roots(spec: PopulationSpectrum, gamma: float, lam: np.ndarray):
-    """(u, converged): the physical root u = -1/mu of x(u) = lam for real
-    lam, by _interior on each support interval and _rising_root off it."""
+    """(u, real): the physical root u = -1/mu of x(u) = lam for real lam, and
+    where it is real.  Off the support u is _rising_root's, and at an edge
+    the edge's critical point.  Strictly inside a support interval [a, b],
+    Newton starts from the curve of physical roots (_curve_samples), along
+    which lambda rises from a to b, interpolated in the Chebyshev angle of
+    lambda, in which u is smooth up to both edges.  The physical root is the
+    only root with Im u > 0 (Silverstein & Choi 1995), which _accept checks."""
     crit, values = _critical_points(spec, gamma)
-    u = np.zeros(lam.shape, dtype=complex)
-    ok, off = np.ones(lam.shape, dtype=bool), np.ones(lam.shape, dtype=bool)
+    u, off = np.zeros(lam.shape, dtype=complex), np.ones(lam.shape, dtype=bool)
     for a, b, u_a, u_b in zip(values[::2], values[1::2], crit[::2], crit[1::2]):
         inside = (lam >= a) & (lam <= b)
-        if inside.any():
-            u[inside], ok[inside] = _interior(spec, gamma, lam[inside],
-                                              a, b, u_a, u_b)
+        u[inside] = np.where(lam[inside] == a, u_a, u_b)  # the edges' roots
         off &= ~inside
+        i = np.flatnonzero((lam > a) & (lam < b))
+        if len(i):
+            path, path_t = _curve_samples(spec, gamma, a, b, u_a, u_b)
+            u[i] = _newton(spec, gamma, lam[i],
+                           np.interp(_angle(lam[i], a, b), path_t, path))
     u[off] = _rising_root(spec, gamma, lam[off], crit, values)
-    return u, ok
+    return u, off | np.isin(lam, values)
 
 
 def _divided(th, v):
@@ -373,7 +368,9 @@ class StieltjesSolution:
     holds the closed intervals where the density is positive; cuts are grid
     nodes inside the support where the trapezoid rule of f_integral restarts
     (solve_density); density, mass_at_zero and m_under_zero follow from the
-    fields.  gamma must pass check_gamma; the support is not empty.
+    fields.  boundary_values raises where it rejects a root, so every grid
+    point holds an accepted m_breve and valid is all True.  gamma must pass
+    check_gamma; the support is not empty.
     """
 
     gamma: float
@@ -396,8 +393,8 @@ class StieltjesSolution:
 
     @cached_property
     def density(self) -> np.ndarray:
-        """F' = Im[m_breve]/pi at the grid points, zero at invalid ones."""
-        return np.where(self.valid, self.m_breve.imag / np.pi, 0.0)
+        """F' = Im[m_breve]/pi at the grid points."""
+        return self.m_breve.imag / np.pi
 
     @property
     def mass_at_zero(self) -> float:
@@ -411,20 +408,18 @@ class StieltjesSolution:
 
     @cached_property
     def _pieces(self):
-        """The grid's knots in each support interval [a, b]: its valid points
-        strictly inside it with Im m_breve > 0.  Returns their
-        ranges ([a, a] if none), ravelled; the grid, NaN where m_at does not
-        read m_breve (invalid, or Im m_breve < 0); per interval a, b, theta and
+        """The grid's knots in each support interval [a, b]: its points
+        strictly inside it, where Im m_breve > 0 (boundary_values).  Returns
+        their ranges ([a, a] if none), ravelled; per interval a, b, theta and
         v = Re m_breve + i log(Im m_breve / sin theta), smooth in theta up to a
         and b; and the _divided tables, each built at its first lookup."""
         bounds, pieces = [], []
         for a, b in self.support:
-            sel = self.valid & (self.m_breve.imag > 0) & (a < self.grid) & (self.grid < b)
+            sel = (a < self.grid) & (self.grid < b)
             lam, m, th = self.grid[sel], self.m_breve[sel], _angle(self.grid[sel], a, b)
             bounds += [lam[0], lam[-1]] if len(lam) else [a, a]
             pieces.append((a, b, th, m.real + 1j * np.log(m.imag / np.sin(th))))
-        read = self.valid & (self.m_breve.imag >= 0)
-        return np.array(bounds), np.where(read, self.grid, np.nan), pieces, {}
+        return np.array(bounds), pieces, {}
 
     @cached_property
     def _angle_weights(self):
@@ -450,18 +445,18 @@ class StieltjesSolution:
         return left, right
 
     def m_at(self, lam):
-        """m_breve in blocks: read at valid grid points, the degree-5 stencil
-        of the nearest knots strictly inside a knot range (_pieces; Im >= 0),
-        else as boundary_values solves it (_exact): DomainError at NaN, +-inf
-        and lambda <= 0, NoConvergence where _at_root rejects the root."""
+        """m_breve in blocks: read at grid points, the degree-5 stencil of the
+        nearest knots strictly inside a knot range (_pieces; Im >= 0), else as
+        boundary_values solves it (_exact): DomainError at NaN, +-inf and
+        lambda <= 0, NoConvergence where boundary_values rejects the root."""
         return _in_blocks(self._m_block, lam, complex)
 
     def _m_block(self, x):
         """m_at of a flat block x."""
-        bounds, read, pieces, tables = self._pieces
+        bounds, pieces, tables = self._pieces
         k = np.minimum(self.grid.searchsorted(x), len(self.grid) - 1)
         out = self.m_breve[k]
-        i = (read[k] != x).nonzero()[0]  # the points off the nodes it reads
+        i = (self.grid[k] != x).nonzero()[0]  # the points off the nodes
         q = bounds.searchsorted(x[i])  # odd: inside the knot range q // 2
         held = np.bincount(q).nonzero()[0].tolist()
         for p in held:
@@ -485,14 +480,11 @@ class StieltjesSolution:
         return out
 
     def _exact(self, x):
-        """m_breve at x as boundary_values solves it, if valid there."""
+        """m_breve at x as boundary_values solves it."""
         if not np.all((x > 0) & (x < np.inf)):
             raise DomainError("m_breve off the grid needs a finite lambda > 0")
         lam, back = np.unique(x, return_inverse=True)
-        exact = boundary_values(self.spec, self.gamma, lam)
-        if not exact.valid.all():
-            raise NoConvergence(f"m_breve missed its residual at {lam[~exact.valid]}")
-        return exact.m_breve[back]
+        return boundary_values(self.spec, self.gamma, lam).m_breve[back]
 
     def f_integral(self, lam, values=1.0, at_zero: float = 1.0):
         """Integral of f against dF over [0, lam], from values = f at every
@@ -548,21 +540,21 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
     The support edges are the exact critical values of x(u) whatever the
     grid, so refine_edges has no effect; it is accepted for callers that pass
     it.  Inside the support, Newton is seeded from Chebyshev samples of the
-    curve Im x(u) = 0 (_interior); off it u is the real root on a rising
-    branch of x.  A point that _at_root does not accept, in the Newton solve
-    or on the equation in m at the returned root, is marked invalid
-    (density 0) instead of aborting.
+    curve Im x(u) = 0 (_real_roots); off it u is the real root on a rising
+    branch of x.  Every root passes solve_mF's test (_accept): _at_root's
+    residual, and strictly inside the support Im u > 0 and Im m_breve > 0;
+    else NoConvergence names the first lambda missed and its residual.  So
+    valid, kept for its readers, is all True.
     """
     check_gamma(gamma)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or not np.all(np.isfinite(grid)) \
             or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("grid must be a strictly ascending positive finite 1-D array")
-    u, ok = _real_roots(spec, gamma, grid)
-    m_breve, _, accepted = _at_root(grid, u, spec, gamma)
-    valid = ok & accepted
+    u, real = _real_roots(spec, gamma, grid)
     solution = StieltjesSolution(
-        gamma=float(gamma), spec=spec, grid=grid, m_breve=m_breve, valid=valid,
+        gamma=float(gamma), spec=spec, grid=grid, valid=np.ones(len(grid), dtype=bool),
+        m_breve=_accept(grid, u, spec, gamma, real),
         support=[(float(a), float(b))
                  for a, b in _critical_points(spec, gamma)[1].reshape(-1, 2)])
     solution.m_under_zero  # solved here, so companion_zero's cache holds it
@@ -588,8 +580,8 @@ def solve_density(spec: PopulationSpectrum, gamma: float,
     that does, is cut at the _near_splits inside it, where the density can
     change over a length far below the node spacing, into pieces with a
     Chebyshev grid each (dense at the cut), or else its node count doubles.
-    Raises NoConvergence if any grid point is invalid; warns
-    (RuntimeWarning) if a piece still misses after the last refinement."""
+    Raises NoConvergence where boundary_values does; warns (RuntimeWarning)
+    if a piece still misses after the last refinement."""
     crit, values = _critical_points(spec, check_gamma(gamma))
     lows, highs = values.reshape(-1, 2).T
     exact = np.diff(cdf(spec, crit).reshape(-1, 2)).ravel()
@@ -610,10 +602,6 @@ def solve_density(spec: PopulationSpectrum, gamma: float,
             x[-1] = b
         solution = replace(boundary_values(spec, gamma, np.unique(np.concatenate(
             fixed + nodes))), cuts=tuple(sorted(cuts)))
-        if not solution.valid.all():
-            i = int(np.argmin(solution.valid))
-            raise NoConvergence(f"boundary value at lambda={solution.grid[i]} "
-                                f"missed its residual")
         keep = np.ones(len(solution.grid), dtype=bool)
         keep[solution.grid.searchsorted(np.concatenate([x[1:-1:2] for x in nodes]))] = False
         coarse = replace(solution, grid=solution.grid[keep],

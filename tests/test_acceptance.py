@@ -254,3 +254,36 @@ def test_criterion_12_determinism(solutions, spec_204040):
     _report(12, b1 == b2,
             f"two same-seed runs produced byte-identical report bodies "
             f"({len(b1)} bytes)")
+
+
+def test_criterion_14_exact_separation(spec_204040, spec_unif56):
+    # exact separation (Bai & Silverstein 1999): the sample eigenvalues of a
+    # support interval, those between the gaps around it (split at mid-gap),
+    # number the population eigenvalues between its pair of critical points
+    # of x, less the N - p zero eigenvalues on the lowest at gamma < 1.
+    # Counted literally inside [a, b] instead, edge fluctuations move some
+    # eigenvalues just past an edge: 19/40/39 at gamma = 10, N = 100.
+    mixture = spectrum.validate(atoms=[(0.27, 7.12)], segments=[(0.73, 2.14, 5.15)])
+    t0 = time.perf_counter()
+    misses = []
+    for spec, gamma, n in ((spec_204040, 10.0, 100), (spec_204040, 100.0, 50),
+                           (mixture, 87.5, 50), (spec_unif56, 0.5, 100)):
+        config = simulate.SimulationConfig(N=n, p=round(n * gamma), spec=spec,
+                                           reps=20, seed=14,
+                                           entry_law="complex-gaussian")
+        crit, edges = stieltjes._critical_points(spec, gamma)
+        pop = config.population_diag
+        expected = [np.sum((lo < pop) & (pop < hi)) for lo, hi in crit.reshape(-1, 2)]
+        expected[0] -= max(0, n - config.p)
+        lam = simulate.generate(config, range(config.reps)).eigenvalues
+        zero = shrinkage.zero_eigenvalues(lam)
+        mid_gaps = 0.5 * (edges[1:-1:2] + edges[2::2])
+        for row, z in zip(lam, zero):
+            counts = np.bincount(np.searchsorted(mid_gaps, row[~z]),
+                                 minlength=len(expected))
+            if list(counts) != expected or z.sum() != max(0, n - config.p):
+                misses.append((gamma, n, list(counts), int(z.sum())))
+    elapsed = time.perf_counter() - t0
+    _report(14, not misses,
+            f"{len(misses)} of 80 replications off the exact counts {misses[:3]}, "
+            f"runtime {elapsed:.2f}s")

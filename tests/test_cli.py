@@ -121,6 +121,9 @@ def test_missing_subcommand_is_usage_error(capsys):
                  "gammas": [2]}, []),
     ("kernel", {"spectrum": D1, "gammas": [2], "t_points": 7.5}, []),
     ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "delta_points": 1.5}, []),
+    # an unknown output name: ignored before, with a manifest and no file
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "outputs": ["lossses"]}, []),
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "outputs": [7]}, []),
 ], ids=["entry_law", "N", "reps", "grid", "segment", "spectrum_list",
         "spectrum_atoms", "gammas_number", "gammas_text", "gammas_zero",
         "sweep_N", "N_text", "p_zero", "reps_text", "t_points", "l",
@@ -129,7 +132,7 @@ def test_missing_subcommand_is_usage_error(capsys):
         "reps_boolean", "seed_fraction", "seed_negative", "seed_flag_negative",
         "sweep_N_fraction", "gammas_number_text", "gammas_boolean",
         "grid_fraction", "weight_text", "t_points_fraction",
-        "delta_points_fraction"])
+        "delta_points_fraction", "outputs_misspelt", "outputs_number"])
 def test_config_errors_are_usage_errors(tmp_path, capsys, command, doc, extra):
     cfg = _write_config(tmp_path, "cfg.json", doc)
     out = tmp_path / "out"

@@ -1041,8 +1041,7 @@ def test_density_and_mass_at_zero_follow_the_fields(solutions):
 
 def test_solve_mF_raises_with_its_residual(spec_d1, monkeypatch):
     # a Newton solve that leaves its seed unsolved
-    monkeypatch.setattr(stieltjes, "_newton",
-                        lambda spec, gamma, z, u: (1.5 * u, np.zeros(u.shape, bool)))
+    monkeypatch.setattr(stieltjes, "_newton", lambda spec, gamma, z, u: 1.5 * u)
     with pytest.raises(NoConvergence) as info:
         stieltjes.solve_mF(np.array([2.0 + 0.1j, 3.0 + 0.1j]), spec_d1, 2.0)
     assert isinstance(info.value.residual, float)
@@ -1050,15 +1049,47 @@ def test_solve_mF_raises_with_its_residual(spec_d1, monkeypatch):
 
 
 def test_solve_density_raises_on_an_invalid_point(spec_d1, monkeypatch):
+    # one grid point whose root is off: boundary_values raises, and with it
+    # solve_density
     real_roots = stieltjes._real_roots
 
     def one_missed(spec, gamma, lam):
-        u, ok = real_roots(spec, gamma, lam)
-        ok[len(ok) // 2] = False
-        return u, ok
+        u, real = real_roots(spec, gamma, lam)
+        u[len(u) // 2] *= 1.5
+        return u, real
     monkeypatch.setattr(stieltjes, "_real_roots", one_missed)
     with pytest.raises(NoConvergence, match="missed its residual"):
         stieltjes.solve_density(spec_d1, 2.0, num_points=300)
+
+
+def test_boundary_values_raises_where_a_root_is_rejected(spec_d1, monkeypatch):
+    # every real-axis root is accepted or raises: where _at_root rejects the
+    # root at one lambda, boundary_values names that lambda and carries the
+    # residual of its last check
+    grid, at_root, last = np.linspace(0.5, 2.5, 9), stieltjes._at_root, []
+    lam = grid[4]
+
+    def rejects(z, u, spec, gamma, S=None):
+        m, resid, ok = at_root(z, u, spec, gamma, S)
+        hit = np.asarray(z) == lam
+        last[:] = resid[hit]
+        return m, resid, ok & ~hit
+    monkeypatch.setattr(stieltjes, "_at_root", rejects)
+    with pytest.raises(NoConvergence) as info:
+        stieltjes.boundary_values(spec_d1, 2.0, grid)
+    assert f"root at {lam} " in str(info.value)
+    assert info.value.residual == last[0] and last[0] <= stieltjes.TOL
+
+
+def test_boundary_values_raises_at_a_root_below_the_real_axis(spec_d1, monkeypatch):
+    # inside the support the conjugate of the physical root solves x(u) =
+    # lambda as well, and passes the residual test; Im u < 0 rejects it
+    newton = stieltjes._newton
+    monkeypatch.setattr(stieltjes, "_newton",
+                        lambda spec, gamma, z, u: np.conj(newton(spec, gamma, z, u)))
+    with pytest.raises(NoConvergence, match="or sign check"):
+        stieltjes.boundary_values(spec_d1, 2.0, np.linspace(0.5, 2.5, 9))
+
 
 def test_f_integral_takes_end_terms_at_cuts():
     # density t^(1/2) (1 - t)^(1/2) (1 + t), t = lambda - 1, on [1, 2]: mass
