@@ -35,10 +35,6 @@ class GammaOne(DomainError):
     """The aspect ratio gamma = 1 is excluded from boundary-value formulas."""
 
 
-class EmptySupport(MPShrinkError):
-    """A solution carries no support intervals."""
-
-
 class DegenerateDenominator(MPShrinkError):
     """Closed-form denominator too close to zero to evaluate."""
 

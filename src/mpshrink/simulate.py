@@ -14,7 +14,6 @@ over single draws.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -245,14 +244,15 @@ def empirical_overlap(config: SimulationConfig, lambda_bins,
     rep_sum, rep_cnt = _replicate(config, rows)
     count = rep_cnt.sum(axis=0)
     empty = count == 0
-    with np.errstate(invalid="ignore", divide="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # empty bins are flagged
-        rep_mean = np.where(rep_cnt > 0, rep_sum / rep_cnt, np.nan)
-        mean = np.where(empty, np.nan, np.nansum(rep_sum, axis=0)
-                        / np.maximum(count, 1))
-        valid_reps = np.sum(~np.isnan(rep_mean), axis=0)
-        spread = np.nanstd(rep_mean, axis=0, ddof=1)
-        se = np.where(valid_reps > 1, spread / np.sqrt(valid_reps), np.nan)
+    mean = np.where(empty, np.nan, rep_sum.sum(axis=0) / np.maximum(count, 1))
+    # the spread of the means of the replications that reach a bin (ddof 1)
+    has = rep_cnt > 0
+    reps = has.sum(axis=0)
+    n = np.maximum(reps, 1)
+    rep_mean = np.divide(rep_sum, rep_cnt, out=np.zeros(rep_sum.shape), where=has)
+    dev = np.where(has, rep_mean - rep_mean.sum(axis=0) / n, 0.0)
+    spread = np.sqrt((dev * dev).sum(axis=0) / np.maximum(reps - 1, 1))
+    se = np.where(reps > 1, spread / np.sqrt(n), np.nan)
     return OverlapBinTable(lambda_edges=lam_edges, tau_edges=tau_edges,
                            mean=mean, std_error=se, count=count, empty=empty)
 

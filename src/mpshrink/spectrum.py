@@ -32,20 +32,20 @@ class PopulationSpectrum:
 
     atoms: tuple of (weight, location) point masses, sorted by location.
     segments: tuple of (weight, lo, hi) uniform pieces, density weight/(hi-lo).
-    h1, h2: infimum and supremum of the support (h1 > 0).
+    h1, h2: infimum and supremum of the support (h1 > 0); derived, as is
     columns: (n, 1) atom weights, locations, segment weights, lo, hi, densities.
     """
 
     atoms: tuple[tuple[float, float], ...]
     segments: tuple[tuple[float, float, float], ...]
-    h1: float
-    h2: float
 
     def __post_init__(self):
         aw, at = np.reshape(np.array(self.atoms, float), (-1, 2)).T[:, :, None]
         sw, lo, hi = np.reshape(np.array(self.segments, float), (-1, 3)).T[:, :, None]
         self.__dict__.update(columns=(aw, at, sw, lo, hi, sw / (hi - lo)),
-                             _hash=hash((self.atoms, self.segments, self.h1, self.h2)))
+                             h1=float(np.concatenate([at, lo]).min()),
+                             h2=float(np.concatenate([at, hi]).max()),
+                             _hash=hash((self.atoms, self.segments)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -61,8 +61,7 @@ def validate(atoms: Sequence[Sequence[float]] = (),
              segments: Sequence[Sequence[float]] = ()) -> PopulationSpectrum:
     """Build a normalized PopulationSpectrum from raw atom/segment lists.
 
-    Zero-weight entries are dropped, components are sorted by location and
-    h1/h2 are recomputed from content.
+    Zero-weight entries are dropped and components are sorted by location.
 
     Raises NonPositiveSupport if any mass sits at tau <= 0, ValueError at a
     location that is not finite, MassNotOne if a weight is negative or not
@@ -105,11 +104,7 @@ def validate(atoms: Sequence[Sequence[float]] = (),
         merged[t] = merged.get(t, 0.0) + w
     atoms_t = tuple(sorted(((w, t) for t, w in merged.items()), key=lambda a: a[1]))
     segs_t = tuple(sorted(clean_segments, key=lambda s: (s[1], s[2])))
-
-    locs = [t for _, t in atoms_t] + [lo for _, lo, _ in segs_t]
-    his = [t for _, t in atoms_t] + [hi for _, _, hi in segs_t]
-    return PopulationSpectrum(atoms=atoms_t, segments=segs_t,
-                              h1=min(locs), h2=max(his))
+    return PopulationSpectrum(atoms=atoms_t, segments=segs_t)
 
 
 def point_mass(location: float) -> PopulationSpectrum:

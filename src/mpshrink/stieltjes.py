@@ -33,13 +33,13 @@ returns only roots that pass it, or raises NoConvergence (_accept).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, EmptySupport, GammaOne, NoConvergence
+from .errors import DomainError, GammaOne, NoConvergence
 from .spectrum import PopulationSpectrum, _stieltjes_h, cdf, moment
 
 TOL = 1e-12
@@ -208,7 +208,10 @@ def _newton(spec: PopulationSpectrum, gamma: float, z, u):
     """Newton on x(u) = z from 1-D seeds u; returns u, for _accept.  A point
     has converged when _at_root accepts it; it then takes one more step, to
     rounding level, only if |step| < Im u (one that could cross the real axis
-    is noise), and stops, so its bits do not depend on the rest of the batch."""
+    is noise), and stops, so its bits do not depend on the rest of the batch.
+    Before that, a step from Im u > 0 that would end at Im u <= 0 is scaled
+    to end at Im u / 2: the physical root is the only one above the axis,
+    and its conjugate, below it, passes the residual test too."""
     u, i = np.array(u, dtype=complex), np.arange(len(u))
     for _ in range(NEWTON_STEPS + 1):
         ui = u[i]
@@ -216,6 +219,8 @@ def _newton(spec: PopulationSpectrum, gamma: float, z, u):
         x, x1 = _in_u(ui, spec, gamma, order=1, S=S)
         ok = _at_root(z[i], ui, spec, gamma, S)[2]
         step = (x - z[i]) / x1
+        cross = ~ok & (ui.imag > 0) & (step.imag >= ui.imag)
+        step[cross] *= ui.imag[cross] / (2.0 * step.imag[cross])
         step[ok & ~(np.abs(step) < ui.imag)] = 0.0
         u[i], i = ui - step, i[~ok]  # u at the old i
         if not len(i):
@@ -265,11 +270,11 @@ def _near_splits(spec: PopulationSpectrum, gamma: float) -> np.ndarray:
     passes close to a singular point of u(lambda), so that the density changes
     over a length that shrinks with w there: at the local minima of w (near
     splits of the support), where Im x'(u) falls through 0 as
-    dw/dv = -Im x'/Re x', bracketed by the curve samples; and over the ends
-    of the segments of H but the lowest and highest point of supp H in the
+    dw/dv = -Im x'/Re x', bracketed by the curve samples; and over each end
+    of a segment of H but the lowest and highest point of supp H in the
     interval's critical pair, next to which the curve meets the real axis."""
     crit, values = _critical_points(spec, gamma)
-    ends = np.ravel([(lo, hi) for _, lo, hi in spec.segments])
+    ends = np.unique([(lo, hi) for _, lo, hi in spec.segments])
     points = np.concatenate([ends, [t for _, t in spec.atoms]])
     neg, pos, at = [], [], []
     for a, b, u_a, u_b in zip(values[::2], values[1::2], crit[::2], crit[1::2]):
@@ -364,27 +369,34 @@ def _in_blocks(f, lam, dtype):
 class StieltjesSolution:
     """Boundary values of the limiting law on a lambda grid.
 
-    spec and gamma are the population spectrum H and the aspect ratio; support
-    holds the closed intervals where the density is positive; cuts are grid
-    nodes inside the support where the trapezoid rule of f_integral restarts
-    (solve_density); density, mass_at_zero and m_under_zero follow from the
-    fields.  boundary_values raises where it rejects a root, so every grid
-    point holds an accepted m_breve and valid is all True.  gamma must pass
-    check_gamma; the support is not empty.
+    spec and gamma are the population spectrum H and the aspect ratio; cuts
+    are grid nodes inside the support where the trapezoid rule of f_integral
+    restarts (solve_density); support, density, mass_at_zero and
+    m_under_zero follow from the fields.  boundary_values raises where it
+    rejects a root, so every grid point holds an accepted m_breve and valid
+    is all True.  gamma must pass check_gamma.
     """
 
     gamma: float
     spec: PopulationSpectrum
     grid: np.ndarray
     m_breve: np.ndarray
-    support: list[tuple[float, float]]
-    valid: np.ndarray = field(repr=False)
     cuts: tuple[float, ...] = ()
 
     def __post_init__(self):
         check_gamma(self.gamma)
-        if not self.support:
-            raise EmptySupport("a solution needs at least one support interval")
+
+    @property
+    def support(self) -> list[tuple[float, float]]:
+        """The closed intervals where the density is positive, ascending:
+        x at the critical pairs of x (_critical_points); never empty."""
+        return [(float(a), float(b))
+                for a, b in _critical_points(self.spec, self.gamma)[1].reshape(-1, 2)]
+
+    @property
+    def valid(self) -> np.ndarray:
+        """All True, kept for its readers: every grid point holds an accepted root."""
+        return np.ones(len(self.grid), dtype=bool)
 
     def _check(self, spec: PopulationSpectrum, gamma: float | None = None):
         """DomainError unless spec (and gamma, if given) are the solution's."""
@@ -552,18 +564,15 @@ def boundary_values(spec: PopulationSpectrum, gamma: float,
             or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("grid must be a strictly ascending positive finite 1-D array")
     u, real = _real_roots(spec, gamma, grid)
-    solution = StieltjesSolution(
-        gamma=float(gamma), spec=spec, grid=grid, valid=np.ones(len(grid), dtype=bool),
-        m_breve=_accept(grid, u, spec, gamma, real),
-        support=[(float(a), float(b))
-                 for a, b in _critical_points(spec, gamma)[1].reshape(-1, 2)])
+    solution = StieltjesSolution(gamma=float(gamma), spec=spec, grid=grid,
+                                 m_breve=_accept(grid, u, spec, gamma, real))
     solution.m_under_zero  # solved here, so companion_zero's cache holds it
     return solution
 
 
 def support_edges(solution: StieltjesSolution) -> list[tuple[float, float]]:
     """Support intervals, ascending; never empty."""
-    return list(solution.support)
+    return solution.support
 
 
 def solve_density(spec: PopulationSpectrum, gamma: float,
@@ -604,8 +613,7 @@ def solve_density(spec: PopulationSpectrum, gamma: float,
             fixed + nodes))), cuts=tuple(sorted(cuts)))
         keep = np.ones(len(solution.grid), dtype=bool)
         keep[solution.grid.searchsorted(np.concatenate([x[1:-1:2] for x in nodes]))] = False
-        coarse = replace(solution, grid=solution.grid[keep],
-                         m_breve=solution.m_breve[keep], valid=solution.valid[keep])
+        coarse = replace(solution, grid=solution.grid[keep], m_breve=solution.m_breve[keep])
         ends = np.array(pieces)[:, :2]
         gaps = np.abs(np.diff(solution.f_integral(ends) - coarse.f_integral(ends)).ravel())
         what = "halving gap"

@@ -49,7 +49,7 @@ def test_gamma_one_guard(spec_d1):
     with pytest.raises(GammaOne):
         stieltjes.StieltjesSolution(
             gamma=1.0, grid=np.array([1.0, 2.0]), m_breve=np.array([0j, 0j]),
-            support=[(1.0, 2.0)], spec=spec_d1, valid=np.array([True, True]))
+            spec=spec_d1)
 
 
 def test_fig1_profile_uniform_spectrum(solutions):

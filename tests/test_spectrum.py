@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 
@@ -28,6 +29,14 @@ def test_validate_three_atoms():
 def test_validate_single_atom():
     s = spectrum.validate(atoms=[(1.0, 1.0)])
     assert s.h1 == s.h2 == 1.0
+
+
+def test_h1_and_h2_are_derived_and_read_only():
+    s = spectrum.PopulationSpectrum(atoms=((0.5, 2.0),), segments=((0.5, 1.0, 3.0),))
+    assert [f.name for f in dataclasses.fields(s)] == ["atoms", "segments"]
+    assert (s.h1, s.h2) == (1.0, 3.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.h1 = 0.5
 
 
 def test_validate_negative_location_rejected():
@@ -293,7 +302,7 @@ class _CountedTuple(tuple):
 
 def test_hash_is_computed_once_per_spectrum():
     atoms = _CountedTuple(((0.5, 1.0), (0.5, 2.0)))
-    spec = spectrum.PopulationSpectrum(atoms=atoms, segments=(), h1=1.0, h2=2.0)
+    spec = spectrum.PopulationSpectrum(atoms=atoms, segments=())
     for k in (1, 2, 2, 3):
         hash(spec), spectrum.moment(spec, k)
     assert _CountedTuple.hashes == 1

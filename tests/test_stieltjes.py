@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import SOLUTION_POINTS, interior_points
 from mpshrink import overlap, shrinkage, spectrum, stieltjes
-from mpshrink.errors import DomainError, EmptySupport, GammaOne, NoConvergence
+from mpshrink.errors import DomainError, GammaOne, NoConvergence
 
 U_HARD = spectrum.uniform(0.01, 10.0)   # segment reaching down to 1e-3 * h2
 MIXTURE = spectrum.validate(atoms=[(0.27, 7.12)], segments=[(0.73, 2.14, 5.15)])
@@ -260,23 +260,25 @@ def test_m_at_matches_boundary_values(solutions, name, gamma):
     assert np.array_equal(sol.m_at(edges), sol.m_breve[i])
 
 
-def test_stencils_reproduce_polynomials():
+def test_stencils_reproduce_polynomials(spec_d1):
     # m_at between the knots of a support interval where v = Re m_breve +
     # i log(Im m_breve / sin theta) is a degree-5 polynomial in the Chebyshev
     # angle gives it back, one point at a time and as a dense array: the
-    # Newton form through the 6 nearest of 10 unevenly spaced knots
+    # Newton form through the 6 nearest of 10 unevenly spaced knots, in the
+    # support of delta_1 at gamma = 2
     rng = np.random.default_rng(5)
     coef = rng.normal(size=6) + 1j * rng.normal(size=6)
     def m_breve(t):
         v = sum(c * t ** i for i, c in enumerate(coef))
         return v.real + 1j * np.sin(t) * np.exp(v.imag)
     th = np.sort(np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 10)]))
-    grid = 1.0 + (1.0 - np.cos(th)) / 2.0
-    sol = stieltjes.StieltjesSolution(
-        gamma=2.0, spec=spectrum.point_mass(1.0), grid=grid, m_breve=m_breve(th),
-        support=[(1.0, 2.0)], valid=np.ones(len(grid), dtype=bool))
+    (a, b), = stieltjes.boundary_values(spec_d1, 2.0, [1.0]).support
+    grid = a + (b - a) * (1.0 - np.cos(th)) / 2.0
+    grid[-1] = b
+    sol = stieltjes.StieltjesSolution(gamma=2.0, spec=spec_d1, grid=grid,
+                                      m_breve=m_breve(th))
     lam = np.linspace(grid[1], grid[-2], 1001)  # the knot range
-    exact = m_breve(stieltjes._angle(lam, 1.0, 2.0))
+    exact = m_breve(stieltjes._angle(lam, a, b))
     one = np.array([sol.m_at(x) for x in lam])
     assert np.max(np.abs(one - exact) / np.abs(exact)) <= 1e-10
     assert np.array_equal(sol.m_at(lam), one) and one.imag.min() >= 0.0
@@ -655,13 +657,6 @@ def test_gamma_outside_domain_is_domain_error(spec_d1, gamma):
         stieltjes.solve_mF(1.0 + 1e-3j, spec_d1, gamma)
 
 
-def test_solution_needs_support():
-    with pytest.raises(EmptySupport):
-        stieltjes.StieltjesSolution(
-            gamma=2.0, grid=np.array([1.0, 2.0]), m_breve=np.array([0j, 0j]),
-            support=[], spec=spectrum.point_mass(1.0), valid=np.array([True, True]))
-
-
 def test_boundary_values_rejects_gamma_one(spec_d1):
     with pytest.raises(GammaOne):
         stieltjes.boundary_values(spec_d1, 1.0, np.array([1.0, 2.0]))
@@ -718,19 +713,18 @@ def test_clip_to_support(solutions):
     assert not moved
 
 
-@pytest.mark.parametrize("support", [[(1.0, 2.0)],
-                                     [(1.0, 2.0), (4.0, 5.0), (7.0, 9.0)]])
-def test_clip_to_support_rule(support):
-    sol = stieltjes.StieltjesSolution(
-        gamma=2.0, grid=np.array([0.5, 10.0]), m_breve=np.zeros(2, complex),
-        support=support, spec=spectrum.point_mass(1.0), valid=np.ones(2, dtype=bool))
-    edges = np.ravel(support)
+# the support of delta_1 at gamma = 2 (one interval) and 204040 at 10 (three)
+@pytest.mark.parametrize("support", [("d1", 2.0), ("204040", 10.0)])
+def test_clip_to_support_rule(solutions, support):
+    sol = solutions(*support)
+    edges = np.ravel(sol.support)
     # an exact edge is inside and does not move; neither does a point inside
-    inner = np.concatenate([edges, [1.5, np.nextafter(edges[-1], 0)]])
+    inside = 0.5 * (edges[0] + edges[1])
+    inner = np.concatenate([edges, [inside, np.nextafter(edges[-1], 0)]])
     val, moved = sol.clip_to_support(inner)
     assert np.array_equal(val, inner) and not moved.any()
     # below the lowest and above the highest edge, however far out
-    below = [-np.inf, -1e300, 0.0, np.nextafter(1.0, 0)]
+    below = [-np.inf, -1e300, 0.0, np.nextafter(edges[0], 0)]
     above = [np.nextafter(edges[-1], np.inf), 1e17, 1e300, np.inf]
     val, moved = sol.clip_to_support(below + above)
     assert moved.all()
@@ -741,8 +735,8 @@ def test_clip_to_support_rule(support):
         val, moved = sol.clip_to_support(
             [mid, np.nextafter(mid, 0), np.nextafter(mid, np.inf)])
         assert np.array_equal(val, [lo, lo, hi]) and moved.all()
-    val, moved = sol.clip_to_support(1.5)
-    assert (type(val), type(moved), val, moved) == (float, bool, 1.5, False)
+    val, moved = sol.clip_to_support(inside)
+    assert (type(val), type(moved), val, moved) == (float, bool, inside, False)
     val, moved = sol.clip_to_support(np.float64(20.0))
     assert (type(val), type(moved), val, moved) == (float, bool, edges[-1], True)
 
@@ -784,6 +778,43 @@ def test_inverse_map_properties(case, re_frac, log_im):
     mu = (m - (gamma - 1.0) / z) / gamma
     x = stieltjes._in_u(np.array([-1.0 / mu]), spec, gamma)[0][0]
     assert abs(x - z) <= 1e-9 * max(1.0, abs(z))
+
+
+# Random spectra that failed to solve, with gamma.  Where lam is given,
+# Newton ended on the conjugate of the physical root there, next to a near
+# split; else two segments of H share an end, which was cut twice.  The
+# first two came from test_inverse_map_properties (the shared-end weights
+# divided by their sum 0.9999), the other two from tests/sweep_spectra.py
+# (draws 1333 and 748).
+FAILED_DRAWS = [
+    ([(0.3265, 0.40625), (0.3265, 1.0)], [(0.0204, 0.25, 4.25), (0.3266, 1.0, 2.0)],
+     19.0, 0.49366696375405306),
+    ([(0.3265 / 0.9999, 0.5), (0.3265 / 0.9999, 1.0)],
+     [(0.0204 / 0.9999, 0.5, 2.0), (0.3265 / 0.9999, 2.0, 3.0)], 6.0, None),
+    ([(0.37725510211264235, 0.5668522058720389), (0.41079966370891663, 1.0),
+      (0.09114192522854364, 8.0)],
+     [(0.06320177912460564, 0.5, 5.5), (0.057601529825291764, 1.75, 6.25)],
+     99.79776141969668, 1.1367886560986071),
+    ([(0.2799682859654195, 9.639897160968406), (0.2636690492888337, 9.168403981172064)],
+     [(0.4172985866612335, 2.0, 2.5), (0.03906407808451329, 2.5, 3.2233230311302816)],
+     133.05895794045622, None),
+]
+
+
+@pytest.mark.parametrize("atoms, segments, gamma, lam", FAILED_DRAWS, ids=[
+    "conjugate_root", "shared_end", "sweep_conjugate_root", "sweep_shared_end"])
+def test_random_spectra_that_failed_now_solve(atoms, segments, gamma, lam):
+    spec = spectrum.validate(atoms, segments)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = stieltjes.solve_density(spec, gamma, num_points=1500)
+    assert abs(sol.total_mass() - 1.0) <= 1e-9
+    assert len(set(sol.cuts)) == len(sol.cuts)
+    if lam is not None:
+        # the physical root, which solve_mF seeds from, approaches as Im z -> 0
+        m = stieltjes.boundary_values(spec, gamma, [lam]).m_breve[0]
+        assert m.imag > 0
+        assert abs(stieltjes.solve_mF(lam + 1e-10j, spec, gamma) - m) <= 1e-7 * abs(m)
 
 
 @pytest.mark.parametrize("case", LIMIT_CASES + [("U", 2.0), ("U", 10.0),
@@ -1032,11 +1063,24 @@ def test_interval_mass_check_catches_a_passing_halving_gap():
 
 def test_density_and_mass_at_zero_follow_the_fields(solutions):
     sol = solutions("d1", 0.5)
-    half = dataclasses.replace(sol, grid=sol.grid[::2], m_breve=sol.m_breve[::2],
-                               valid=sol.valid[::2])
+    half = dataclasses.replace(sol, grid=sol.grid[::2], m_breve=sol.m_breve[::2])
     assert np.array_equal(half.density, sol.density[::2])
     assert half.mass_at_zero == sol.mass_at_zero == 0.5
     assert dataclasses.replace(sol, gamma=2.0).mass_at_zero == 0.0
+
+
+def test_support_and_valid_are_derived(solutions):
+    # a solution stores gamma, spec, grid, m_breve and cuts; its support is
+    # read from spec and gamma, so one moved to another gamma carries that
+    # gamma's support, and neither it nor valid can be set
+    moved = dataclasses.replace(solutions("204040", 0.5), gamma=2.0)
+    assert moved.support == solutions("204040", 2.0).support
+    assert [f.name for f in dataclasses.fields(moved)] \
+        == ["gamma", "spec", "grid", "m_breve", "cuts"]
+    assert moved.valid.all() and len(moved.valid) == len(moved.grid)
+    for name in ("support", "valid"):
+        with pytest.raises(AttributeError):
+            setattr(moved, name, None)
 
 
 def test_solve_mF_raises_with_its_residual(spec_d1, monkeypatch):
@@ -1091,21 +1135,22 @@ def test_boundary_values_raises_at_a_root_below_the_real_axis(spec_d1, monkeypat
         stieltjes.boundary_values(spec_d1, 2.0, np.linspace(0.5, 2.5, 9))
 
 
-def test_f_integral_takes_end_terms_at_cuts():
-    # density t^(1/2) (1 - t)^(1/2) (1 + t), t = lambda - 1, on [1, 2]: mass
-    # 3 pi/16; Chebyshev grids on [1, 1.4] and [1.4, 2], cut at 1.4, where
-    # the density does not vanish: without its end terms the rule is 4.3e-6 off
-    theta = np.linspace(0.0, np.pi, 257)
-    grid = np.unique(np.concatenate([1.0 + 0.2 * (1.0 - np.cos(theta)),
-                                     1.4 + 0.3 * (1.0 - np.cos(theta))]))
-    grid = np.concatenate([[0.5], grid, [2.5]])
-    t = np.clip(grid - 1.0, 0.0, 1.0)
+def test_f_integral_takes_end_terms_at_cuts(spec_d1):
+    # on the support [a, b] of delta_1 at gamma = 2, the density t^(1/2)
+    # (1 - t)^(1/2) (1 + t), t = (lambda - a) / (b - a): mass 3 pi/16 (b - a);
+    # Chebyshev grids on [a, c] and [c, b], cut at c = a + 0.4 (b - a), where
+    # the density does not vanish: without its end terms the rule is 1.2e-5 off
+    (a, b), = stieltjes.boundary_values(spec_d1, 2.0, [1.0]).support
+    c = a + 0.4 * (b - a)
+    pieces = [lo + 0.5 * (hi - lo) * (1.0 - np.cos(np.linspace(0.0, np.pi, 257)))
+              for lo, hi in ((a, c), (c, b))]
+    pieces[0][-1], pieces[1][-1] = c, b
+    grid = np.concatenate([[0.5 * a], np.unique(np.concatenate(pieces)), [b + 0.5]])
+    t = np.clip((grid - a) / (b - a), 0.0, 1.0)
     density = np.sqrt(t * (1.0 - t)) * (1.0 + t)
-    sol = stieltjes.StieltjesSolution(
-        gamma=2.0, grid=grid, m_breve=1j * np.pi * density, support=[(1.0, 2.0)],
-        spec=spectrum.point_mass(1.0), valid=np.ones(grid.shape, dtype=bool),
-        cuts=(1.4,))
-    assert abs(sol.total_mass() - 3.0 * np.pi / 16.0) <= 1e-9
+    sol = stieltjes.StieltjesSolution(gamma=2.0, grid=grid, spec=spec_d1,
+                                      m_breve=1j * np.pi * density, cuts=(c,))
+    assert abs(sol.total_mass() - 3.0 * np.pi / 16.0 * (b - a)) <= 1e-9
 
 
 @pytest.mark.parametrize("gamma", [0.5, 2.0])
