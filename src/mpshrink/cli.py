@@ -13,7 +13,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,44 +33,36 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_path: str
-    output_paths: list[str]
-    seed: int | None
-    version: str
-    duration_s: float
-    mc_workers: int | None  # threads of the Monte-Carlo loops (simulate)
-    blas_threads: str | None  # the BLAS thread setting mc_workers read
-    numpy_version: str
-    python_version: str
-
-    def write(self, path: str) -> None:
-        _write_json(path, asdict(self))
-
-
 def _write_json(path: str, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _emit(outputs: list[str], path: str, doc, header=None) -> None:
+    """Write doc to path, as CSV rows under header (floats to 17 digits) or,
+    with no header, as JSON; then record path in outputs."""
+    if header is None:
+        _write_json(path, doc)
+    else:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in doc:
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    outputs.append(path)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _object(doc) -> dict:
-    if not isinstance(doc, dict):
-        raise TypeError(f"expected an object, got {doc!r}")
-    return doc
+def _object(*keys):
+    """The kind of a JSON object that holds no key but keys."""
+    def kind(doc) -> dict:
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected an object, got {doc!r}")
+        unknown = doc.keys() - set(keys)
+        if unknown:
+            raise ValueError(f"unknown key(s) {sorted(unknown)}, expected "
+                             f"some of {list(keys)}")
+        return doc
+    return kind
 
 
 def _list(item, least: int = 0):
@@ -123,16 +114,20 @@ def _get(cfg: dict, key: str, kind, default=...):
         raise UsageError(f"bad '{key}': {exc}") from exc
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, *keys) -> dict:
+    """The config at path, a JSON object that holds no key but keys."""
     try:
         with open(path) as fh:
-            return _object(json.load(fh))
+            return _object(*keys)(json.load(fh))
     except (OSError, TypeError, ValueError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise UsageError(f"bad config {path}: {exc}") from exc
 
 
 def _tag(gamma: float) -> str:
     return ("%g" % gamma).replace(".", "p")
+
+
+LIMIT_KEYS = ("spectrum", "gammas", "grid")  # the config keys _limits reads
 
 
 def _limits(cfg: dict, gammas=...):
@@ -142,27 +137,27 @@ def _limits(cfg: dict, gammas=...):
     # a gamma outside stieltjes.check_gamma raises DomainError (exit 1)
     gammas = _get(cfg, "gammas", _list(
         lambda g: stieltjes_mod.check_gamma(_number(g)), 1), gammas)
-    n = _get(_get(cfg, "grid", _object, {}), "n", _count(2), 2000)
+    n = _get(_get(cfg, "grid", _object("n"), {}), "n", _count(2), 2000)
     return spec, ((g, stieltjes_mod.solve_density(spec, g, num_points=n))
                   for g in gammas)
 
 
-def cmd_density(cfg: dict, out_dir: str, args) -> list[str]:
+def cmd_density(args) -> tuple[list[str], dict]:
     outputs = []
-    for gamma, sol in _limits(cfg)[1]:
-        path = os.path.join(out_dir, f"density_gamma{_tag(gamma)}.csv")
-        _write_csv(path, ["lambda", "m_re", "m_im", "density"],
-                   ((l, mb.real, mb.imag, d) for l, mb, d in
-                    zip(sol.grid, sol.m_breve, sol.density)))
-        outputs.append(path)
-    return outputs
+    for gamma, sol in _limits(_load_config(args.config, *LIMIT_KEYS))[1]:
+        _emit(outputs, os.path.join(args.out, f"density_gamma{_tag(gamma)}.csv"),
+              ((l, mb.real, mb.imag, d) for l, mb, d in
+               zip(sol.grid, sol.m_breve, sol.density)),
+              ["lambda", "m_re", "m_im", "density"])
+    return outputs, {}
 
 
-def cmd_kernel(cfg: dict, out_dir: str, args) -> list[str]:
+def cmd_kernel(args) -> tuple[list[str], dict]:
+    cfg = _load_config(args.config, *LIMIT_KEYS, "t_points", "l", "cumulative")
     spec, solutions = _limits(cfg, [2.0, 10.0, 100.0])
     n_t = _get(cfg, "t_points", _count(0), 400)
     l_cfg = _get(cfg, "l", lambda v: v if v == "sup" else _number(v), "sup")
-    cum = _get(cfg, "cumulative", _object, None)
+    cum = _get(cfg, "cumulative", _object("lambdas", "taus"), None)
     if cum is not None:
         lam_vals = _get(cum, "lambdas", _list(_number, 1))
         tau_vals = _get(cum, "taus", _list(_number, 1))
@@ -170,36 +165,34 @@ def cmd_kernel(cfg: dict, out_dir: str, args) -> list[str]:
     for gamma, sol in solutions:
         l = sol.support[-1][1] if l_cfg == "sup" else l_cfg
         t_grid = np.linspace(spec.h1, spec.h2, n_t)
-        vals = overlap_mod.phi(l, t_grid, sol)
-        path = os.path.join(out_dir, f"kernel_gamma{_tag(gamma)}.csv")
-        _write_csv(path, ["l", "t", "phi"],
-                   ((l, t, v) for t, v in zip(t_grid, vals)))
-        norm = overlap_mod.phi_h_integral(l, sol, spec)
-        meta_path = os.path.join(out_dir, f"kernel_gamma{_tag(gamma)}.meta.json")
-        _write_json(meta_path, {"gamma": gamma, "l": l, "h_integral": norm})
-        outputs.extend([path, meta_path])
+        stem = os.path.join(args.out, f"kernel_gamma{_tag(gamma)}")
+        _emit(outputs, stem + ".csv",
+              ((l, t, v) for t, v in zip(t_grid, overlap_mod.phi(l, t_grid, sol))),
+              ["l", "t", "phi"])
+        _emit(outputs, stem + ".meta.json", {
+            "gamma": gamma, "l": l,
+            "h_integral": overlap_mod.phi_h_integral(l, sol, spec)})
         if cum is not None:
-            cum_path = os.path.join(out_dir,
-                                    f"cumulative_gamma{_tag(gamma)}.csv")
-            _write_csv(cum_path, ["lambda", "tau", "Phi"],
-                       ((lv, tv,
-                         overlap_mod.phi_cumulative(lv, tv, sol, spec))
-                        for lv in lam_vals for tv in tau_vals))
-            outputs.append(cum_path)
-    return outputs
+            _emit(outputs,
+                  os.path.join(args.out, f"cumulative_gamma{_tag(gamma)}.csv"),
+                  ((lv, tv, overlap_mod.phi_cumulative(lv, tv, sol, spec))
+                   for lv in lam_vals for tv in tau_vals),
+                  ["lambda", "tau", "Phi"])
+    return outputs, {}
 
 
-def cmd_shrink(cfg: dict, out_dir: str, args) -> list[str]:
-    spec, solutions = _limits(cfg)
+def cmd_shrink(args) -> tuple[list[str], dict]:
+    spec, solutions = _limits(_load_config(args.config, *LIMIT_KEYS))
     outputs = []
     for gamma, sol in solutions:
         lam = sol.grid[~sol.clip_to_support(sol.grid)[1]]  # in the support
         curve = shrinkage_mod.build_shrinkage_curve(sol, spec, lam)
         a_lin, b_lin = shrinkage_mod.linear_shrinkage_limit(spec, gamma)
-        path = os.path.join(out_dir, f"shrink_gamma{_tag(gamma)}.csv")
-        _write_csv(path, ["lambda", "delta", "psi", "linear_baseline"],
-                   ((l, d, p, a_lin + b_lin * l) for l, d, p in
-                    zip(curve.lambda_grid, curve.delta, curve.psi)))
+        stem = os.path.join(args.out, f"shrink_gamma{_tag(gamma)}")
+        _emit(outputs, stem + ".csv",
+              ((l, d, p, a_lin + b_lin * l) for l, d, p in
+               zip(curve.lambda_grid, curve.delta, curve.psi)),
+              ["lambda", "delta", "psi", "linear_baseline"])
         cov_gap, inv_gap = shrinkage_mod.moment_residuals(sol, spec)
         print(f"gamma={gamma}: moment conservation gaps "
               f"cov={cov_gap:.3e} inv={inv_gap:.3e}")
@@ -212,18 +205,17 @@ def cmd_shrink(cfg: dict, out_dir: str, args) -> list[str]:
         if gamma < 1:
             summary["delta_zero"] = curve.delta_zero
             summary["psi_zero"] = curve.psi_zero
-        json_path = os.path.join(out_dir, f"shrink_gamma{_tag(gamma)}.json")
-        _write_json(json_path, summary)
-        outputs.extend([path, json_path])
-    return outputs
+        _emit(outputs, stem + ".json", summary)
+    return outputs, {}
 
 
-def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
+def cmd_simulate(args) -> tuple[list[str], dict]:
+    cfg = _load_config(args.config, "spectrum", "reps", "seed", "N", "p",
+                       "entry_law", "sweep_N", "outputs", "delta_points",
+                       "lambda_bins", "tau_bins", "assert_nonlinear_min")
     spec = _get(cfg, "spectrum", spectrum_mod.from_json)
     reps = args.reps if args.reps is not None else _get(cfg, "reps", _count(1), 100)
     seed = args.seed if args.seed is not None else _get(cfg, "seed", _count(0), 0)
-    args.seed = seed  # the manifest records the seed in effect
-    args.mc_workers = simulate_mod.mc_workers(reps)  # and the loop threads
     n, p = _get(cfg, "N", _count(1)), _get(cfg, "p", _count(1))
     ratio = stieltjes_mod.check_gamma(p / n)
     law = _get(cfg, "entry_law", _one_of(*simulate_mod.ENTRY_LAWS), "real-gaussian")
@@ -259,30 +251,24 @@ def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
             doc["empirical_delta"] = {"x": list(map(float, xs)),
                                       "value": list(map(float, emp))}
         if "losses" in wanted:
-            loss_path = os.path.join(out_dir, f"losses_N{config.N}.csv")
-            _write_csv(loss_path,
-                       ["rep", "loss_nonlinear", "loss_linear", "loss_sample"],
-                       ((r, a, b, c) for r, (a, b, c) in enumerate(
-                           zip(report.loss_nonlinear, report.loss_linear,
-                               report.loss_sample))))
-            outputs.append(loss_path)
+            _emit(outputs, os.path.join(args.out, f"losses_N{config.N}.csv"),
+                  ((r, a, b, c) for r, (a, b, c) in enumerate(
+                      zip(report.loss_nonlinear, report.loss_linear,
+                          report.loss_sample))),
+                  ["rep", "loss_nonlinear", "loss_linear", "loss_sample"])
         if "overlap" in wanted:
             table = simulate_mod.empirical_overlap(config, lam_bins, tau_bins)
-            ov_path = os.path.join(out_dir, f"overlap_bins_N{config.N}.csv")
-            _write_csv(ov_path,
-                       ["lambda_lo", "lambda_hi", "tau_lo", "tau_hi",
-                        "mean", "std_error", "count"],
-                       ((lam_bins[a], lam_bins[a + 1], tau_bins[b],
-                         tau_bins[b + 1], table.mean[a, b],
-                         table.std_error[a, b], table.count[a, b])
-                        for a in range(len(lam_bins) - 1)
-                        for b in range(len(tau_bins) - 1)
-                        if not table.empty[a, b]))
-            outputs.append(ov_path)
+            _emit(outputs, os.path.join(args.out, f"overlap_bins_N{config.N}.csv"),
+                  ((lam_bins[a], lam_bins[a + 1], tau_bins[b], tau_bins[b + 1],
+                    table.mean[a, b], table.std_error[a, b], table.count[a, b])
+                   for a in range(len(lam_bins) - 1)
+                   for b in range(len(tau_bins) - 1)
+                   if not table.empty[a, b]),
+                  ["lambda_lo", "lambda_hi", "tau_lo", "tau_hi", "mean",
+                   "std_error", "count"])
         reports.append((config.N, doc))
-    path = os.path.join(out_dir, "simulate_report.json")
-    _write_json(path, {"reports": [{"N": n, "report": d} for n, d in reports]})
-    outputs.append(path)
+    _emit(outputs, os.path.join(args.out, "simulate_report.json"),
+          {"reports": [{"N": n, "report": d} for n, d in reports]})
     if args.do_assert:
         for n_val, doc in reports:
             if doc["prial_nonlinear"] < min_prial:
@@ -292,7 +278,8 @@ def cmd_simulate(cfg: dict, out_dir: str, args) -> list[str]:
             if doc["prial_nonlinear"] <= doc["prial_linear"]:
                 raise AssertionError(
                     f"N={n_val}: nonlinear PRIAL not above linear baseline")
-    return outputs
+    # the seed in effect, and the threads of the Monte-Carlo loops
+    return outputs, {"seed": seed, "mc_workers": simulate_mod.mc_workers(reps)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -325,19 +312,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         t0 = time.perf_counter()
-        outputs = args.func(cfg, args.out, args)
-        manifest = RunManifest(
-            command=args.command, config_path=args.config,
-            output_paths=outputs, seed=getattr(args, "seed", None),
-            version=__version__, duration_s=time.perf_counter() - t0,
-            mc_workers=getattr(args, "mc_workers", None),
-            blas_threads=simulate_mod.blas_threads_setting(),
-            numpy_version=np.__version__,
-            python_version=platform.python_version())
-        manifest.write(os.path.join(args.out, f"{args.command}.manifest.json"))
+        outputs, fields = args.func(args)
+        _write_json(os.path.join(args.out, f"{args.command}.manifest.json"), {
+            "command": args.command, "config_path": args.config,
+            "output_paths": outputs, "seed": None, "mc_workers": None,
+            **fields, "version": __version__,
+            "duration_s": time.perf_counter() - t0,
+            "blas_threads": simulate_mod.blas_threads_setting(),
+            "numpy_version": np.__version__,
+            "python_version": platform.python_version()})
         return 0
     except (UsageError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -119,10 +119,11 @@ def uniform(lo: float, hi: float) -> PopulationSpectrum:
 
 def from_json(doc) -> PopulationSpectrum:
     """The spectrum of a decoded {"atoms": [[w, tau], ...], "segments":
-    [[w, lo, hi], ...]} object; TypeError if doc is not an object or an
-    entry holds anything but numbers (a string or a boolean)."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"expected an object, got {doc!r}")
+    [[w, lo, hi], ...]} object; TypeError if doc is not an object, holds a
+    key but these two or an entry holds anything but numbers (a string or a
+    boolean)."""
+    if not isinstance(doc, dict) or not doc.keys() <= {"atoms", "segments"}:
+        raise TypeError(f"expected an object of atoms and segments, got {doc!r}")
     atoms, segments = doc.get("atoms", ()), doc.get("segments", ())
     for entry in [*atoms, *segments]:
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)

@@ -334,7 +334,8 @@ def _real_roots(spec: PopulationSpectrum, gamma: float, lam: np.ndarray):
             path, path_t = _curve_samples(spec, gamma, a, b, u_a, u_b)
             u[i] = _newton(spec, gamma, lam[i],
                            np.interp(_angle(lam[i], a, b), path_t, path))
-    u[off] = _rising_root(spec, gamma, lam[off], crit, values)
+    if off.any():
+        u[off] = _rising_root(spec, gamma, lam[off], crit, values)
     return u, off | np.isin(lam, values)
 
 
@@ -492,11 +493,12 @@ class StieltjesSolution:
         return out
 
     def _exact(self, x):
-        """m_breve at x as boundary_values solves it."""
+        """m_breve at x as boundary_values solves it: each point's root and
+        its test do not depend on the rest of the batch."""
         if not np.all((x > 0) & (x < np.inf)):
             raise DomainError("m_breve off the grid needs a finite lambda > 0")
-        lam, back = np.unique(x, return_inverse=True)
-        return boundary_values(self.spec, self.gamma, lam).m_breve[back]
+        u, real = _real_roots(self.spec, self.gamma, x)
+        return _accept(x, u, self.spec, self.gamma, real)
 
     def f_integral(self, lam, values=1.0, at_zero: float = 1.0):
         """Integral of f against dF over [0, lam], from values = f at every

@@ -31,6 +31,9 @@ def _read_csv(path):
 D1 = {"atoms": [[1.0, 1.0]], "segments": []}
 UNIF56 = {"atoms": [], "segments": [[1.0, 5.0, 6.0]]}
 MIX = {"atoms": [[0.2, 1.0], [0.4, 3.0], [0.4, 10.0]], "segments": []}
+MANIFEST_KEYS = {"command", "config_path", "output_paths", "seed", "version",
+                 "duration_s", "mc_workers", "blas_threads", "numpy_version",
+                 "python_version"}
 
 
 def test_density_matches_closed_form(tmp_path):
@@ -124,6 +127,20 @@ def test_missing_subcommand_is_usage_error(capsys):
     # an unknown output name: ignored before, with a manifest and no file
     ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "outputs": ["lossses"]}, []),
     ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "outputs": [7]}, []),
+    # an unknown key: read as absent before, so kernel ran at its default
+    # gammas, simulate at 100 replications, and the spectrum was empty (exit
+    # 2) or another spectrum than the one meant
+    ("kernel", {"spectrum": D1, "gamma": [5]}, []),
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "rep": 3}, []),
+    ("simulate", {"spectrum": MIX, "N": 15, "p": 30, "grid": {"n": 5}}, []),
+    ("density", {"spectrum": D1, "gammas": [2], "grid": {"m": 50}}, []),
+    ("kernel", {"spectrum": D1, "gammas": [2],
+                "cumulative": {"lambdas": [1.0], "taus": [1.0], "tau": [2.0]}},
+     []),
+    ("density", {"spectrum": {"atom": [[1.0, 1.0]]}, "gammas": [2]}, []),
+    ("density", {"spectrum": {"atoms": [[1.0, 1.0]],
+                              "segment": [[1.0, 5.0, 6.0]]}, "gammas": [2]},
+     []),
 ], ids=["entry_law", "N", "reps", "grid", "segment", "spectrum_list",
         "spectrum_atoms", "gammas_number", "gammas_text", "gammas_zero",
         "sweep_N", "N_text", "p_zero", "reps_text", "t_points", "l",
@@ -132,7 +149,10 @@ def test_missing_subcommand_is_usage_error(capsys):
         "reps_boolean", "seed_fraction", "seed_negative", "seed_flag_negative",
         "sweep_N_fraction", "gammas_number_text", "gammas_boolean",
         "grid_fraction", "weight_text", "t_points_fraction",
-        "delta_points_fraction", "outputs_misspelt", "outputs_number"])
+        "delta_points_fraction", "outputs_misspelt", "outputs_number",
+        "kernel_gamma_key", "simulate_rep_key", "simulate_grid_key",
+        "grid_key", "cumulative_key", "spectrum_atom_key",
+        "spectrum_segment_key"])
 def test_config_errors_are_usage_errors(tmp_path, capsys, command, doc, extra):
     cfg = _write_config(tmp_path, "cfg.json", doc)
     out = tmp_path / "out"
@@ -416,10 +436,23 @@ def test_simulate_manifest_records_seed_in_effect(tmp_path):
         manifest = json.loads((out / "simulate.manifest.json").read_text())
         assert manifest["seed"] == seed
     manifest = json.loads((out1 / "simulate.manifest.json").read_text())
-    assert set(manifest) == {"command", "config_path", "output_paths", "seed",
-                             "version", "duration_s", "mc_workers",
-                             "blas_threads", "numpy_version",
-                             "python_version"}
+    assert set(manifest) == MANIFEST_KEYS
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("density", {"spectrum": D1, "gammas": [2]}),
+    ("kernel", {"spectrum": D1, "gammas": [2], "t_points": 3}),
+    ("shrink", {"spectrum": D1, "gammas": [2]}),
+])
+def test_manifest_keys_without_simulation(tmp_path, command, doc):
+    cfg = _write_config(tmp_path, "cfg.json", doc)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / f"{command}.manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["seed"] is None and manifest["mc_workers"] is None
+    assert manifest["command"] == command and manifest["config_path"] == cfg
+    assert all(os.path.exists(p) for p in manifest["output_paths"])
 
 
 def test_manifest_records_runtime(tmp_path, monkeypatch):
@@ -428,10 +461,10 @@ def test_manifest_records_runtime(tmp_path, monkeypatch):
     for var in simulate.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    cfg = _write_config(tmp_path, "cfg.json",
-                        {"spectrum": MIX, "N": 10, "p": 20, "reps": 4,
-                         "gammas": [2]})
-    for command in ("simulate", "density"):
+    docs = {"simulate": {"spectrum": MIX, "N": 10, "p": 20, "reps": 4},
+            "density": {"spectrum": MIX, "gammas": [2]}}
+    for command, doc in docs.items():
+        cfg = _write_config(tmp_path, f"{command}.json", doc)
         out = tmp_path / command
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / f"{command}.manifest.json").read_text())

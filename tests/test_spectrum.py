@@ -252,6 +252,11 @@ def test_json_roundtrip():
     assert spectrum.from_json(json.loads(s.to_json())) == s
     with pytest.raises(TypeError):
         spectrum.from_json([[0.25, 1.5]])
+    # a misspelt key would read as an empty list of atoms or segments
+    for doc in ({"atom": [[1.0, 1.0]]},
+                {"atoms": [[1.0, 1.0]], "segment": [[1.0, 5.0, 6.0]]}):
+        with pytest.raises(TypeError):
+            spectrum.from_json(doc)
     # a number as text, a boolean or a nested list is not a number
     for atom in (["0.25", 1.5], [0.25, True], [0.25, [1.5]]):
         with pytest.raises(TypeError):
