@@ -421,40 +421,42 @@ class StieltjesSolution:
 
     @cached_property
     def _pieces(self):
-        """The grid's knots in each support interval [a, b]: its points
-        strictly inside it, where Im m_breve > 0 (boundary_values).  Returns
-        their ranges ([a, a] if none), ravelled; per interval a, b, theta and
-        v = Re m_breve + i log(Im m_breve / sin theta), smooth in theta up to a
-        and b; and the _divided tables, each built at its first lookup."""
+        """The grid's knots in each support interval [a, b]: the slice of its
+        points strictly inside it, where Im m_breve > 0 (boundary_values).
+        Returns their ranges ([a, a] if none), ravelled, and per interval a,
+        b, the knots' theta and the _divided table of v = Re m_breve +
+        i log(Im m_breve / sin theta), smooth in theta up to a and b."""
         bounds, pieces = [], []
         for a, b in self.support:
-            sel = (a < self.grid) & (self.grid < b)
-            lam, m, th = self.grid[sel], self.m_breve[sel], _angle(self.grid[sel], a, b)
+            s = slice(self.grid.searchsorted(a, "right"), self.grid.searchsorted(b))
+            lam, m, th = self.grid[s], self.m_breve[s], _angle(self.grid[s], a, b)
             bounds += [lam[0], lam[-1]] if len(lam) else [a, a]
-            pieces.append((a, b, th, m.real + 1j * np.log(m.imag / np.sin(th))))
-        return np.array(bounds), pieces, {}
+            v = m.real + 1j * np.log(m.imag / np.sin(th))
+            pieces.append((a, b, th, _divided(th, v)))
+        return np.array(bounds), pieces
 
     @cached_property
     def _angle_weights(self):
         """Left and right weights of each grid step in the trapezoid rule in
         the Chebyshev angle theta of each piece [a, b] of the support between
-        its edges and cuts, where dlambda/dtheta = sqrt((lambda - a)(b - lambda)),
-        lambda clipped to [a, b]: zero off the support and at its edges.  The
-        density does not vanish at a cut, so there each piece adds its
-        Euler-Maclaurin end term, a weight h^2 (b - a)/24 for its step h."""
+        its edges and cuts, where dlambda/dtheta = sqrt((lambda - a)(b - lambda)):
+        zero off the support and at its edges.  A piece weights the slice of
+        steps that meet it, clipped to [a, b] (a no-op where its ends are nodes,
+        as on solve_density's grids).  At a cut, where the density does not
+        vanish, it adds its Euler-Maclaurin end term h^2 (b - a)/24 for its step h."""
         lo, hi = self.grid[:-1], self.grid[1:]
         left, right = np.zeros(lo.shape), np.zeros(lo.shape)
         ends = np.sort(np.concatenate([np.ravel(self.support), self.cuts, self.cuts]))
         for a, b in ends.reshape(-1, 2):
-            cl, ch = np.clip(lo, a, b), np.clip(hi, a, b)
+            s = slice(hi.searchsorted(a, "right"), lo.searchsorted(b))
+            cl, ch = np.clip(lo[s], a, b), np.clip(hi[s], a, b)
             half = 0.5 * (_angle(ch, a, b) - _angle(cl, a, b))
-            left += half * np.sqrt((cl - a) * (b - cl))
-            right += half * np.sqrt((ch - a) * (b - ch))
-        for c in self.cuts:
-            i, k = np.searchsorted(ends, c), np.searchsorted(self.grid, c)
-            a, b = ends[i - 1], ends[i + 2]
-            right[k - 1] += (np.pi - _angle(lo[k - 1], a, c)) ** 2 * (c - a) / 24
-            left[k] += _angle(hi[k], c, b) ** 2 * (b - c) / 24
+            left[s] += half * np.sqrt((cl - a) * (b - cl))
+            right[s] += half * np.sqrt((ch - a) * (b - ch))
+            if a in self.cuts:
+                left[s.start] += (2 * half[0]) ** 2 * (b - a) / 24
+            if b in self.cuts:
+                right[s.stop - 1] += (2 * half[-1]) ** 2 * (b - a) / 24
         return left, right
 
     def m_at(self, lam):
@@ -466,7 +468,7 @@ class StieltjesSolution:
 
     def _m_block(self, x):
         """m_at of a flat block x."""
-        bounds, pieces, tables = self._pieces
+        bounds, pieces = self._pieces
         k = np.minimum(self.grid.searchsorted(x), len(self.grid) - 1)
         out = self.m_breve[k]
         i = (self.grid[k] != x).nonzero()[0]  # the points off the nodes
@@ -477,10 +479,7 @@ class StieltjesSolution:
             if p % 2 == 0:  # off every knot range
                 out[at] = self._exact(x[at])
                 continue
-            a, b, th, v = pieces[p // 2]
-            if p not in tables:
-                tables[p] = _divided(th, v)
-            rows = tables[p]
+            a, b, th, rows = pieces[p // 2]
             t = _angle(x[at], a, b)
             n, s = len(th), len(rows)
             # the first of the s knots nearest the knot interval holding t
@@ -506,7 +505,8 @@ class StieltjesSolution:
         atom at zero.  The trapezoid rule in theta (_angle_weights), cumulated
         along the grid and linear in lambda in between: dF is sin(theta) times
         a smooth even periodic function of theta, so on the Chebyshev nodes of
-        solve_density the rule converges exponentially.  DomainError at NaN."""
+        solve_density the rule converges exponentially over a whole piece, but
+        only to second order up to a lambda inside one.  DomainError at NaN."""
         left, right = self._angle_weights
         fd = self.density * values
         cum = np.concatenate([[0.0], np.cumsum(left * fd[:-1] + right * fd[1:])])

@@ -327,6 +327,36 @@ def test_m_at_off_support_matches_boundary_values(solutions, name, gamma):
     assert np.array_equal(m, exact.m_breve)
 
 
+@pytest.mark.parametrize("gamma", [10.0, 100.0])
+def test_lookups_on_a_batch_over_every_region(solutions, gamma):
+    # one shuffled batch over both tails (past the grid's ends too), both
+    # gaps, every cell between an edge and its first knot, every knot range,
+    # the edges and the grid nodes: each lookup has the bits it has alone,
+    # and off the knot ranges m_at is the exact boundary value
+    spec, sol = solutions.specs["204040"], solutions("204040", gamma)
+    rng = np.random.default_rng(42)
+    edges = np.ravel(sol.support)
+    assert len(edges) == 6
+    knots = [sol.grid[(sol.grid > a) & (sol.grid < b)] for a, b in sol.support]
+    cells = [(0.1 * edges[0], edges[0]), (edges[-1], 2.0 * sol.grid[-1])]
+    cells += list(zip(edges[1:-1:2], edges[2:-1:2]))  # the gaps
+    cells += [c for a, b, k in zip(edges[::2], edges[1::2], knots)
+              for c in ((a, k[0]), (k[-1], b))]
+    ranges = [(k[0], k[-1]) for k in knots]
+    batch = np.concatenate([lo + (hi - lo) * rng.uniform(0.0, 1.0, 12)
+                            for lo, hi in cells + ranges]
+                           + [edges, rng.choice(sol.grid, 12)])
+    rng.shuffle(batch)
+    for f in (sol.m_at, lambda x: shrinkage.delta(x, sol),
+              lambda x: shrinkage.psi(x, sol)):
+        assert np.array_equal(f(batch), [f(x) for x in batch])
+    inside = np.any([(lo < batch) & (batch < hi) for lo, hi in ranges], axis=0)
+    off = np.unique(batch[~inside & ~np.isin(batch, sol.grid)])
+    assert len(off) >= 12 * len(cells)
+    exact = stieltjes.boundary_values(spec, gamma, off).m_breve
+    assert np.array_equal(sol.m_at(off), exact)
+
+
 @pytest.mark.parametrize("grid, tol", [
     ([0.5, 1.0, 2.0], 0.1), (np.linspace(0.5, 2.0, 31), 1e-6),
     (np.linspace(0.5, 4.0, 40), 5e-4), (np.linspace(0.02, 2.0, 100), 5e-2),
@@ -1151,6 +1181,25 @@ def test_f_integral_takes_end_terms_at_cuts(spec_d1):
     sol = stieltjes.StieltjesSolution(gamma=2.0, grid=grid, spec=spec_d1,
                                       m_breve=1j * np.pi * density, cuts=(c,))
     assert abs(sol.total_mass() - 3.0 * np.pi / 16.0 * (b - a)) <= 1e-9
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 10.0, 100.0])
+def test_cdf_inside_the_support_matches_quad(spec_d1, gamma):
+    # a partial sum of the trapezoid rule in theta converges only to second
+    # order inside a piece: on the default grid of delta_1, cdf at 200
+    # interior nodes and at 200 midpoints of their steps misses quad of the
+    # closed-form density, chained over consecutive points, by up to 2.3e-7
+    from scipy.integrate import quad
+    sol = stieltjes.solve_density(spec_d1, gamma)
+    (a, b), = sol.support
+    inner = sol.grid[(sol.grid > a) & (sol.grid < b)]
+    k = np.linspace(0, len(inner) - 2, 200).round().astype(int)
+    lam = np.sort(np.concatenate([inner[k], 0.5 * (inner[k] + inner[k + 1])]))
+    steps = [quad(oracles.point_mass_density, lo, hi, args=(gamma,),
+                  epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+             for lo, hi in zip(np.concatenate([[a], lam[:-1]]), lam)]
+    exact = sol.mass_at_zero + np.cumsum(steps)
+    assert np.max(np.abs(sol.cdf(lam) - exact)) <= 3e-7
 
 
 @pytest.mark.parametrize("gamma", [0.5, 2.0])
